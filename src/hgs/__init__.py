@@ -9,6 +9,7 @@ independent counting routes cross-checked by named verification suites.
 
 from .groups import (
     CapExceededError,
+    EngineError,
     FiniteGroup,
     GroupError,
     PermRep,
@@ -38,7 +39,6 @@ from .morphisms import (
 from .holomorph import (
     Checkpoint,
     CrossedHom,
-    EngineError,
     Holomorph,
     RegularSubgroup,
     build_holomorph,

@@ -20,12 +20,15 @@ from .fields import GaloisField, gf
 from .groups import (
     FiniteGroup,
     GroupError,
+    PermRep,
     Subgroup,
+    _readonly,
     commutator_subgroup,
     direct_product,
     from_mul_table,
     from_perm_gens,
     order_census,
+    perm_table,
     quotient_group,
     center,
 )
@@ -142,15 +145,8 @@ def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGr
     ident_pos = int(np.flatnonzero((rows == ident).all(axis=1))[0])
     order = [ident_pos] + [i for i in range(len(rows)) if i != ident_pos]
     rows = rows[order]
-    n = len(rows)
-    index = {row.tobytes(): i for i, row in enumerate(map(np.ascontiguousarray, rows))}
-    mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        comp = rows[i][rows]
-        for j in range(n):
-            mul[i, j] = index[np.ascontiguousarray(comp[j]).tobytes()]
-    from .groups import PermRep, _readonly
-    return FiniteGroup(mul, name=name, perm_rep=PermRep(degree, _readonly(rows)),
+    return FiniteGroup(perm_table(rows), name=name,
+                       perm_rep=PermRep(degree, _readonly(rows)),
                        validate=False, assume_associative=True)
 
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 infeasible
-(a size cap was exceeded).  HGS_MAX_TABLE overrides the Cayley-table cap and
+(a size cap was exceeded), 4 internal error (an engine invariant failed,
+which is a bug in hgs).  HGS_MAX_TABLE overrides the Cayley-table cap and
 HGS_JOBS sets the default worker count; results never depend on the worker
 count.
 """
@@ -20,7 +21,7 @@ from .counting import (
     count_product_type,
     count_self_type,
 )
-from .groups import CapExceededError, GroupError, center
+from .groups import CapExceededError, EngineError, GroupError, center
 from .morphisms import are_isomorphic
 from .parallel import default_jobs
 from .report import emit_report
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,9 +162,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         print(emit_report(report, "json"))
     else:
-        status = "all passed" if report.ok else "FAILURES PRESENT"
-        print(f"suite {report.suite}: {len(report.items)} checks, {status} "
-              f"({report.runtime_ms} ms)")
+        print(report.summary())
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -195,6 +195,9 @@ def main(argv=None) -> int:
     except GroupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except EngineError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -27,12 +27,12 @@ import numpy as np
 
 from .groups import (
     CapExceededError,
+    EngineError,
     FiniteGroup,
     GroupError,
     order_census,
 )
 from .holomorph import (
-    EngineError,
     RegularSubgroup,
     lambda_perms,
     normalized_by,
@@ -353,10 +353,6 @@ class BruteForceResult:
     counts: dict[str, int]
     subgroups: list[RegularSubgroup]
     runtime_ms: int
-
-    def to_results(self) -> list[CountResult]:
-        return [CountResult(self.g_label, nl, METHOD_BRUTE, v, self.runtime_ms)
-                for nl, v in sorted(self.counts.items())]
 
 
 def count_brute_force(G: FiniteGroup, types: dict[str, FiniteGroup] | None = None,

@@ -14,11 +14,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _search
 from . import perms as P
 
 
 class GroupError(Exception):
     """A structural defect in group input (bad table, bad generators)."""
+
+
+class EngineError(Exception):
+    """An internal invariant failed; indicates a bug, not bad input."""
 
 
 class CapExceededError(GroupError):
@@ -57,8 +62,8 @@ class FiniteGroup:
     """Finite group as an n x n index table with identity at index 0.
 
     Instances are immutable after construction; all derived data (element
-    orders, conjugacy classes, word tree over the generating set) is either
-    computed up front or cached on first use.
+    orders, conjugacy classes, the search word tree over the generating set)
+    is either computed up front or cached on first use.
     """
 
     def __init__(
@@ -85,13 +90,16 @@ class FiniteGroup:
             self._validate_table(assume_associative)
         self.inv = _readonly(self._compute_inverses())
         self.elt_order = _readonly(self._compute_element_orders())
+        self._cache: dict = {}
         if gens is None:
             gens = self._greedy_generators()
+        else:
+            # given generators must generate: the search word tree shows it
+            try:
+                self._cache["stage_data"] = _search.StageData(mul, gens)
+            except ValueError:
+                raise GroupError("stored generators do not generate the group") from None
         self.gens = [int(g) for g in gens]
-        if n > 1 and not self.gens:
-            raise GroupError("non-trivial group needs a generating set")
-        self.tree_gen, self.tree_parent, self.bfs_order = self._build_word_tree()
-        self._cache: dict = {}
 
     # -- construction internals ------------------------------------------------
 
@@ -156,32 +164,6 @@ class FiniteGroup:
             closed[:] = False
             closed[members] = True
         return gens
-
-    def _build_word_tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Left-factorization BFS tree: element = gens[tree_gen] * parent."""
-        n = self.order
-        tree_gen = np.full(n, -1, dtype=np.int32)
-        tree_parent = np.full(n, -1, dtype=np.int32)
-        order = np.zeros(n, dtype=np.int32)
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        queue = [0]
-        pos = 0
-        mul = self.mul
-        while pos < len(queue):
-            x = queue[pos]
-            pos += 1
-            for gi, g in enumerate(self.gens):
-                y = int(mul[g, x])
-                if not seen[y]:
-                    seen[y] = True
-                    tree_gen[y] = gi
-                    tree_parent[y] = x
-                    queue.append(y)
-        if not seen.all():
-            raise GroupError("stored generators do not generate the group")
-        order[: len(queue)] = queue
-        return _readonly(tree_gen), _readonly(tree_parent), _readonly(order)
 
     # -- basic queries -----------------------------------------------------------
 
@@ -319,6 +301,46 @@ def _closure_indices(mul: np.ndarray, seed: Iterable[int]) -> np.ndarray:
         current = merged
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable opaque key per row of an int32 array."""
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+
+
+def perm_table(images: np.ndarray) -> np.ndarray:
+    """Cayley table of a set of permutation rows closed under composition.
+
+    ``mul[i, j]`` is the index of the row ``images[i][images[j]]``, so the
+    identity row must come first.  Rows are told apart by their images on
+    a base, a set of points chosen greedily until those images differ, and
+    each table row is looked up in one sorted search.
+    """
+    images = np.ascontiguousarray(images, dtype=np.int32)
+    n = len(images)
+    base: list[int] = []
+    seen = 0
+    for p in range(images.shape[1]):
+        if seen == n:
+            break
+        distinct = len(np.unique(images[:, base + [p]], axis=0))
+        if distinct > seen:
+            base.append(p)
+            seen = distinct
+    if seen != n:
+        raise GroupError("permutation rows are not distinct")
+    on_base = np.ascontiguousarray(images[:, base])
+    order = np.argsort(_row_keys(on_base))
+    sorted_keys = _row_keys(on_base[order])
+    mul = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        composed = images[i][on_base]
+        pos = np.minimum(np.searchsorted(sorted_keys, _row_keys(composed)), n - 1)
+        mul[i] = order[pos]
+        if not np.array_equal(on_base[mul[i]], composed):
+            raise GroupError("permutation rows are not closed under composition")
+    return mul
+
+
 def from_mul_table(table, *, name: str | None = None, validate: bool = True) -> FiniteGroup:
     """Group from an explicit Cayley table; fully validated when small enough."""
     return FiniteGroup(np.asarray(table, dtype=np.int32), name=name, validate=validate)
@@ -350,11 +372,10 @@ def from_perm_gens(
     cap = element_cap if element_cap is not None else CLOSURE_ELEMENT_CAP
     identity = P.identity_perm(degree)
     index_of = {identity.tobytes(): 0}
-    elements = [identity]
-    queue = [identity]
+    elements = [identity]  # also the BFS queue
     pos = 0
-    while pos < len(queue):
-        x = queue[pos]
+    while pos < len(elements):
+        x = elements[pos]
         pos += 1
         for g in gens:
             y = g[x]
@@ -365,17 +386,12 @@ def from_perm_gens(
                         f"closure exceeded the {cap}-element cap")
                 index_of[key] = len(elements)
                 elements.append(y)
-                queue.append(y)
     n = len(elements)
     if n > table_cap():
         raise CapExceededError(
             f"closure has {n} elements, above the table cap {table_cap()}")
     images = np.stack(elements)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        rows = elements[i][images.T]  # column j = elements[i] o elements[j]
-        for j in range(n):
-            mul[i, j] = index_of[np.ascontiguousarray(rows[:, j]).tobytes()]
+    mul = perm_table(images)
     gen_indices = [index_of[g.tobytes()] for g in gens]
     # drop duplicate/identity generators but keep the given order
     seen: set[int] = set()
@@ -506,8 +522,8 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
                 found[key] = joined
                 frontier.append(joined)
     subs = [Subgroup(G, m) for m in sorted(found.values(), key=lambda m: (len(m), m.tolist()))]
-    for s in subs:
-        assert s.is_normal()
+    if not all(s.is_normal() for s in subs):
+        raise EngineError("a union of conjugacy classes closed to a non-normal subgroup")
     G._cache["normal_subgroups"] = subs
     return subs
 

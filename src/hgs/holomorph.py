@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _search
 from .groups import (
+    EngineError,
     FiniteGroup,
     GroupError,
     Subgroup,
@@ -36,10 +37,6 @@ from .morphisms import (
 )
 
 HOL_CONVENTION = "rho-semidirect-v1"
-
-
-class EngineError(Exception):
-    """An internal invariant failed; indicates a bug, not bad input."""
 
 
 class Holomorph:
@@ -172,10 +169,10 @@ def crossed_homomorphisms(
 ) -> Iterator[CrossedHom]:
     """All crossed homomorphisms g: G -> N with respect to f, DFS order.
 
-    Generator images are assigned in ascending index order; each partial
-    assignment is extended along the word tree and rejected on the first
-    violated product (or repeated value, when ``bijective_only``).  Fully
-    assigned maps get the exhaustive pair check before emission.
+    The staged search runs on the twisted tables T_s[a][b] = a * f(s)(b), one
+    per effective generator s of G, and rejects a partial assignment on the
+    first violated product (or repeated value, when ``bijective_only``).
+    Fully assigned maps get the exhaustive pair check before emission.
     """
     G = f.source
     N = hol.base
@@ -183,66 +180,13 @@ def crossed_homomorphisms(
         raise GroupError("f must land in the automorphism carrier of the holomorph")
     sd = _search.stage_data(G)
     nG, nN = G.order, N.order
-    if not sd.gens:
-        if not (bijective_only and nN != 1):
-            g = np.zeros(1, dtype=np.int32)
-            yield CrossedHom(hol, f, _readonly(g), bijective=(nN == 1))
-        return
+    tables = [N.mul[:, hol.aut.perms[int(f.images[s])]].tolist() for s in sd.gens]
     candidates = _crossed_candidates(hol, f, bijective_only)
-    mulN_rows = N.mul_rows()
-    # permutation rows of f at the generators, as plain lists
-    frow = {s: hol.aut.perms[int(f.images[s])].tolist() for s in sd.gens}
-    img = [-1] * nG
-    img[0] = 0
-    used = bytearray(nN)
-    used[0] = 1
-    n_stages = len(sd.gens)
-
-    def drive(k: int) -> Iterator[CrossedHom]:
-        nodes = sd.nodes[k]
-        checks = sd.checks[k]
-        gen_elt = sd.gens[k]
-        gens = sd.gens
-        for x in candidates[k]:
-            if bijective_only and used[x]:
-                continue
-            img[gen_elt] = x
-            if bijective_only:
-                used[x] = 1
-            trail = [gen_elt]
-            ok = True
-            for e, gi, par in nodes:
-                if e == gen_elt:
-                    continue
-                s = gens[gi]
-                v = mulN_rows[img[s]][frow[s][img[par]]]
-                if bijective_only and used[v]:
-                    ok = False
-                    break
-                img[e] = v
-                if bijective_only:
-                    used[v] = 1
-                trail.append(e)
-            if ok:
-                for s, w, u in checks:
-                    if img[u] != mulN_rows[img[s]][frow[s][img[w]]]:
-                        ok = False
-                        break
-            if ok:
-                if k + 1 < n_stages:
-                    yield from drive(k + 1)
-                else:
-                    g = np.array(img, dtype=np.int32)
-                    if crossed_relation_holds(hol, f, g):
-                        bij = bool(len(np.unique(g)) == nN) if nG == nN else False
-                        if not bijective_only or bij:
-                            yield CrossedHom(hol, f, _readonly(g), bijective=bij)
-            for e in trail:
-                if bijective_only:
-                    used[img[e]] = 0
-                img[e] = -1
-
-    yield from drive(0)
+    for g in _search.iter_stage_maps(sd, tables, candidates, bijective=bijective_only):
+        if crossed_relation_holds(hol, f, g):
+            bij = bool(len(np.unique(g)) == nN) if nG == nN else False
+            if not bijective_only or bij:
+                yield CrossedHom(hol, f, _readonly(g), bijective=bij)
 
 
 def derive_h(c: CrossedHom) -> Homomorphism:
@@ -487,17 +431,6 @@ class RegularSubgroupCount:
     subgroup_count: int
     samples: list[RegularSubgroup]
     f_total: int
-
-
-def count_bijective_crossed(hol: Holomorph, f: Homomorphism,
-                            collect: bool = False) -> tuple[int, list]:
-    count = 0
-    keys = []
-    for c in crossed_homomorphisms(hol, f, bijective_only=True):
-        count += 1
-        if collect:
-            keys.append(c.subgroup_key())
-    return count, keys
 
 
 def regular_subgroups_in_holomorph(

@@ -15,6 +15,7 @@ from .groups import (
     Subgroup,
     center,
     fingerprint,
+    perm_table,
     table_cap,
     _readonly,
 )
@@ -60,14 +61,6 @@ class Homomorphism:
     def is_bijective(self) -> bool:
         return self.source.order == self.target.order and self.is_injective()
 
-    def inverse_images(self) -> np.ndarray:
-        """For a bijective map, the inverse image sequence."""
-        if not self.is_bijective():
-            raise GroupError("only bijective homomorphisms can be inverted")
-        inv = np.empty(self.source.order, dtype=np.int32)
-        inv[self.images] = np.arange(self.source.order, dtype=np.int32)
-        return inv
-
     def __repr__(self) -> str:
         return (f"<Homomorphism {self.source.name or '?'} -> "
                 f"{self.target.name or '?'}>")
@@ -87,9 +80,6 @@ class AutomorphismGroup:
     inner: Subgroup
     _base_points: tuple[int, ...]
     _index: dict
-
-    def apply(self, aut_index: int, x: int) -> int:
-        return int(self.perms[aut_index, x])
 
     def perm_index(self, perm: np.ndarray) -> int:
         """Carrier index of an automorphism given as a permutation of base."""
@@ -153,16 +143,9 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     index = {k: i for i, k in enumerate(keys)}
     if len(index) != len(keys):
         raise GroupError("automorphism action is not faithful on generators")
-    m = len(keys)
     base_pts = tuple(sd.gens)
-    base_cols = list(base_pts)
-    base_imgs = perms[:, base_cols]
-    rows = []
-    for a in range(m):
-        composed = perms[a][base_imgs].tolist()  # row b = key of perms[a] o perms[b]
-        rows.append([index[tuple(c)] for c in composed])
-    mul = np.array(rows, dtype=np.int32)
-    carrier = FiniteGroup(mul, name=f"Aut({G.name})" if G.name else "Aut",
+    carrier = FiniteGroup(perm_table(perms),
+                          name=f"Aut({G.name})" if G.name else "Aut",
                           validate=False, assume_associative=True)
     try:
         inner_idx = sorted({

@@ -19,9 +19,7 @@ def emit_report(results, fmt: str = "table") -> str:
         if fmt == "json":
             return json.dumps(results.to_dict(), indent=2, sort_keys=True)
         lines = [item.line() for item in results.items]
-        status = "all passed" if results.ok else "FAILURES PRESENT"
-        lines.append(f"suite {results.suite}: {len(results.items)} checks, "
-                     f"{status} ({results.runtime_ms} ms)")
+        lines.append(results.summary())
         return "\n".join(lines)
     items = list(results) if not isinstance(results, CountResult) else [results]
     if fmt == "json":

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fields import _is_prime
 from .groups import (
     FiniteGroup,
     GroupError,
@@ -31,17 +32,6 @@ from .groups import (
     quotient_group,
 )
 from .morphisms import are_isomorphic, automorphism_group
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass

@@ -83,6 +83,11 @@ class SuiteReport:
     def runtime_ms(self) -> int:
         return sum(item.runtime_ms for item in self.items)
 
+    def summary(self) -> str:
+        status = "all passed" if self.ok else "FAILURES PRESENT"
+        return (f"suite {self.suite}: {len(self.items)} checks, {status} "
+                f"({self.runtime_ms} ms)")
+
     def to_dict(self) -> dict:
         return {
             "schema": "hgs-report/1",

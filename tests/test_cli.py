@@ -1,6 +1,8 @@
 import json
 
+from hgs import cli
 from hgs.cli import main
+from hgs.groups import EngineError
 
 
 def test_info_command(capsys):
@@ -18,8 +20,9 @@ def test_info_json(capsys):
 
 
 def test_count_formula_self(capsys):
-    assert main(["count", "-G", "S5", "-N", "S5", "--method", "formula"]) == 0
-    assert " 32 " in capsys.readouterr().out.replace("32", " 32 ", 1) or True
+    rc = main(["count", "-G", "S5", "-N", "S5", "--method", "formula", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["items"][0]["value"] == 32
 
 
 def test_count_formula_product_json(capsys):
@@ -70,6 +73,15 @@ def test_bad_spec_exits_2(capsys):
 def test_infeasible_exits_3(capsys):
     rc = main(["count", "-G", "C16", "-N", "C16", "--method", "brute"])
     assert rc == 3
+
+
+def test_engine_error_exits_4(capsys, monkeypatch):
+    def broken(args):
+        raise EngineError("invariant failed")
+
+    monkeypatch.setattr(cli, "_cmd_info", broken)
+    assert main(["info", "-G", "C4"]) == 4
+    assert "internal error: invariant failed" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2(capsys):

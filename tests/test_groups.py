@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hgs import perms as P
+from hgs._search import stage_data
 from hgs.catalog import resolve_spec
+from hgs.morphisms import automorphism_group
 from hgs.groups import (
     CapExceededError,
+    FiniteGroup,
     GroupError,
     Subgroup,
     center,
@@ -18,6 +21,7 @@ from hgs.groups import (
     is_solvable,
     normal_subgroups,
     order_census,
+    perm_table,
     quotient_group,
     subgroup_closure,
 )
@@ -184,9 +188,40 @@ def test_cyclic_group_census_properties(n):
     assert total == n
 
 
-def test_word_tree_reaches_everything(S5):
-    assert (S5.tree_gen[1:] >= 0).all()
-    # every non-identity element factors as gen * parent
-    for x in range(1, S5.order):
-        g = S5.gens[S5.tree_gen[x]]
-        assert S5.mul[g, S5.tree_parent[x]] == x
+def test_stage_data_word_tree_reaches_everything(S5):
+    sd = stage_data(S5)
+    assert sd.stage_sizes[-1] == S5.order
+    # every non-identity element is reached once, as gen * parent
+    reached = [e for nodes in sd.nodes for e, _, _ in nodes]
+    assert sorted(reached) == list(range(1, S5.order))
+    for nodes in sd.nodes:
+        for e, gi, par in nodes:
+            assert S5.mul[sd.gens[gi], par] == e
+
+
+def test_explicit_non_generating_gens_rejected():
+    S3 = resolve_spec("S3")
+    three_cycle = int(np.flatnonzero(S3.elt_order == 3)[0])
+    swap = int(np.flatnonzero(S3.elt_order == 2)[0])
+    with pytest.raises(GroupError, match="do not generate"):
+        FiniteGroup(S3.mul, gens=[three_cycle], validate=False)
+    with pytest.raises(GroupError, match="do not generate"):
+        FiniteGroup(S3.mul, gens=[], validate=False)
+    assert FiniteGroup(S3.mul, gens=[three_cycle, swap], validate=False).order == 6
+
+
+def test_perm_table_matches_reference_composition():
+    # reference: look every composed row up by its full image sequence
+    groups = [resolve_spec(label) for label in ("S4", "D5", "PGL(2,5)")]
+    for images in [G.perm_rep.images for G in groups] + [
+            automorphism_group(resolve_spec("S4")).perms]:
+        index = {row.tobytes(): i for i, row in enumerate(images)}
+        reference = [[index[images[i][images[j]].tobytes()] for j in range(len(images))]
+                     for i in range(len(images))]
+        assert perm_table(images).tolist() == reference
+
+
+def test_perm_table_rejects_an_unclosed_set():
+    cyc = P.parse_cycles("(0 1 2 3)", 4)
+    with pytest.raises(GroupError, match="not closed"):
+        perm_table(np.stack([P.identity_perm(4), cyc]))

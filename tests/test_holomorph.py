@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,46 @@ def test_no_bijective_crossed_hom_c4_to_v4():
     hol = build_holomorph(V4)
     f = _trivial_f(C4, hol)
     assert list(crossed_homomorphisms(hol, f, bijective_only=True)) == []
+
+
+@pytest.mark.parametrize("g_label,n_label", [
+    ("C4", "C4"), ("V4", "C4"), ("S3", "C6"), ("C6", "S3"), ("S3", "S3"),
+    ("D4", "Q8"), ("Q8", "D4"), ("C4xC2", "D4"), ("C6", "C2"),
+])
+def test_trivial_f_crossed_homs_are_hom_enumeration(g_label, n_label):
+    # a homomorphism is a crossed homomorphism for the trivial f, found in
+    # the same order by the same search
+    G, N = resolve_spec(g_label), resolve_spec(n_label)
+    hol = build_holomorph(N)
+    crossed = [c.g.tolist() for c in crossed_homomorphisms(hol, _trivial_f(G, hol))]
+    homs = [h.images.tolist() for h in enumerate_homomorphisms(G, N)]
+    assert crossed == homs
+
+
+def _crossed_sequence_digest(G, N):
+    """sha256 over every emitted (f, g, bijective), all f's, both modes."""
+    hol = build_holomorph(N)
+    h = hashlib.sha256()
+    count = 0
+    for bijective_only in (False, True):
+        for f in enumerate_homomorphisms(G, hol.aut.carrier):
+            for c in crossed_homomorphisms(hol, f, bijective_only=bijective_only):
+                h.update(c.f.images.tobytes())
+                h.update(c.g.tobytes())
+                h.update(bytes([c.bijective]))
+                count += 1
+            h.update(b"|")
+    return h.hexdigest(), count
+
+
+@pytest.mark.parametrize("g_label,n_label,digest,count", [
+    ("S3", "C6", "b2b899766be02317cf58313c05b33759b962c5e4c60f4f3e6fe9e31c937e8711", 26),
+    ("D4", "Q8", "d68d496089bd896a82c28a77a64a1a4b39f22093dedf738a1b15ed6013332389", 1216),
+])
+def test_crossed_emission_order_is_pinned(g_label, n_label, digest, count):
+    # checkpoints and collected samples depend on this order
+    G, N = resolve_spec(g_label), resolve_spec(n_label)
+    assert _crossed_sequence_digest(G, N) == (digest, count)
 
 
 def test_crossed_relation_verified_on_all_pairs(S5, A5xC2):
