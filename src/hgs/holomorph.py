@@ -237,7 +237,6 @@ def induce_on_quotient(c: CrossedHom, L: Subgroup) -> tuple[CrossedHom, Subgroup
     # map each automorphism of N appearing in f to its induced action on Q
     induced_cache: dict[int, int] = {}
     h_images = np.empty(G.order, dtype=np.int32)
-    base_pts = list(autQ._base_points)
     for d in range(G.order):
         a = int(c.f.images[d])
         if a not in induced_cache:
@@ -414,7 +413,7 @@ class Checkpoint:
             k, v = line.split(":", 1)
             fields[k.strip()] = v.strip()
         try:
-            return Checkpoint(
+            ckpt = Checkpoint(
                 g_digest=fields["g-digest"],
                 n_digest=fields["n-digest"],
                 convention=fields["convention"],
@@ -423,6 +422,12 @@ class Checkpoint:
             )
         except KeyError as exc:
             raise GroupError(f"{path}: missing checkpoint field {exc}")
+        except ValueError as exc:
+            raise GroupError(f"{path}: checkpoint field is not an integer: {exc}")
+        if ckpt.pair_count < 0 or (ckpt.f_index == -1 and ckpt.pair_count != 0):
+            raise GroupError(f"{path}: impossible pair-count {ckpt.pair_count} "
+                             f"at f-index {ckpt.f_index}")
+        return ckpt
 
 
 @dataclass
@@ -431,6 +436,17 @@ class RegularSubgroupCount:
     subgroup_count: int
     samples: list[RegularSubgroup]
     f_total: int
+
+
+def bijective_pair_count(hol: Holomorph, f: Homomorphism,
+                         found: Optional[dict] = None) -> int:
+    """Bijective crossed homs for one f; each new subgroup goes into ``found``."""
+    count = 0
+    for c in crossed_homomorphisms(hol, f, bijective_only=True):
+        count += 1
+        if found is not None:
+            found.setdefault(c.subgroup_key(), c)
+    return count
 
 
 def regular_subgroups_in_holomorph(
@@ -446,68 +462,59 @@ def regular_subgroups_in_holomorph(
 
     The outer loop runs over f in Hom(G, Aut(N)) in a fixed order, so a
     checkpoint records the last completed f-index and the running pair count;
-    resuming from it reproduces identical totals.
+    resuming from it reproduces identical totals.  With ``jobs > 1`` the
+    per-f counts come from a worker pool, merged back in f order.
     """
     if N.order != G.order:
         raise GroupError("regular subgroups need |N| = |G|")
     hol = build_holomorph(N)
     aut_g_order = automorphism_group(G).order
     f_list = list(enumerate_homomorphisms(G, hol.aut.carrier))
+    f_total = len(f_list)
     start_index = 0
     pair_count = 0
-    ckpt = None
     if checkpoint_path is not None:
         checkpoint_path = Path(checkpoint_path)
         if collect_subgroups:
             raise GroupError("checkpointing is only supported for counting runs")
+        digests = (group_digest(G), group_digest(N))
         if checkpoint_path.exists():
             ckpt = Checkpoint.read(checkpoint_path)
-            if (ckpt.g_digest != group_digest(G) or ckpt.n_digest != group_digest(N)
+            if ((ckpt.g_digest, ckpt.n_digest) != digests
                     or ckpt.convention != HOL_CONVENTION):
                 raise GroupError(f"{checkpoint_path}: checkpoint belongs to a different run")
+            if not -1 <= ckpt.f_index < f_total:
+                raise GroupError(f"{checkpoint_path}: f-index {ckpt.f_index} outside "
+                                 f"[-1, {f_total - 1}]")
             start_index = ckpt.f_index + 1
             pair_count = ckpt.pair_count
-    seen_keys: dict[tuple, int] = {}
-    sample_pairs: list[CrossedHom] = []
+    if jobs > 1 and collect_subgroups:
+        raise GroupError("subgroup collection runs are serial; drop jobs")
 
-    if jobs > 1:
-        if collect_subgroups:
-            raise GroupError("subgroup collection runs are serial; drop jobs")
+    found: dict[tuple, CrossedHom] = {}
+    workers = min(jobs, f_total - start_index)
+    if workers > 1:
         from .parallel import parallel_crossed_counts
-        results = parallel_crossed_counts(N, G, len(f_list), start_index, jobs)
-        for fi, count in results:
-            pair_count += count
-            if checkpoint_path is not None:
-                Checkpoint(group_digest(G), group_digest(N), HOL_CONVENTION,
-                           fi, pair_count).write(checkpoint_path)
-            if log:
-                log(fi, len(f_list), pair_count)
+        counts = parallel_crossed_counts(hol, f_list, start_index, jobs=workers)
     else:
-        for fi in range(start_index, len(f_list)):
-            f = f_list[fi]
-            count = 0
-            for c in crossed_homomorphisms(hol, f, bijective_only=True):
-                count += 1
-                if collect_subgroups:
-                    key = c.subgroup_key()
-                    if key not in seen_keys:
-                        seen_keys[key] = fi
-                        sample_pairs.append(c)
-            pair_count += count
-            if checkpoint_path is not None:
-                Checkpoint(group_digest(G), group_digest(N), HOL_CONVENTION,
-                           fi, pair_count).write(checkpoint_path)
-            if log:
-                log(fi, len(f_list), pair_count)
+        sink = found if collect_subgroups else None
+        counts = ((fi, bijective_pair_count(hol, f_list[fi], sink))
+                  for fi in range(start_index, f_total))
+    for fi, count in counts:
+        pair_count += count
+        if checkpoint_path is not None:
+            Checkpoint(*digests, HOL_CONVENTION, fi, pair_count).write(checkpoint_path)
+        if log:
+            log(fi, f_total, pair_count)
 
     if pair_count % aut_g_order != 0:
         raise EngineError(
             f"pair count {pair_count} not divisible by |Aut(G)| = {aut_g_order}")
-    samples = [regular_subgroup_from_crossed(c) for c in sample_pairs]
+    samples = [regular_subgroup_from_crossed(c) for c in found.values()]
     if collect_subgroups and len(samples) != pair_count // aut_g_order:
         raise EngineError("collected subgroup count disagrees with the pair count")
     return RegularSubgroupCount(pair_count, pair_count // aut_g_order,
-                                samples, len(f_list))
+                                samples, f_total)
 
 
 # -- normalizer identity (desk-scale literal check) -----------------------------

@@ -100,22 +100,22 @@ class AutomorphismGroup:
         return self.carrier.order // self.inner.size
 
 
-def _invariant_bins(G: FiniteGroup) -> dict[tuple[int, int], list[int]]:
+def _iso_candidates(G: FiniteGroup, H: FiniteGroup) -> Optional[list[list[int]]]:
+    """Per-generator image candidates in H: same element order, same class size.
+
+    None when some generator of G has invariants no element of H shares.
+    """
     bins: dict[tuple[int, int], list[int]] = {}
-    sizes = G.class_sizes_by_element()
-    for x in range(G.order):
-        bins.setdefault((int(G.elt_order[x]), int(sizes[x])), []).append(x)
-    return bins
-
-
-def _aut_candidates(G: FiniteGroup) -> list[list[int]]:
-    """Per-generator image candidates: same element order, same class size."""
-    sd = _search.stage_data(G)
-    bins = _invariant_bins(G)
+    sizes_h = H.class_sizes_by_element()
+    for x in range(H.order):
+        bins.setdefault((int(H.elt_order[x]), int(sizes_h[x])), []).append(x)
     sizes = G.class_sizes_by_element()
     out = []
-    for g in sd.gens:
-        out.append(bins[(int(G.elt_order[g]), int(sizes[g]))])
+    for g in _search.stage_data(G).gens:
+        key = (int(G.elt_order[g]), int(sizes[g]))
+        if key not in bins:
+            return None
+        out.append(bins[key])
     return out
 
 
@@ -127,7 +127,7 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
         raise CapExceededError(
             f"automorphism search capped at order {table_cap()}")
     sd = _search.stage_data(G)
-    found = list(_search.iter_hom_images(G, G, _aut_candidates(G), bijective=True))
+    found = list(_search.iter_hom_images(G, G, _iso_candidates(G, G), bijective=True))
     if not found:
         raise GroupError("automorphism search lost the identity map")
     perms = np.stack(found).astype(np.int32)
@@ -224,15 +224,9 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
         return None
     if fingerprint(G) != fingerprint(H):
         return None
-    sd = _search.stage_data(G)
-    bins = _invariant_bins(H)
-    sizes = G.class_sizes_by_element()
-    candidates = []
-    for g in sd.gens:
-        key = (int(G.elt_order[g]), int(sizes[g]))
-        if key not in bins:
-            return None
-        candidates.append(bins[key])
+    candidates = _iso_candidates(G, H)
+    if candidates is None:
+        return None
     for img in _search.iter_hom_images(G, H, candidates, bijective=True):
         return Homomorphism(G, H, img, _checked=True)
     return None

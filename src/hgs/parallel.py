@@ -2,6 +2,10 @@
 
 Work is partitioned over the outer f-index of a holomorph run; results are
 merged back in index order, so totals are identical for any worker count.
+Workers reuse the parent's Hol(N) and f-list, handed over once through the
+pool initializer, and run the same per-f counter as a serial run.  The pool
+never has more workers than f's left to search: the holomorph run passes
+min(jobs, f's left) and stays serial when that is one or less.
 """
 
 from __future__ import annotations
@@ -9,6 +13,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator
+
+from .holomorph import Holomorph, bijective_pair_count
+from .morphisms import Homomorphism
 
 _CONTEXT = {}
 
@@ -24,39 +31,22 @@ def default_jobs() -> int:
     return 1
 
 
-def _init_crossed_worker(n_pickle, g_pickle) -> None:
-    import pickle
-
-    from .holomorph import build_holomorph
-    from .morphisms import enumerate_homomorphisms
-
-    N = pickle.loads(n_pickle)
-    G = pickle.loads(g_pickle)
-    hol = build_holomorph(N)
-    _CONTEXT["hol"] = hol
-    _CONTEXT["f_list"] = list(enumerate_homomorphisms(G, hol.aut.carrier))
+def _init_crossed_worker(context: tuple[Holomorph, list[Homomorphism]]) -> None:
+    # one object, so every f still targets this holomorph's Aut(N) carrier
+    _CONTEXT["hol"], _CONTEXT["f_list"] = context
 
 
 def _count_one(fi: int) -> tuple[int, int]:
-    from .holomorph import crossed_homomorphisms
-
-    hol = _CONTEXT["hol"]
-    f = _CONTEXT["f_list"][fi]
-    count = sum(1 for _ in crossed_homomorphisms(hol, f, bijective_only=True))
-    return fi, count
+    return fi, bijective_pair_count(_CONTEXT["hol"], _CONTEXT["f_list"][fi])
 
 
-def parallel_crossed_counts(N, G, f_total: int, start_index: int,
+def parallel_crossed_counts(hol: Holomorph, f_list: list[Homomorphism],
+                            start_index: int, *,
                             jobs: int) -> Iterator[tuple[int, int]]:
-    """Per-f bijective crossed-homomorphism counts, yielded in f order."""
-    import pickle
-
-    n_pickle = pickle.dumps(N)
-    g_pickle = pickle.dumps(G)
-    indices = range(start_index, f_total)
+    """Bijective crossed-hom counts of f_list[start_index:], yielded in f order."""
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_init_crossed_worker,
-        initargs=(n_pickle, g_pickle),
+        initargs=((hol, f_list),),
     ) as pool:
-        yield from pool.map(_count_one, indices)
+        yield from pool.map(_count_one, range(start_index, len(f_list)))

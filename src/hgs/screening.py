@@ -24,7 +24,6 @@ from .groups import (
     GroupError,
     Subgroup,
     center,
-    centralizer,
     commutator_subgroup,
     is_perfect,
     is_solvable,

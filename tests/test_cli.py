@@ -100,3 +100,15 @@ def test_verify_suite_exit_codes(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert len(payload["items"]) == 7
+
+
+def test_count_resume_rejects_corrupt_checkpoint(tmp_path, capsys):
+    from hgs.catalog import resolve_spec
+    from hgs.holomorph import Checkpoint, group_digest
+    path = tmp_path / "corrupt.ckpt"
+    Checkpoint(group_digest(resolve_spec("C4")), group_digest(resolve_spec("V4")),
+               "rho-semidirect-v1", "seven", 0).write(path)
+    rc = main(["count", "-G", "C4", "-N", "V4", "--method", "byott",
+               "--resume", str(path)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err

@@ -294,6 +294,9 @@ def test_checkpoint_resume_reproduces_counts(tmp_path):
     ck = Checkpoint.read(path)
     assert ck.f_index == full.f_total - 1
     assert ck.pair_count == full.pair_count
+    # a finished run's checkpoint is in range and resumes to its own total
+    done = regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
+    assert done.pair_count == full.pair_count
     mid = Checkpoint(group_digest(C4), group_digest(V4), ck.convention,
                      running[0][0], running[0][1])
     mid.write(path)
@@ -307,6 +310,45 @@ def test_checkpoint_rejects_wrong_run(tmp_path):
     Checkpoint("dead", "beef", "rho-semidirect-v1", 0, 0).write(path)
     with pytest.raises(GroupError, match="different run"):
         regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
+
+
+def _matching_checkpoint(path, f_index, pair_count):
+    """A checkpoint for the (G, N) = (C4, V4) run, with the given progress."""
+    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
+    Checkpoint(group_digest(C4), group_digest(V4), "rho-semidirect-v1",
+               f_index, pair_count).write(path)
+    return V4, C4
+
+
+def test_checkpoint_rejects_non_integer_fields(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    _matching_checkpoint(path, "x3", 0)
+    with pytest.raises(GroupError, match="not an integer"):
+        Checkpoint.read(path)
+
+
+@pytest.mark.parametrize("f_index, pair_count, message", [
+    (99, 8, "outside"),
+    (-2, 0, "outside"),
+    (1, -8, "impossible pair-count"),
+    (-1, 8, "impossible pair-count"),
+])
+def test_checkpoint_rejects_impossible_progress(tmp_path, f_index, pair_count, message):
+    path = tmp_path / "bad.ckpt"
+    V4, C4 = _matching_checkpoint(path, f_index, pair_count)
+    assert regular_subgroups_in_holomorph(V4, C4).f_total == 4
+    with pytest.raises(GroupError, match=message):
+        regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
+
+
+def test_checkpointed_run_digests_each_group_once(tmp_path, monkeypatch):
+    import hgs.holomorph
+    digested = []
+    monkeypatch.setattr(hgs.holomorph, "group_digest",
+                        lambda G: digested.append(G) or group_digest(G))
+    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
+    regular_subgroups_in_holomorph(V4, C4, checkpoint_path=tmp_path / "run.ckpt")
+    assert digested == [C4, V4]
 
 
 def test_pair_count_divisible_by_aut_g(S5, A5xC2):

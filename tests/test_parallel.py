@@ -1,8 +1,13 @@
 """Worker-count invariance: identical results for any jobs value."""
 
+import pickle
+
+import pytest
+
+from hgs import holomorph, morphisms, parallel
 from hgs.catalog import resolve_spec
 from hgs.counting import count_byott
-from hgs.holomorph import regular_subgroups_in_holomorph
+from hgs.holomorph import Checkpoint, group_digest, regular_subgroups_in_holomorph
 
 
 def test_byott_counts_do_not_depend_on_jobs():
@@ -20,10 +25,130 @@ def test_byott_value_matches_across_jobs():
 
 
 def test_parallel_checkpoint_writes(tmp_path):
-    from hgs.holomorph import Checkpoint
     V4, C4 = resolve_spec("V4"), resolve_spec("C4")
     path = tmp_path / "par.ckpt"
     run = regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path, jobs=2)
     ck = Checkpoint.read(path)
     assert ck.pair_count == run.pair_count
     assert ck.f_index == run.f_total - 1
+
+
+def _logged(N, G, **kwargs):
+    """The run and the (f-index, f total, running pair count) triples it logs."""
+    seen = []
+    run = regular_subgroups_in_holomorph(N, G, log=lambda *a: seen.append(a), **kwargs)
+    return run, seen
+
+
+def test_per_f_counts_do_not_depend_on_jobs():
+    Q8, D4 = resolve_spec("Q8"), resolve_spec("D4")
+    serial_run, serial = _logged(Q8, D4)
+    pooled_run, pooled = _logged(Q8, D4, jobs=2)
+    assert [fi for fi, _, _ in serial] == list(range(76))
+    totals = [0] + [pairs for _, _, pairs in serial]
+    assert sum(b > a for a, b in zip(totals, totals[1:])) == 9  # f's with pairs
+    assert pooled == serial
+    assert pooled_run.pair_count == serial_run.pair_count
+
+
+def test_pooled_resume_gives_the_serial_total(tmp_path):
+    Q8, D4 = resolve_spec("Q8"), resolve_spec("D4")
+    full, logged = _logged(Q8, D4)
+    mid = 37
+    path = tmp_path / "mid.ckpt"
+    Checkpoint(group_digest(D4), group_digest(Q8), holomorph.HOL_CONVENTION, mid,
+               logged[mid][2]).write(path)
+    resumed, rest = _logged(Q8, D4, checkpoint_path=path, jobs=2)
+    assert rest == logged[mid + 1:]
+    assert resumed.pair_count == full.pair_count
+    assert Checkpoint.read(path).pair_count == full.pair_count
+
+
+def test_worker_context_survives_pickling():
+    # a spawned worker unpickles hol and the f-list together; the f's must
+    # still land in that holomorph's own Aut(N) carrier
+    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
+    hol = holomorph.build_holomorph(V4)
+    f_list = list(morphisms.enumerate_homomorphisms(C4, hol.aut.carrier))
+    hol2, f_list2 = pickle.loads(pickle.dumps((hol, f_list)))
+    assert all(f.target is hol2.aut.carrier for f in f_list2)
+    assert [holomorph.bijective_pair_count(hol2, f) for f in f_list2] == \
+        [holomorph.bijective_pair_count(hol, f) for f in f_list]
+
+
+REBUILDERS = ("build_holomorph", "automorphism_group", "enumerate_homomorphisms")
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run the pool in this process; record its sizes and calls made by workers."""
+    record = {"sizes": [], "calls": [], "worker_calls": [], "in_worker": False}
+
+    def as_worker(fn, *args):
+        record["in_worker"] = True
+        try:
+            return fn(*args)
+        finally:
+            record["in_worker"] = False
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            record["sizes"].append(max_workers)
+            self._init = (initializer, initargs)
+
+        def __enter__(self):
+            initializer, initargs = self._init
+            as_worker(initializer, *initargs)
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return (as_worker(fn, x) for x in items)
+
+    def spy(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            record["worker_calls" if record["in_worker"] else "calls"].append(name)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(parallel, "_CONTEXT", {})
+    for module in (holomorph, morphisms, parallel):
+        for name in REBUILDERS:
+            if hasattr(module, name):
+                spy(module, name)
+    return record
+
+
+def test_workers_reuse_the_parent_holomorph_and_f_list(inline_pool):
+    Q8, D4 = resolve_spec("Q8"), resolve_spec("D4")
+    _, serial = _logged(Q8, D4)
+    inline_pool["calls"].clear()
+    _, pooled = _logged(Q8, D4, jobs=2)
+    assert pooled == serial
+    assert inline_pool["sizes"] == [2]
+    assert inline_pool["calls"].count("enumerate_homomorphisms") == 1
+    assert inline_pool["worker_calls"] == []
+    assert not any(hasattr(parallel, name) for name in REBUILDERS)
+
+
+def test_pool_never_exceeds_the_fs_left(inline_pool, tmp_path):
+    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
+    full = regular_subgroups_in_holomorph(V4, C4)
+    assert full.f_total == 4
+    assert regular_subgroups_in_holomorph(V4, C4, jobs=8).pair_count == full.pair_count
+    assert inline_pool["sizes"] == [4]
+    _, logged = _logged(V4, C4)
+    path = tmp_path / "late.ckpt"
+    for done, size in [(1, [2]), (2, [])]:
+        inline_pool["sizes"].clear()
+        Checkpoint(group_digest(C4), group_digest(V4), holomorph.HOL_CONVENTION, done,
+                   logged[done][2]).write(path)
+        run = regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path, jobs=8)
+        assert run.pair_count == full.pair_count
+        assert inline_pool["sizes"] == size  # one f left runs serially
