@@ -10,6 +10,7 @@ import numpy as np
 from . import _search
 from .groups import (
     CapExceededError,
+    EngineError,
     FiniteGroup,
     GroupError,
     Subgroup,
@@ -24,8 +25,9 @@ from .groups import (
 class Homomorphism:
     """A total map between finite groups, stored as an image sequence.
 
-    Construction runs the exhaustive pair check, so every instance in
-    circulation is a verified homomorphism.
+    Construction runs the generator certificate
+    (``_search.generator_certificate``), so every instance in circulation is
+    a verified homomorphism.
     """
 
     __slots__ = ("source", "target", "images")
@@ -37,7 +39,7 @@ class Homomorphism:
             raise GroupError("image sequence length must equal the source order")
         if images[0] != 0:
             raise GroupError("homomorphism must send identity to identity")
-        if not _checked and not _search.full_hom_check(source.mul, target.mul, images):
+        if not _checked and not _search.generator_certificate(source, target, images):
             raise GroupError("map is not multiplicative")
         self.source = source
         self.target = target
@@ -120,45 +122,60 @@ def _iso_candidates(G: FiniteGroup, H: FiniteGroup) -> Optional[list[list[int]]]
 
 
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
-    """All automorphisms of G by backtracking over generator images."""
+    """All automorphisms of G, as Inn(G)-cosets of searched representatives.
+
+    Inn(G) is built directly by conjugation.  Every automorphism psi sends
+    the first effective generator g1 into the conjugacy class of some class
+    representative r, say psi(g1) = h r h^-1; then c_h^-1 . psi sends g1 to
+    r.  So one staged search with g1 restricted to one representative per
+    class finds a map in every coset Inn(G) . psi, and each coset not yet
+    covered is added whole.  For abelian G the classes are singletons and
+    this is the plain search.
+
+    Carrier order: identity first, the rest by image-sequence order.  All
+    rows pass the generator certificate before the carrier is built.
+    """
     if "aut" in G._cache:
         return G._cache["aut"]
     if G.order > table_cap():
         raise CapExceededError(
             f"automorphism search capped at order {table_cap()}")
-    sd = _search.stage_data(G)
-    found = list(_search.iter_hom_images(G, G, _iso_candidates(G, G), bijective=True))
-    if not found:
+    gen_idx = list(_search.stage_data(G).gens)
+    # row h: x -> h x h^-1, one row per inner automorphism
+    inn = G.mul[G.mul, G.inv[:, None]]
+    inn = inn[np.unique(inn[:, gen_idx], axis=0, return_index=True)[1]]
+    candidates = _iso_candidates(G, G)
+    if candidates:  # empty only for the trivial group
+        first = np.unique(G.class_index()[candidates[0]], return_index=True)[1]
+        candidates = [[candidates[0][i] for i in sorted(first)]] + candidates[1:]
+    coset_reps = []
+    covered: set[tuple[int, ...]] = set()
+    for phi in _search.iter_hom_images(G, G, candidates, bijective=True):
+        if tuple(phi[gen_idx].tolist()) not in covered:
+            # the coset Inn(G) . phi, on the generators
+            covered.update(map(tuple, inn[:, phi[gen_idx]].tolist()))
+            coset_reps.append(phi)
+    if not coset_reps:
         raise GroupError("automorphism search lost the identity map")
-    perms = np.stack(found).astype(np.int32)
-    # carrier ordering: identity first, the rest by image-sequence order
-    ident = np.arange(G.order, dtype=np.int32)
-    keys = [tuple(int(p[b]) for b in sd.gens) for p in perms]
-    order_idx = sorted(range(len(found)), key=lambda i: tuple(perms[i].tolist()))
-    ident_pos = next(i for i in order_idx if np.array_equal(perms[i], ident))
-    order_idx.remove(ident_pos)
-    order_idx.insert(0, ident_pos)
-    perms = perms[order_idx]
-    keys = [keys[i] for i in order_idx]
-    index = {k: i for i, k in enumerate(keys)}
-    if len(index) != len(keys):
+    perms = inn[:, np.stack(coset_reps)].reshape(-1, G.order).astype(np.int32, copy=False)
+    # the identity is the least permutation, so it sorts first
+    perms = perms[np.lexsort(perms.T[::-1])]
+    if not np.array_equal(perms[0], np.arange(G.order)):
+        raise EngineError("the automorphism cosets miss the identity map")
+    if not _search.generator_certificate(G, G, perms):
+        raise EngineError("an automorphism fails the generator certificate")
+    index = {k: i for i, k in enumerate(map(tuple, perms[:, gen_idx].tolist()))}
+    if len(index) != len(perms):
         raise GroupError("automorphism action is not faithful on generators")
-    base_pts = tuple(sd.gens)
     carrier = FiniteGroup(perm_table(perms),
                           name=f"Aut({G.name})" if G.name else "Aut",
                           validate=False, assume_associative=True)
-    try:
-        inner_idx = sorted({
-            index[tuple(int(G.mul[G.mul[g, b], G.inv[g]]) for b in base_pts)]
-            for g in range(G.order)
-        })
-    except KeyError:
-        raise GroupError("a conjugation map is missing from the automorphism search")
+    inner_idx = sorted(index[k] for k in map(tuple, inn[:, gen_idx].tolist()))
     inner = Subgroup(carrier, np.array(inner_idx, dtype=np.int64))
     z = center(G).size
     if inner.size * z != G.order:
         raise GroupError("inner automorphism count disagrees with the center")
-    aut = AutomorphismGroup(G, carrier, _readonly(perms), inner, base_pts, index)
+    aut = AutomorphismGroup(G, carrier, _readonly(perms), inner, tuple(gen_idx), index)
     G._cache["aut"] = aut
     return aut
 

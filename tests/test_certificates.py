@@ -1,0 +1,135 @@
+"""The O(n * |gens|) generator certificates against the exhaustive n^2 checks."""
+
+import numpy as np
+import pytest
+
+from hgs import _search
+from hgs.catalog import resolve_spec
+from hgs.holomorph import build_holomorph, crossed_homomorphisms, crossed_relation_holds
+from hgs.morphisms import enumerate_homomorphisms
+
+
+def _full_hom_check(S, T, img):
+    """Reference: img[x * y] == img[x] * img[y] for every pair."""
+    return bool(np.array_equal(img[S.mul], T.mul[img][:, img]))
+
+
+def _full_crossed_check(hol, f, g):
+    """Reference: g(d1 * d2) == g(d1) * f(d1)(g(d2)) for every pair."""
+    G, N = f.source, hol.base
+    F = hol.aut.perms[f.images]
+    applied = F[np.arange(G.order)[:, None], g[None, :]]
+    return bool(np.array_equal(g[G.mul], N.mul[g[:, None], applied]))
+
+
+def _perturbed(img, n_target, rng, count):
+    """Copies of img with one non-identity position changed."""
+    out = []
+    for _ in range(count):
+        bad = img.copy()
+        d = int(rng.integers(1, len(img)))
+        bad[d] = (bad[d] + int(rng.integers(1, n_target))) % n_target
+        out.append(bad)
+    return out
+
+
+def test_certificate_agrees_with_full_check_on_small_grid(small_catalog):
+    rng = np.random.default_rng(5)
+    groups = list(small_catalog.values())
+    homs = rejected = 0
+    for S in groups:
+        for T in groups:
+            rows = []
+            for h in enumerate_homomorphisms(S, T):
+                img = np.array(h.images)
+                assert _full_hom_check(S, T, img)
+                assert _search.generator_certificate(S, T, img)
+                rows.append(img)
+                for bad in _perturbed(img, T.order, rng, 2):
+                    verdict = _full_hom_check(S, T, bad)
+                    assert _search.generator_certificate(S, T, bad) == verdict
+                    rejected += not verdict
+            homs += len(rows)
+            # a stack of maps is certified row by row
+            stack = np.stack(rows)
+            assert _search.generator_certificate(S, T, stack)
+            stack[-1] = _perturbed(stack[-1], T.order, rng, 1)[0]
+            assert (_search.generator_certificate(S, T, stack)
+                    == _full_hom_check(S, T, stack[-1]))
+            for _ in range(5):
+                img = rng.integers(0, T.order, S.order).astype(np.int32)
+                img[0] = 0
+                assert (_search.generator_certificate(S, T, img)
+                        == _full_hom_check(S, T, img))
+    assert homs > 500 and rejected > 500
+
+
+@pytest.mark.parametrize("bad_gen", [0, 1])
+def test_certificate_rejects_map_failing_on_one_generator(bad_gen):
+    # V4 = <a, b> -> S3 with a, b sent to non-commuting involutions x, y and
+    # ab sent to xy (or yx): multiplicative on one generator, not the other
+    V4, S3 = resolve_spec("V4"), resolve_spec("S3")
+    a, b = _search.stage_data(V4).gens
+    x, y = [int(t) for t in np.flatnonzero(S3.elt_order == 2)[:2]]
+    assert S3.mul[x, y] != S3.mul[y, x]
+    img = np.zeros(4, dtype=np.int32)
+    img[a], img[b] = x, y
+    img[V4.mul[a, b]] = S3.mul[y, x] if bad_gen == 0 else S3.mul[x, y]
+    good = b if bad_gen == 0 else a
+    bad = a if bad_gen == 0 else b
+    assert np.array_equal(img[V4.mul[good]], S3.mul[img[good], img])
+    assert not np.array_equal(img[V4.mul[bad]], S3.mul[img[bad], img])
+    assert not _search.generator_certificate(V4, S3, img)
+    assert not _full_hom_check(V4, S3, img)
+
+
+def _first_generator_crossed_map(hol, f, rng):
+    """A map with g(s1 w) = g(s1) f(s1)(g(w)) for every w, random elsewhere.
+
+    g(s1) = c is drawn so that the pair (c, f(s1)) has order dividing that
+    of s1; then y -> c f(s1)(y) closes up on every orbit of left
+    multiplication by s1, and g is free on one point per orbit.
+    """
+    G, N = f.source, hol.base
+    s1 = _search.stage_data(G).gens[0]
+    a = int(f.images[s1])
+    m = int(G.elt_order[s1])
+    c = int(rng.choice(np.flatnonzero(m % hol.pair_orders(a) == 0)))
+    g = np.full(G.order, -1, dtype=np.int32)
+    for w in range(G.order):
+        if g[w] >= 0:
+            continue
+        x, y = w, 0 if w == 0 else int(rng.integers(N.order))
+        for _ in range(m):
+            g[x] = y
+            x, y = int(G.mul[s1, x]), int(N.mul[c, hol.aut.perms[a, y]])
+    assert np.array_equal(g[G.mul[s1]], N.mul[g[s1], hol.aut.perms[a][g]])
+    return g
+
+
+@pytest.mark.parametrize("g_label,n_label", [("S3", "C6"), ("D4", "Q8")])
+def test_crossed_certificate_agrees_with_full_check(g_label, n_label):
+    G, N = resolve_spec(g_label), resolve_spec(n_label)
+    hol = build_holomorph(N)
+    rng = np.random.default_rng(7)
+    emitted = rejected = one_gen_rejected = 0
+    for f in enumerate_homomorphisms(G, hol.aut.carrier):
+        for _ in range(3):
+            g = _first_generator_crossed_map(hol, f, rng)
+            verdict = _full_crossed_check(hol, f, g)
+            assert crossed_relation_holds(hol, f, g) == verdict
+            one_gen_rejected += not verdict
+        for c in crossed_homomorphisms(hol, f):
+            g = np.array(c.g)
+            assert _full_crossed_check(hol, f, g)
+            assert crossed_relation_holds(hol, f, g)
+            emitted += 1
+            for bad in _perturbed(g, N.order, rng, 2):
+                verdict = _full_crossed_check(hol, f, bad)
+                assert crossed_relation_holds(hol, f, bad) == verdict
+                rejected += not verdict
+        for _ in range(3):
+            g = rng.integers(0, N.order, G.order).astype(np.int32)
+            g[0] = 0
+            assert crossed_relation_holds(hol, f, g) == _full_crossed_check(hol, f, g)
+    assert emitted > 0 and rejected > 0 and one_gen_rejected > 0

@@ -59,6 +59,20 @@ def test_holomorph_action_is_faithful_and_matches_pairs():
     assert np.array_equal(left, right)
 
 
+@pytest.mark.parametrize("label", ["C6", "S3", "D4", "Q8", "C2xC2xC2"])
+def test_pair_orders_match_pair_multiplication(label):
+    hol = build_holomorph(resolve_spec(label))
+    for a in range(hol.aut.order):
+        expected = []
+        for x in range(hol.base.order):
+            q, k = (x, a), 1
+            while q != (0, 0):
+                q = hol.pair_mul(q, (x, a))
+                k += 1
+            expected.append(k)
+        assert hol.pair_orders(a).tolist() == expected
+
+
 def test_lambda_rho_pairs_act_as_translations():
     G = resolve_spec("S3")
     hol = build_holomorph(G)

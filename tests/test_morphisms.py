@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from hgs import _search
 from hgs.catalog import resolve_spec
-from hgs.groups import GroupError, normal_subgroups
+from hgs.groups import GroupError, normal_subgroups, perm_table
 from hgs.morphisms import (
     Homomorphism,
+    _iso_candidates,
     are_isomorphic,
     automorphism_group,
     enumerate_homomorphisms,
@@ -152,3 +156,53 @@ def test_isomorphism_images_are_verified(A5):
     assert np.array_equal(img[A5.mul], T.mul[img][:, img])
     # symmetry: the reverse direction succeeds too
     assert are_isomorphic(resolve_spec("PSL(2,4)"), A5) is not None
+
+
+# catalog atoms up to order 168 (C_n and D_n sampled), the product
+# groups of the verify suites, and three order-360/720 groups
+AUT_GRID = [
+    "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C12", "C16",
+    "C30", "C60", "C168", "D3", "D4", "D5", "D6", "D7", "D8", "D10", "D12", "D15",
+    "D21", "V4", "Q8", "S3", "S4", "S5", "A4", "A5", "SL(2,2)", "SL(2,3)",
+    "SL(2,4)", "SL(2,5)", "PSL(2,2)", "PSL(2,3)", "PSL(2,4)", "PSL(2,5)",
+    "PSL(2,7)", "PGL(2,2)", "PGL(2,3)", "PGL(2,4)", "PGL(2,5)", "C4xC2",
+    "C2xC2xC2", "C3xC3", "AxCp(A5,2)", "AxCp(S4,2)", "A6", "S6", "AxCp(A6,2)",
+]
+
+
+def _exhaustive_aut(G):
+    """Aut(G) by the plain staged search over every candidate image."""
+    found = list(_search.iter_hom_images(G, G, _iso_candidates(G, G), bijective=True))
+    ident = list(range(G.order))
+    rows = sorted((p.tolist() for p in found), key=lambda r: (r != ident, r))
+    perms = np.array(rows, dtype=np.int32)
+    assert _search.generator_certificate(G, G, perms)
+    gens = list(_search.stage_data(G).gens)
+    index = {tuple(p[gens].tolist()): i for i, p in enumerate(perms)}
+    inner = sorted({index[tuple(int(G.mul[G.mul[g, b], G.inv[g]]) for b in gens)]
+                    for g in range(G.order)})
+    return perms, index, inner
+
+
+@pytest.mark.parametrize("spec", AUT_GRID)
+def test_inn_reduced_aut_equals_exhaustive_search(spec):
+    G = resolve_spec(spec)
+    aut = automorphism_group(G)
+    perms, index, inner = _exhaustive_aut(G)
+    assert np.array_equal(aut.perms, perms)
+    assert np.array_equal(aut.carrier.mul, perm_table(perms))
+    assert aut.inner.members.tolist() == inner
+    assert aut._index == index
+
+
+@pytest.mark.parametrize("spec,digest", [
+    ("PGL(2,9)", "0b9cdf2263b3595a086b8f12cd56f4fcee3f8326a608b07eb62e5eccca08a2ae"),
+    ("M10", "742f7132084b6daa8648e5b3c3e4d8b87126aaedbc12206f8acf47ab505908e8"),
+    ("SL(2,9)", "361653dc9fe39b2d10c7dfc8da203d63dcbf94fb5a97ba570d572112a5482f2e"),
+])
+def test_aut_perms_pinned_at_order_720(spec, digest):
+    # carrier indices feed checkpoints and digests; pinned from the
+    # exhaustive search that preceded the Inn(G) reduction
+    aut = automorphism_group(resolve_spec(spec))
+    assert aut.order == 1440
+    assert hashlib.sha256(np.ascontiguousarray(aut.perms).tobytes()).hexdigest() == digest
