@@ -185,7 +185,8 @@ def count_byott(G: FiniteGroup, N: FiniteGroup, *,
     ck = str(checkpoint_path) if checkpoint_path else None
     return CountResult(g_label or G.name or "G", n_label or N.name or "N",
                        METHOD_BYOTT, value, ms,
-                       notes=f"pairs={run.pair_count} subgroups={run.subgroup_count}",
+                       notes=(f"pairs={run.pair_count} subgroups={run.subgroup_count} "
+                              f"orbits={run.orbit_count}"),
                        checkpoint_id=ck)
 
 

@@ -310,13 +310,18 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 def perm_table(images: np.ndarray) -> np.ndarray:
     """Cayley table of a set of permutation rows closed under composition.
 
-    ``mul[i, j]`` is the index of the row ``images[i][images[j]]``, so the
+    ``mul[i, j]`` is the index of the row ``images[i][images[j]]``; the
     identity row must come first.  Rows are told apart by their images on
-    a base, a set of points chosen greedily until those images differ, and
-    each table row is looked up in one sorted search.
+    a base, a set of points chosen greedily until those images differ.
+    Only the rows of a greedy generating set are looked up, in one sorted
+    search each; every other row is composed from known ones, since
+    x = h p gives mul[x] = mul[h][mul[p]].  A looked-up row that misses the
+    set raises, and every composed row is then in the set too.
     """
     images = np.ascontiguousarray(images, dtype=np.int32)
     n = len(images)
+    if not np.array_equal(images[0], np.arange(images.shape[1])):
+        raise GroupError("the identity row must come first")
     base: list[int] = []
     seen = 0
     for p in range(images.shape[1]):
@@ -332,12 +337,27 @@ def perm_table(images: np.ndarray) -> np.ndarray:
     order = np.argsort(_row_keys(on_base))
     sorted_keys = _row_keys(on_base[order])
     mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        composed = images[i][on_base]
-        pos = np.minimum(np.searchsorted(sorted_keys, _row_keys(composed)), n - 1)
-        mul[i] = order[pos]
-        if not np.array_equal(on_base[mul[i]], composed):
+    mul[0] = np.arange(n)
+    known = np.zeros(n, dtype=bool)
+    known[0] = True
+    queue = [0]
+    gens: list[int] = []
+    while len(queue) < n:
+        g = int(np.argmin(known))  # the first row not yet reached
+        composed = images[g][on_base]
+        mul[g] = order[np.minimum(np.searchsorted(sorted_keys, _row_keys(composed)), n - 1)]
+        if not np.array_equal(on_base[mul[g]], composed):
             raise GroupError("permutation rows are not closed under composition")
+        known[g] = True
+        queue.append(g)
+        gens.append(g)
+        for p in queue:  # grows while it is walked
+            for h in gens:
+                x = mul[h, p]
+                if not known[x]:
+                    known[x] = True
+                    mul[x] = mul[h][mul[p]]
+                    queue.append(x)
     return mul
 
 

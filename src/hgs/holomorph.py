@@ -32,7 +32,9 @@ from .groups import (
 from .morphisms import (
     AutomorphismGroup,
     Homomorphism,
+    _hom_candidates,
     automorphism_group,
+    class_cut,
     enumerate_homomorphisms,
 )
 
@@ -395,21 +397,24 @@ def group_digest(G: FiniteGroup) -> str:
     return h.hexdigest()[:16]
 
 
+CHECKPOINT_TAG = "hgs-checkpoint/2"
+
+
 @dataclass
 class Checkpoint:
     g_digest: str
     n_digest: str
     convention: str
-    f_index: int          # last completed outer index, -1 for none
-    pair_count: int
+    orbit_index: int      # last completed orbit representative, -1 for none
+    pair_count: int       # weighted by orbit size
 
     def write(self, path: Path) -> None:
         lines = [
-            "hgs-checkpoint/1",
+            CHECKPOINT_TAG,
             f"g-digest: {self.g_digest}",
             f"n-digest: {self.n_digest}",
             f"convention: {self.convention}",
-            f"f-index: {self.f_index}",
+            f"orbit-index: {self.orbit_index}",
             f"pair-count: {self.pair_count}",
         ]
         tmp = path.with_suffix(path.suffix + ".tmp")
@@ -419,7 +424,12 @@ class Checkpoint:
     @staticmethod
     def read(path: Path) -> "Checkpoint":
         lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines or lines[0].strip() != "hgs-checkpoint/1":
+        tag = lines[0].strip() if lines else ""
+        if tag == "hgs-checkpoint/1":
+            raise GroupError(f"{path}: hgs-checkpoint/1 counts single f's, and runs "
+                             f"now step over orbits ({CHECKPOINT_TAG}); "
+                             f"start the run again without it")
+        if tag != CHECKPOINT_TAG:
             raise GroupError(f"{path}: not a checkpoint file")
         fields = {}
         for i, line in enumerate(lines[1:], start=2):
@@ -434,16 +444,16 @@ class Checkpoint:
                 g_digest=fields["g-digest"],
                 n_digest=fields["n-digest"],
                 convention=fields["convention"],
-                f_index=int(fields["f-index"]),
+                orbit_index=int(fields["orbit-index"]),
                 pair_count=int(fields["pair-count"]),
             )
         except KeyError as exc:
             raise GroupError(f"{path}: missing checkpoint field {exc}")
         except ValueError as exc:
             raise GroupError(f"{path}: checkpoint field is not an integer: {exc}")
-        if ckpt.pair_count < 0 or (ckpt.f_index == -1 and ckpt.pair_count != 0):
+        if ckpt.pair_count < 0 or (ckpt.orbit_index == -1 and ckpt.pair_count != 0):
             raise GroupError(f"{path}: impossible pair-count {ckpt.pair_count} "
-                             f"at f-index {ckpt.f_index}")
+                             f"at orbit-index {ckpt.orbit_index}")
         return ckpt
 
 
@@ -452,7 +462,8 @@ class RegularSubgroupCount:
     pair_count: int
     subgroup_count: int
     samples: list[RegularSubgroup]
-    f_total: int
+    f_total: int          # |Hom(G, Aut(N))|
+    orbit_count: int      # orbit representatives searched
 
 
 def bijective_pair_count(hol: Holomorph, f: Homomorphism,
@@ -466,6 +477,67 @@ def bijective_pair_count(hol: Holomorph, f: Homomorphism,
     return count
 
 
+def hom_orbit(images: np.ndarray, aut_g: AutomorphismGroup,
+              aut_n: AutomorphismGroup) -> np.ndarray:
+    """The orbit of f: G -> Aut(N) under f -> c_a . f . b^-1, as image rows.
+
+    (b, a) runs over Aut(G) x Aut(N).  The orbit is closed one frontier at
+    a time under the generators of both carriers; a map is known by its
+    images of the effective generators of G.
+    """
+    gens = _search.stage_data(aut_g.base).gens
+    B, A = aut_g.carrier, aut_n.carrier
+    b_invs = aut_g.perms[B.inv[np.asarray(B.gens, dtype=np.intp)]]
+    rows = [np.asarray(images, dtype=np.int32)]
+    seen = {tuple(rows[0][gens].tolist())}
+    frontier = rows[0][None, :]
+    while len(frontier):
+        moved = [frontier[:, b_inv] for b_inv in b_invs]                # f . b^-1
+        moved += [A.mul[A.mul[a, frontier], A.inv[a]] for a in A.gens]  # c_a . f
+        if not moved:
+            break
+        moved = np.concatenate(moved)
+        fresh = []
+        for i, key in enumerate(map(tuple, moved[:, gens].tolist())):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        frontier = moved[fresh]
+        rows.extend(frontier)
+    return np.stack(rows)
+
+
+def hom_orbits(G: FiniteGroup, aut_g: AutomorphismGroup,
+               aut_n: AutomorphismGroup) -> list[tuple[Homomorphism, int]]:
+    """One representative and the size of every Aut(G) x Aut(N)-orbit on
+    Hom(G, Aut(N)), in the emission order of the staged search.
+
+    The bijective crossed-hom count is the same for every f in an orbit:
+    (g, f) -> (a . g . b^-1, c_a . f . b^-1) maps the crossed homs of f
+    bijectively onto those of its image.  The orbits are closed under
+    conjugation by Aut(N), so one Hom search with the first generator's
+    image cut to one element per class (``morphisms.class_cut``) meets
+    every orbit; each emitted f not yet covered has its orbit closed and
+    marked covered.
+    """
+    carrier = aut_n.carrier
+    gens = _search.stage_data(G).gens
+    group_order = aut_g.order * aut_n.order
+    covered: set[tuple[int, ...]] = set()
+    orbits = []
+    for img in _search.iter_hom_images(G, carrier,
+                                       class_cut(carrier, _hom_candidates(G, carrier))):
+        if tuple(img[gens].tolist()) in covered:
+            continue
+        orbit = hom_orbit(img, aut_g, aut_n)
+        if group_order % len(orbit):
+            raise EngineError(f"orbit of size {len(orbit)} does not divide "
+                              f"|Aut(G)| |Aut(N)| = {group_order}")
+        covered.update(map(tuple, orbit[:, gens].tolist()))
+        orbits.append((Homomorphism(G, carrier, img, _checked=True), len(orbit)))
+    return orbits
+
+
 def regular_subgroups_in_holomorph(
     N: FiniteGroup,
     G: FiniteGroup,
@@ -477,17 +549,25 @@ def regular_subgroups_in_holomorph(
 ) -> RegularSubgroupCount:
     """Count (and optionally collect) regular subgroups of Hol(N) isomorphic to G.
 
-    The outer loop runs over f in Hom(G, Aut(N)) in a fixed order, so a
-    checkpoint records the last completed f-index and the running pair count;
-    resuming from it reproduces identical totals.  With ``jobs > 1`` the
-    per-f counts come from a worker pool, merged back in f order.
+    The pair count is the sum over the Aut(G) x Aut(N)-orbits on
+    Hom(G, Aut(N)) of |orbit| times the bijective crossed-hom count of the
+    orbit's representative (``hom_orbits``).  Collecting needs every
+    subgroup, so there every f is its own orbit of weight 1.  The loop runs
+    over the orbits in a fixed order, so a checkpoint records the last
+    completed orbit index and the running pair count; resuming from it
+    reproduces identical totals.  With ``jobs > 1`` the per-orbit counts
+    come from a worker pool, merged back in orbit order.  ``log`` receives
+    (orbit index, orbit count, running pair count) after each orbit.
     """
     if N.order != G.order:
         raise GroupError("regular subgroups need |N| = |G|")
     hol = build_holomorph(N)
-    aut_g_order = automorphism_group(G).order
-    f_list = list(enumerate_homomorphisms(G, hol.aut.carrier))
-    f_total = len(f_list)
+    aut_g = automorphism_group(G)
+    if collect_subgroups:
+        orbits = [(f, 1) for f in enumerate_homomorphisms(G, hol.aut.carrier)]
+    else:
+        orbits = hom_orbits(G, aut_g, hol.aut)
+    reps = [f for f, _ in orbits]
     start_index = 0
     pair_count = 0
     if checkpoint_path is not None:
@@ -500,38 +580,38 @@ def regular_subgroups_in_holomorph(
             if ((ckpt.g_digest, ckpt.n_digest) != digests
                     or ckpt.convention != HOL_CONVENTION):
                 raise GroupError(f"{checkpoint_path}: checkpoint belongs to a different run")
-            if not -1 <= ckpt.f_index < f_total:
-                raise GroupError(f"{checkpoint_path}: f-index {ckpt.f_index} outside "
-                                 f"[-1, {f_total - 1}]")
-            start_index = ckpt.f_index + 1
+            if not -1 <= ckpt.orbit_index < len(reps):
+                raise GroupError(f"{checkpoint_path}: orbit-index {ckpt.orbit_index} "
+                                 f"outside [-1, {len(reps) - 1}]")
+            start_index = ckpt.orbit_index + 1
             pair_count = ckpt.pair_count
     if jobs > 1 and collect_subgroups:
         raise GroupError("subgroup collection runs are serial; drop jobs")
 
     found: dict[tuple, CrossedHom] = {}
-    workers = min(jobs, f_total - start_index)
+    workers = min(jobs, len(reps) - start_index)
     if workers > 1:
         from .parallel import parallel_crossed_counts
-        counts = parallel_crossed_counts(hol, f_list, start_index, jobs=workers)
+        counts = parallel_crossed_counts(hol, reps, start_index, jobs=workers)
     else:
         sink = found if collect_subgroups else None
-        counts = ((fi, bijective_pair_count(hol, f_list[fi], sink))
-                  for fi in range(start_index, f_total))
-    for fi, count in counts:
-        pair_count += count
+        counts = ((oi, bijective_pair_count(hol, reps[oi], sink))
+                  for oi in range(start_index, len(reps)))
+    for oi, count in counts:
+        pair_count += orbits[oi][1] * count
         if checkpoint_path is not None:
-            Checkpoint(*digests, HOL_CONVENTION, fi, pair_count).write(checkpoint_path)
+            Checkpoint(*digests, HOL_CONVENTION, oi, pair_count).write(checkpoint_path)
         if log:
-            log(fi, f_total, pair_count)
+            log(oi, len(reps), pair_count)
 
-    if pair_count % aut_g_order != 0:
+    if pair_count % aut_g.order != 0:
         raise EngineError(
-            f"pair count {pair_count} not divisible by |Aut(G)| = {aut_g_order}")
+            f"pair count {pair_count} not divisible by |Aut(G)| = {aut_g.order}")
     samples = [regular_subgroup_from_crossed(c) for c in found.values()]
-    if collect_subgroups and len(samples) != pair_count // aut_g_order:
+    if collect_subgroups and len(samples) != pair_count // aut_g.order:
         raise EngineError("collected subgroup count disagrees with the pair count")
-    return RegularSubgroupCount(pair_count, pair_count // aut_g_order,
-                                samples, f_total)
+    return RegularSubgroupCount(pair_count, pair_count // aut_g.order, samples,
+                                sum(size for _, size in orbits), len(reps))
 
 
 # -- normalizer identity (desk-scale literal check) -----------------------------

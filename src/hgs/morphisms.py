@@ -121,6 +121,21 @@ def _iso_candidates(G: FiniteGroup, H: FiniteGroup) -> Optional[list[list[int]]]
     return out
 
 
+def class_cut(T: FiniteGroup, candidates: list[list[int]]) -> list[list[int]]:
+    """Keep, for the first generator, the first candidate of each class of T.
+
+    The first list must be a union of conjugacy classes of T.  A search
+    whose maps come in orbits closed under conjugation by T still meets
+    every orbit after the cut: if m(g1) = h r h^-1 for the kept
+    representative r, then h^-1 m h sends g1 to r.  Order is kept, and the
+    later generators' lists are left whole.
+    """
+    if not candidates:  # the trivial source has no generators
+        return candidates
+    first = np.unique(T.class_index()[candidates[0]], return_index=True)[1]
+    return [[candidates[0][i] for i in sorted(first)]] + candidates[1:]
+
+
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     """All automorphisms of G, as Inn(G)-cosets of searched representatives.
 
@@ -144,10 +159,7 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     # row h: x -> h x h^-1, one row per inner automorphism
     inn = G.mul[G.mul, G.inv[:, None]]
     inn = inn[np.unique(inn[:, gen_idx], axis=0, return_index=True)[1]]
-    candidates = _iso_candidates(G, G)
-    if candidates:  # empty only for the trivial group
-        first = np.unique(G.class_index()[candidates[0]], return_index=True)[1]
-        candidates = [[candidates[0][i] for i in sorted(first)]] + candidates[1:]
+    candidates = class_cut(G, _iso_candidates(G, G))
     coset_reps = []
     covered: set[tuple[int, ...]] = set()
     for phi in _search.iter_hom_images(G, G, candidates, bijective=True):

@@ -1,11 +1,12 @@
 """Deterministic worker pools for the enumeration outer loops.
 
-Work is partitioned over the outer f-index of a holomorph run; results are
-merged back in index order, so totals are identical for any worker count.
-Workers reuse the parent's Hol(N) and f-list, handed over once through the
-pool initializer, and run the same per-f counter as a serial run.  The pool
-never has more workers than f's left to search: the holomorph run passes
-min(jobs, f's left) and stays serial when that is one or less.
+Work is partitioned over the orbit representatives of a holomorph run;
+results are merged back in orbit order, so totals are identical for any
+worker count.  Workers reuse the parent's Hol(N) and representative list,
+handed over once through the pool initializer, and run the same per-f
+counter as a serial run.  The pool never has more workers than orbits left
+to search: the holomorph run passes min(jobs, orbits left) and stays serial
+when that is one or less.
 """
 
 from __future__ import annotations
@@ -33,20 +34,20 @@ def default_jobs() -> int:
 
 def _init_crossed_worker(context: tuple[Holomorph, list[Homomorphism]]) -> None:
     # one object, so every f still targets this holomorph's Aut(N) carrier
-    _CONTEXT["hol"], _CONTEXT["f_list"] = context
+    _CONTEXT["hol"], _CONTEXT["reps"] = context
 
 
-def _count_one(fi: int) -> tuple[int, int]:
-    return fi, bijective_pair_count(_CONTEXT["hol"], _CONTEXT["f_list"][fi])
+def _count_one(oi: int) -> tuple[int, int]:
+    return oi, bijective_pair_count(_CONTEXT["hol"], _CONTEXT["reps"][oi])
 
 
-def parallel_crossed_counts(hol: Holomorph, f_list: list[Homomorphism],
+def parallel_crossed_counts(hol: Holomorph, reps: list[Homomorphism],
                             start_index: int, *,
                             jobs: int) -> Iterator[tuple[int, int]]:
-    """Bijective crossed-hom counts of f_list[start_index:], yielded in f order."""
+    """Bijective crossed-hom counts of reps[start_index:], yielded in orbit order."""
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_init_crossed_worker,
-        initargs=((hol, f_list),),
+        initargs=((hol, reps),),
     ) as pool:
-        yield from pool.map(_count_one, range(start_index, len(f_list)))
+        yield from pool.map(_count_one, range(start_index, len(reps)))

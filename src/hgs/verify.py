@@ -8,12 +8,13 @@ Suites:
 * ``paper-120``  — the order-120 triple agreement: e(S5, S5) = 32 and
                    e(S5, A5 x C2) = 20 along every implemented route.
 * ``paper-720``  — the order-720 closed-form values (92, 92, 72, 0), the
-                   SL(2,9) screening failure, and the Aut(A6) tower labels.
+                   PGL(2,9) values 92 and 72 again by holomorph enumeration,
+                   the SL(2,9) screening failure, and the Aut(A6) tower labels.
 * ``lemmas``     — the structural property sweep (crossed-homomorphism laws,
                    normalizer identity, duality, exactly-one normalization,
                    socle facts, fixed points of simple-group automorphisms).
-* ``stretch-720``— opt-in, hours: the order-720 holomorph enumerations
-                   (60, 60, 72, 0 and the two S6-source values).
+* ``stretch-720``— opt-in: the remaining order-720 holomorph enumerations
+                   (60, 60, 92, 0, 72, 0 and the two S6-source values).
 """
 
 from __future__ import annotations
@@ -168,6 +169,7 @@ def _suite_paper_720(s: _Suite, jobs: int) -> None:
     M10 = resolve_spec("M10")
     SL = resolve_spec("SL(2,9)")
     C720 = resolve_spec("C720")
+    A6xC2 = resolve_spec("AxCp(A6,2)")
 
     def self_type_checked(G, label):
         r = count_self_type(G, g_label=label)
@@ -177,10 +179,16 @@ def _suite_paper_720(s: _Suite, jobs: int) -> None:
 
     s.check("e(PGL(2,9),PGL(2,9)) by self-type formula", 92,
             lambda: self_type_checked(PGL, "PGL(2,9)"))
+    s.check("e(PGL(2,9),PGL(2,9)) by holomorph enumeration", 92,
+            lambda: count_byott(PGL, PGL, g_label="PGL(2,9)", n_label="PGL(2,9)",
+                                jobs=jobs).value)
     s.check("e(M10,M10) by self-type formula", 92,
             lambda: self_type_checked(M10, "M10"))
     s.check("e(PGL(2,9),A6xC2) by product-type formula", 72,
             lambda: count_product_type(PGL, g_label="PGL(2,9)").value)
+    s.check("e(PGL(2,9),A6xC2) by holomorph enumeration", 72,
+            lambda: count_byott(PGL, A6xC2, g_label="PGL(2,9)", n_label="A6xC2",
+                                jobs=jobs).value)
     s.check("e(M10,A6xC2) by product-type formula", 0,
             lambda: count_product_type(M10, g_label="M10").value)
 
@@ -344,9 +352,12 @@ def _suite_stretch(s: _Suite, jobs: int, checkpoint_dir: Optional[Path],
     PGL = resolve_spec("PGL(2,9)")
     M10 = resolve_spec("M10")
     S6 = resolve_spec("S6")
+    A6xC2 = resolve_spec("AxCp(A6,2)")
     cases = [
         ("PGL(2,9)", PGL, "M10", M10, 60),
         ("M10", M10, "PGL(2,9)", PGL, 60),
+        ("M10", M10, "M10", M10, 92),
+        ("M10", M10, "A6xC2", A6xC2, 0),
         ("M10", M10, "S6", S6, 72),
         ("PGL(2,9)", PGL, "S6", S6, 0),
     ]

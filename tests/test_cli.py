@@ -112,3 +112,12 @@ def test_count_resume_rejects_corrupt_checkpoint(tmp_path, capsys):
                "--resume", str(path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_count_resume_rejects_a_format_1_checkpoint(tmp_path, capsys):
+    path = tmp_path / "old.ckpt"
+    path.write_text("hgs-checkpoint/1\nf-index: 0\npair-count: 0\n")
+    rc = main(["count", "-G", "C4", "-N", "V4", "--method", "byott",
+               "--resume", str(path)])
+    assert rc == 1
+    assert "hgs-checkpoint/1" in capsys.readouterr().err

@@ -295,18 +295,28 @@ def test_checkpoint_rejects_malformed(tmp_path):
         Checkpoint.read(path)
 
 
+def test_checkpoint_rejects_the_per_f_format(tmp_path):
+    # format 1 counted single f's; its index means nothing in an orbit run
+    path = tmp_path / "old.ckpt"
+    V4, C4 = _matching_checkpoint(path, 0, 0)
+    path.write_text(path.read_text().replace("hgs-checkpoint/2", "hgs-checkpoint/1")
+                    .replace("orbit-index", "f-index"))
+    with pytest.raises(GroupError, match="hgs-checkpoint/1"):
+        regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
+
+
 def test_checkpoint_resume_reproduces_counts(tmp_path):
     V4, C4 = resolve_spec("V4"), resolve_spec("C4")
     running = []
     full = regular_subgroups_in_holomorph(
-        V4, C4, log=lambda fi, total, pairs: running.append((fi, pairs)))
-    assert len(running) == full.f_total
-    # rewind to the state after the first completed f and resume; the total
-    # must match the uninterrupted run exactly
+        V4, C4, log=lambda oi, total, pairs: running.append((oi, pairs)))
+    assert len(running) == full.orbit_count
+    # rewind to the state after the first completed orbit and resume; the
+    # total must match the uninterrupted run exactly
     path = tmp_path / "resume.ckpt"
     regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
     ck = Checkpoint.read(path)
-    assert ck.f_index == full.f_total - 1
+    assert ck.orbit_index == full.orbit_count - 1
     assert ck.pair_count == full.pair_count
     # a finished run's checkpoint is in range and resumes to its own total
     done = regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
@@ -326,11 +336,11 @@ def test_checkpoint_rejects_wrong_run(tmp_path):
         regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
 
 
-def _matching_checkpoint(path, f_index, pair_count):
+def _matching_checkpoint(path, orbit_index, pair_count):
     """A checkpoint for the (G, N) = (C4, V4) run, with the given progress."""
     V4, C4 = resolve_spec("V4"), resolve_spec("C4")
     Checkpoint(group_digest(C4), group_digest(V4), "rho-semidirect-v1",
-               f_index, pair_count).write(path)
+               orbit_index, pair_count).write(path)
     return V4, C4
 
 
@@ -341,16 +351,18 @@ def test_checkpoint_rejects_non_integer_fields(tmp_path):
         Checkpoint.read(path)
 
 
-@pytest.mark.parametrize("f_index, pair_count, message", [
+@pytest.mark.parametrize("orbit_index, pair_count, message", [
     (99, 8, "outside"),
     (-2, 0, "outside"),
     (1, -8, "impossible pair-count"),
     (-1, 8, "impossible pair-count"),
 ])
-def test_checkpoint_rejects_impossible_progress(tmp_path, f_index, pair_count, message):
+def test_checkpoint_rejects_impossible_progress(tmp_path, orbit_index, pair_count,
+                                                message):
     path = tmp_path / "bad.ckpt"
-    V4, C4 = _matching_checkpoint(path, f_index, pair_count)
-    assert regular_subgroups_in_holomorph(V4, C4).f_total == 4
+    V4, C4 = _matching_checkpoint(path, orbit_index, pair_count)
+    run = regular_subgroups_in_holomorph(V4, C4)
+    assert (run.f_total, run.orbit_count) == (4, 2)
     with pytest.raises(GroupError, match=message):
         regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
 

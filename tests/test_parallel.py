@@ -30,31 +30,32 @@ def test_parallel_checkpoint_writes(tmp_path):
     run = regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path, jobs=2)
     ck = Checkpoint.read(path)
     assert ck.pair_count == run.pair_count
-    assert ck.f_index == run.f_total - 1
+    assert ck.orbit_index == run.orbit_count - 1
 
 
 def _logged(N, G, **kwargs):
-    """The run and the (f-index, f total, running pair count) triples it logs."""
+    """The run and the (orbit index, orbit count, running pair count) triples it logs."""
     seen = []
     run = regular_subgroups_in_holomorph(N, G, log=lambda *a: seen.append(a), **kwargs)
     return run, seen
 
 
-def test_per_f_counts_do_not_depend_on_jobs():
+def test_per_orbit_counts_do_not_depend_on_jobs():
     Q8, D4 = resolve_spec("Q8"), resolve_spec("D4")
     serial_run, serial = _logged(Q8, D4)
     pooled_run, pooled = _logged(Q8, D4, jobs=2)
-    assert [fi for fi, _, _ in serial] == list(range(76))
+    assert [oi for oi, _, _ in serial] == list(range(9))
+    assert {total for _, total, _ in serial} == {9}
     totals = [0] + [pairs for _, _, pairs in serial]
-    assert sum(b > a for a, b in zip(totals, totals[1:])) == 9  # f's with pairs
+    assert sum(b > a for a, b in zip(totals, totals[1:])) == 2  # orbits with pairs
     assert pooled == serial
-    assert pooled_run.pair_count == serial_run.pair_count
+    assert pooled_run == serial_run
 
 
 def test_pooled_resume_gives_the_serial_total(tmp_path):
     Q8, D4 = resolve_spec("Q8"), resolve_spec("D4")
     full, logged = _logged(Q8, D4)
-    mid = 37
+    mid = 3
     path = tmp_path / "mid.ckpt"
     Checkpoint(group_digest(D4), group_digest(Q8), holomorph.HOL_CONVENTION, mid,
                logged[mid][2]).write(path)
@@ -76,7 +77,8 @@ def test_worker_context_survives_pickling():
         [holomorph.bijective_pair_count(hol, f) for f in f_list]
 
 
-REBUILDERS = ("build_holomorph", "automorphism_group", "enumerate_homomorphisms")
+REBUILDERS = ("build_holomorph", "automorphism_group", "enumerate_homomorphisms",
+              "hom_orbits")
 
 
 @pytest.fixture
@@ -132,23 +134,25 @@ def test_workers_reuse_the_parent_holomorph_and_f_list(inline_pool):
     _, pooled = _logged(Q8, D4, jobs=2)
     assert pooled == serial
     assert inline_pool["sizes"] == [2]
-    assert inline_pool["calls"].count("enumerate_homomorphisms") == 1
+    assert inline_pool["calls"].count("hom_orbits") == 1
     assert inline_pool["worker_calls"] == []
     assert not any(hasattr(parallel, name) for name in REBUILDERS)
 
 
-def test_pool_never_exceeds_the_fs_left(inline_pool, tmp_path):
+def test_pool_never_exceeds_the_orbits_left(inline_pool, tmp_path):
     V4, C4 = resolve_spec("V4"), resolve_spec("C4")
     full = regular_subgroups_in_holomorph(V4, C4)
-    assert full.f_total == 4
+    assert (full.f_total, full.orbit_count) == (4, 2)
     assert regular_subgroups_in_holomorph(V4, C4, jobs=8).pair_count == full.pair_count
-    assert inline_pool["sizes"] == [4]
-    _, logged = _logged(V4, C4)
+    assert inline_pool["sizes"] == [2]
+    Q8, D4 = resolve_spec("Q8"), resolve_spec("D4")
+    full, logged = _logged(Q8, D4)
+    assert full.orbit_count == 9
     path = tmp_path / "late.ckpt"
-    for done, size in [(1, [2]), (2, [])]:
+    for done, size in [(4, [4]), (6, [2]), (7, [])]:
         inline_pool["sizes"].clear()
-        Checkpoint(group_digest(C4), group_digest(V4), holomorph.HOL_CONVENTION, done,
+        Checkpoint(group_digest(D4), group_digest(Q8), holomorph.HOL_CONVENTION, done,
                    logged[done][2]).write(path)
-        run = regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path, jobs=8)
+        run = regular_subgroups_in_holomorph(Q8, D4, checkpoint_path=path, jobs=8)
         assert run.pair_count == full.pair_count
-        assert inline_pool["sizes"] == size  # one f left runs serially
+        assert inline_pool["sizes"] == size  # one orbit left runs serially
