@@ -15,6 +15,8 @@ from pathlib import Path
 
 from .catalog import SpecError, catalog_list, resolve_spec
 from .counting import (
+    METHOD_BRUTE,
+    CountResult,
     count_brute_force,
     count_byott,
     count_fpf_inner_holomorph,
@@ -56,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--jobs", type=int, default=None)
     p_count.add_argument("--json", action="store_true")
     p_count.add_argument("--allow-order-12", action="store_true",
-                         help="lift the brute-force cap from 8 to 12 (slow)")
+                         help="lift the brute-force cap from 8 to 12; order 9 "
+                              "takes ~15 s, order 10 does not finish in 10 min")
 
     p_screen = sub.add_parser("screen", help="necessary-condition screen of N against G")
     p_screen.add_argument("-G", required=True, metavar="SPEC")
@@ -131,7 +134,6 @@ def _cmd_count(args) -> int:
         brute = count_brute_force(G, {args.N: N}, g_label=args.G,
                                   allow_order_12=args.allow_order_12)
         value = brute.counts.get(args.N, 0)
-        from .counting import METHOD_BRUTE, CountResult
         result = CountResult(args.G, args.N, METHOD_BRUTE, value,
                              brute.runtime_ms)
     print(emit_report([result], "json" if args.json else "table"))

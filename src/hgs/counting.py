@@ -30,6 +30,7 @@ from .groups import (
     EngineError,
     FiniteGroup,
     GroupError,
+    _readonly,
     order_census,
 )
 from .holomorph import (
@@ -272,78 +273,66 @@ def _semiregular_elements(n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-_REGULAR_CACHE: dict[int, list[np.ndarray]] = {}
+_REGULAR_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
 
 
-def all_regular_subgroups_of_sym(n: int) -> list[np.ndarray]:
-    """Every regular subgroup of Sym(n), as (n, n) member matrices.
+def all_regular_subgroups_of_sym(n: int) -> tuple[np.ndarray, ...]:
+    """Every regular subgroup of Sym(n), as read-only (n, n) member matrices.
 
-    Grown by closure from fixed-point-free candidate generators: any
-    subgroup chain witnessing a generating sequence stays semiregular, so
-    level-by-level augmentation reaches every regular subgroup.
+    Members are held in a dict keyed by their image of 0, starting from the
+    identity.  Let x be the least point no member sends 0 to; the search
+    branches over the semiregular p with p(0) = x and closes under products.
+    Each regular subgroup is reached exactly once, with no dedupe:
+
+    * a regular N containing the held group H has exactly one member
+      sending 0 to x, so N lies in exactly one branch at every level;
+    * two members that agree at 0 give a non-identity element fixing 0, so
+      a closure with such a collision lies in no regular group (and, keyed
+      by the n images of 0, no closure passes n members);
+    * a closure of size n with distinct images of 0 is transitive, hence
+      regular.
+
+    Closures whose size does not divide n lie in no regular group either.
+    Rows are sorted, and the groups are sorted by their bytes.
     """
     if n in _REGULAR_CACHE:
         return _REGULAR_CACHE[n]
-    ident = tuple(range(n))
-    candidates = _semiregular_elements(n)
-    allowed = set(candidates)
-    allowed.add(ident)
-    comp_cache: dict[tuple[tuple, tuple], tuple] = {}
+    by_image: dict[int, list[tuple[int, ...]]] = {}
+    for p in _semiregular_elements(n):
+        by_image.setdefault(p[0], []).append(p)
+    found: list[np.ndarray] = []
 
     def compose(p, q):
-        return tuple(p[q[i]] for i in range(n))
+        return tuple(map(p.__getitem__, q))
 
-    def bounded_closure(base: frozenset, extra) -> frozenset | None:
-        members = set(base)
-        members.add(extra)
-        queue = [extra]
+    def close(held: dict, p) -> dict | None:
+        members = dict(held)
+        members[p[0]] = p
+        queue = [p]
         while queue:
-            x = queue.pop()
-            for y in list(members):
-                for prod in (compose(x, y), compose(y, x)):
-                    if prod in members:
-                        continue
-                    if prod not in allowed or len(members) >= n:
+            a = queue.pop()
+            for b in list(members.values()):
+                for prod in (compose(a, b), compose(b, a)):
+                    old = members.get(prod[0])
+                    if old is None:
+                        members[prod[0]] = prod
+                        queue.append(prod)
+                    elif old != prod:
                         return None
-                    members.add(prod)
-                    queue.append(prod)
-        return frozenset(members)
+        return members
 
-    found_regular: set[frozenset] = set()
-    worklist = [frozenset([ident])]
-    seen: set[frozenset] = set(worklist)
-    while worklist:
-        H = worklist.pop()
-        size = len(H)
-        half_target = 2 * size == n
-        for p in candidates:
-            if p in H:
-                continue
-            if half_target:
-                # the only possible proper extension has index 2, so p must
-                # square into H and normalize it
-                if compose(p, p) not in H:
-                    continue
-                p_inv = tuple(sorted(range(n), key=p.__getitem__))
-                if any(compose(compose(p, h), p_inv) not in H for h in H):
-                    continue
-            closure = bounded_closure(H, p)
-            if closure is None or len(closure) > n or n % len(closure):
-                continue
-            if closure in seen:
-                continue
-            seen.add(closure)
-            if len(closure) == n:
-                found_regular.add(closure)
-            else:
-                worklist.append(closure)
-    result = []
-    for H in found_regular:
-        members = np.array(sorted(H), dtype=np.int32)
-        # regularity: evaluation at point 0 must be bijective
-        if len(np.unique(members[:, 0])) == n:
-            result.append(members)
-    result.sort(key=lambda m: m.tobytes())
+    def grow(held: dict) -> None:
+        if len(held) == n:
+            found.append(_readonly(np.array(sorted(held.values()), dtype=np.int32)))
+            return
+        x = next(i for i in range(n) if i not in held)
+        for p in by_image[x]:
+            closure = close(held, p)
+            if closure is not None and n % len(closure) == 0:
+                grow(closure)
+
+    grow({0: tuple(range(n))})
+    result = tuple(sorted(found, key=lambda m: m.tobytes()))
     _REGULAR_CACHE[n] = result
     return result
 
@@ -362,8 +351,11 @@ def count_brute_force(G: FiniteGroup, types: dict[str, FiniteGroup] | None = Non
     """Per-isomorphism-type census of regular subgroups of Perm(G) normalized
     by the left translations of G.
 
-    Capped at order 8 by default; orders up to 12 sit behind a flag and can
-    take a long time.  Unmatched isomorphism types get a synthetic label.
+    Capped at order 8 by default.  ``allow_order_12`` lifts the cap to 12,
+    but on one core order 9 takes about 15 s and order 10 does not finish
+    in 10 minutes (Sym(10) has ~436k semiregular candidates, Sym(12) ~48M),
+    so the flag reaches order 9 and no further.  Unmatched isomorphism
+    types get a synthetic label.
     """
     n = G.order
     cap = 12 if allow_order_12 else 8

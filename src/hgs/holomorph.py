@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import permutations
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -622,7 +623,6 @@ def holomorph_equals_translation_normalizers(G: FiniteGroup) -> bool:
 
     Exhaustive over all |G|! permutations, so callers cap |G| at 6.
     """
-    from itertools import permutations
     n = G.order
     if n > 6:
         raise GroupError("normalizer identity check is capped at order 6")

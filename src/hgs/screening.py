@@ -30,7 +30,7 @@ from .groups import (
     normal_subgroups,
     quotient_group,
 )
-from .morphisms import are_isomorphic, automorphism_group
+from .morphisms import are_isomorphic, automorphism_group, enumerate_homomorphisms
 
 
 @dataclass
@@ -344,8 +344,6 @@ def check_inner_unique_in_aut(G: FiniteGroup) -> InnerUniquenessCheck:
             "infeasible",
             f"[Aut(G):Inn(G)] = {car.order // G.order} is out of reach for "
             "the abelianization-kernel search")
-    from .morphisms import enumerate_homomorphisms
-
     derived = commutator_subgroup(car)
     Q, coset_of = quotient_group(car, derived)
     c2 = FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.int32), name="C2")

@@ -35,7 +35,7 @@ from .counting import (
     count_self_type,
     count_sn,
 )
-from .groups import center, normal_subgroups, order_census, quotient_group
+from .groups import center, is_solvable, normal_subgroups, order_census, quotient_group
 from .holomorph import (
     build_holomorph,
     crossed_homomorphisms,
@@ -48,6 +48,7 @@ from .holomorph import (
     regular_subgroups_in_holomorph,
 )
 from .morphisms import (
+    are_isomorphic,
     automorphism_group,
     enumerate_homomorphisms,
     fixed_points,
@@ -285,7 +286,6 @@ def _suite_lemmas(s: _Suite, jobs: int) -> None:
                 return "self-duality broke"
             if dual.key() not in keys:
                 return "dual not normalized"
-            from .morphisms import are_isomorphic
             if are_isomorphic(D.as_group(), dual.as_group()) is None:
                 return "dual changed isomorphism type"
             if not normalized_by(dual, lam):
@@ -338,7 +338,6 @@ def _suite_lemmas(s: _Suite, jobs: int) -> None:
                 lambda A=A: unique_simple_copy(A))
 
         def outer_solvable(A=A):
-            from .groups import is_solvable
             aut = automorphism_group(A)
             Q, _ = quotient_group(aut.carrier, aut.inner)
             return is_solvable(Q)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hgs.catalog import resolve_spec
@@ -12,7 +14,9 @@ from hgs.counting import (
     count_sn,
     sn_involution_census,
 )
+from hgs.cli import main
 from hgs.groups import CapExceededError, GroupError
+from hgs.perms import is_permutation, perm_order
 
 
 def test_sn_involution_census_matches_brute_enumeration():
@@ -87,12 +91,64 @@ def test_fpf_rejects_wrong_type_shape(S5):
 
 def test_regular_subgroup_counts_of_sym_n():
     # n! / (n |Aut(H)|) regular copies per isomorphism type
+    assert len(all_regular_subgroups_of_sym(1)) == 1    # the trivial group
     assert len(all_regular_subgroups_of_sym(4)) == 4    # 3 C4 + 1 V4
     assert len(all_regular_subgroups_of_sym(6)) == 80   # 60 C6 + 20 S3
-    counts = {4: 0, 6: 0, 8: 0}
     subs8 = all_regular_subgroups_of_sym(8)
     # 1260 C8 + 630 C4xC2 + 30 C2^3 + 630 D4 + 210 Q8
     assert len(subs8) == 2760
+
+
+# sha256 prefixes over the concatenated member bytes, as the previous
+# (worklist) enumerator produced them: same arrays, same order
+SYM_N_DIGESTS = {4: "fce28686cecf3d16", 6: "8c9585a760fd4e90", 8: "fc6df56ff236e1a1"}
+
+# element-order census -> (type, (n-1)!/|Aut(type)|); the census tells
+# every type of order 4, 6 and 8 apart
+SYM_N_TYPES = {
+    4: {(1, 2, 4, 4): ("C4", 3), (1, 2, 2, 2): ("V4", 1)},
+    6: {(1, 2, 3, 3, 6, 6): ("C6", 60), (1, 2, 2, 2, 3, 3): ("S3", 20)},
+    8: {(1, 2, 4, 4, 8, 8, 8, 8): ("C8", 1260),
+        (1, 2, 2, 2, 4, 4, 4, 4): ("C4xC2", 630),
+        (1, 2, 2, 2, 2, 2, 2, 2): ("C2^3", 30),
+        (1, 2, 2, 2, 2, 2, 4, 4): ("D4", 630),
+        (1, 2, 4, 4, 4, 4, 4, 4): ("Q8", 210)},
+}
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_sym_n_regular_subgroups_are_pinned(n):
+    subs = all_regular_subgroups_of_sym(n)
+    digest = hashlib.sha256(b"".join(m.tobytes() for m in subs)).hexdigest()
+    assert digest[:16] == SYM_N_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_sym_n_regular_subgroups_are_distinct_regular_groups(n):
+    subs = all_regular_subgroups_of_sym(n)
+    assert len({m.tobytes() for m in subs}) == len(subs)
+    census = {}
+    for m in subs:
+        rows = {r.tobytes() for r in m}
+        assert m.shape == (n, n) and len(rows) == n
+        assert all(is_permutation(r) for r in m)
+        assert sorted(m[:, 0]) == list(range(n))                    # regular
+        assert all(r.tobytes() in rows for r in m[:, m].reshape(-1, n))  # closed
+        key = tuple(sorted(perm_order(r) for r in m))
+        census[key] = census.get(key, 0) + 1
+    assert census == {k: count for k, (_, count) in SYM_N_TYPES[n].items()}
+
+
+def test_sym_n_oracle_result_cannot_corrupt_its_cache(small_catalog):
+    subs = all_regular_subgroups_of_sym(4)
+    with pytest.raises(AttributeError):
+        subs.clear()
+    with pytest.raises(ValueError):
+        subs[0][0, 0] = 3
+    assert all_regular_subgroups_of_sym(4) is subs and len(subs) == 4
+    assert subs[0][0, 0] == 0
+    res = count_brute_force(small_catalog["C4"], small_catalog)
+    assert res.counts == {"C4": 1, "V4": 1}
 
 
 def test_brute_force_fixtures(small_catalog):
@@ -105,6 +161,13 @@ def test_brute_force_fixtures(small_catalog):
 def test_brute_force_respects_cap():
     with pytest.raises(CapExceededError):
         count_brute_force(resolve_spec("C16"))
+
+
+def test_order_12_flag_still_caps_order_16():
+    with pytest.raises(CapExceededError):
+        count_brute_force(resolve_spec("C16"), allow_order_12=True)
+    assert main(["count", "-G", "C16", "-N", "C16", "--method", "brute",
+                 "--allow-order-12"]) == 3
 
 
 def test_brute_force_agrees_with_byott_order_six(small_catalog):
