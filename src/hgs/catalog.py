@@ -172,20 +172,14 @@ def special_linear2(q: int) -> FiniteGroup:
 def _projective_action(F: GaloisField, mats) -> np.ndarray:
     """Permutations of the projective line: points x=0..q-1 are [x:1], q is [1:0]."""
     q = F.q
-    points = [(x, 1) for x in range(q)] + [(1, 0)]
-    def point_index(v0: int, v1: int) -> int:
-        if v1 != 0:
-            s = F.inv[v1]
-            return int(F.mul[v0, s])
-        return q
-    rows = np.empty((len(mats), q + 1), dtype=np.int32)
     mu, ad = F.mul, F.add
-    for i, (a, b, c, d) in enumerate(mats):
-        for j, (v0, v1) in enumerate(points):
-            w0 = ad[mu[a, v0], mu[b, v1]]
-            w1 = ad[mu[c, v0], mu[d, v1]]
-            rows[i, j] = point_index(int(w0), int(w1))
-    return rows
+    a, b, c, d = (col[:, None] for col in np.asarray(mats, dtype=np.int64).T)
+    v0 = np.append(np.arange(q), 1)  # point j is (v0[j], v1[j])
+    v1 = np.append(np.ones(q, dtype=np.int64), 0)
+    w0 = ad[mu[a, v0], mu[b, v1]]
+    w1 = ad[mu[c, v0], mu[d, v1]]
+    # [w0:w1] is [w0/w1 : 1] unless w1 = 0; inv[0] is a sentinel, never used
+    return np.where(w1 != 0, mu[w0, F.inv[w1]], q).astype(np.int32)
 
 
 def projective_general_linear2(q: int) -> FiniteGroup:

@@ -58,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--jobs", type=int, default=None)
     p_count.add_argument("--json", action="store_true")
     p_count.add_argument("--allow-order-12", action="store_true",
-                         help="lift the brute-force cap from 8 to 12; order 9 "
-                              "takes ~15 s, order 10 does not finish in 10 min")
+                         help="lift the brute-force cap from 8 to 9 (~15 s); "
+                              "orders 10-12 do not finish and are refused")
 
     p_screen = sub.add_parser("screen", help="necessary-condition screen of N against G")
     p_screen.add_argument("-G", required=True, metavar="SPEC")

@@ -351,14 +351,14 @@ def count_brute_force(G: FiniteGroup, types: dict[str, FiniteGroup] | None = Non
     """Per-isomorphism-type census of regular subgroups of Perm(G) normalized
     by the left translations of G.
 
-    Capped at order 8 by default.  ``allow_order_12`` lifts the cap to 12,
-    but on one core order 9 takes about 15 s and order 10 does not finish
-    in 10 minutes (Sym(10) has ~436k semiregular candidates, Sym(12) ~48M),
-    so the flag reaches order 9 and no further.  Unmatched isomorphism
-    types get a synthetic label.
+    Capped at order 8 by default.  ``allow_order_12`` lifts the cap to 9,
+    the oracle's measured reach: order 9 takes about 15 s on one core, and
+    order 10 did not finish in 10 minutes (Sym(10) has ~436k semiregular
+    candidates, Sym(12) ~48M), so orders 10 to 12 are refused at once.
+    Unmatched isomorphism types get a synthetic label.
     """
     n = G.order
-    cap = 12 if allow_order_12 else 8
+    cap = 9 if allow_order_12 else 8
     if n > cap:
         raise CapExceededError(
             f"brute-force oracle capped at order {cap} (got {n})")

@@ -110,13 +110,10 @@ class FiniteGroup:
         idx = np.arange(n, dtype=np.int32)
         if not np.array_equal(mul[0], idx) or not np.array_equal(mul[:, 0], idx):
             raise GroupError("index 0 is not a two-sided identity")
-        # every row and column must be a permutation (cancellation law)
-        for side, axis in (("row", 1), ("column", 0)):
-            if axis == 1:
-                ok = all(len(np.unique(mul[i])) == n for i in range(n))
-            else:
-                ok = all(len(np.unique(mul[:, i])) == n for i in range(n))
-            if not ok:
+        # every row and column must be a permutation (cancellation law):
+        # sorted, each one reads 0, 1, .., n-1
+        for side, lines in (("row", mul), ("column", mul.T)):
+            if not (np.sort(lines, axis=1) == idx).all():
                 raise GroupError(f"some {side} of the table is not a permutation")
         if not assume_associative:
             if n > table_cap():
@@ -137,17 +134,20 @@ class FiniteGroup:
         return inv
 
     def _compute_element_orders(self) -> np.ndarray:
-        n = self.order
-        orders = np.zeros(n, dtype=np.int32)
-        mul = self.mul
-        for x in range(n):
-            # walk x, x^2, ... until the identity
-            z = x
-            k = 1
-            while z != 0:
-                z = int(mul[z, x])
-                k += 1
-            orders[x] = k
+        n, mul = self.order, self.mul
+        orders = np.ones(n, dtype=np.int32)
+        # walk x, x^2, ... for every x at once; z[i] = x[i]^k is not yet 0
+        x = np.arange(1, n)
+        z = x
+        k = 1
+        while len(x):
+            if k >= n:  # an element of a group of order n has x^n = 1
+                raise GroupError("element has no finite order")
+            z = mul[z, x]
+            k += 1
+            done = z == 0
+            orders[x[done]] = k
+            x, z = x[~done], z[~done]
         return orders
 
     def _greedy_generators(self) -> list[int]:
@@ -191,17 +191,16 @@ class FiniteGroup:
         """Classes as sorted index arrays; class 0 is the identity class."""
         if "classes" in self._cache:
             return self._cache["classes"]
-        n = self.order
-        cls_id = np.full(n, -1, dtype=np.int64)
-        classes: list[np.ndarray] = []
-        mul, inv = self.mul, self.inv
-        all_g = np.arange(n)
-        for x in range(n):
-            if cls_id[x] >= 0:
-                continue
-            conjugates = np.unique(mul[mul[all_g, x], inv[all_g]])
-            cls_id[conjugates] = len(classes)
-            classes.append(conjugates.astype(np.int64))
+        n, mul = self.order, self.mul
+        # column x of conj lists every g x g^-1, so its minimum is the least
+        # member of the class of x; classes are numbered by that member
+        conj = mul[mul, self.inv[:, None]]
+        least = conj.min(axis=0)
+        is_least = least == np.arange(n)
+        cls_id = (np.cumsum(is_least, dtype=np.int64) - 1)[least]
+        by_class = np.argsort(cls_id, kind="stable")
+        bounds = np.cumsum(np.bincount(cls_id))[:-1]
+        classes = np.split(by_class.astype(np.int64), bounds)
         self._cache["classes"] = classes
         self._cache["class_index"] = cls_id
         return classes
@@ -241,9 +240,8 @@ class Subgroup:
         object.__setattr__(self, "members", _readonly(members))
         if len(members) == 0 or members[0] != 0:
             raise GroupError("subgroup must contain the identity")
-        mul = self.parent.mul
-        sub = mul[np.ix_(members, members)]
-        if not np.all(np.isin(sub, members)):
+        sub = self.parent.mul[np.ix_(members, members)]
+        if not self.member_mask()[sub].all():
             raise GroupError("subgroup members are not closed under multiplication")
         if self.parent.order % len(members) != 0:
             raise GroupError("subgroup size does not divide the group order")
@@ -292,13 +290,23 @@ class Subgroup:
 
 
 def _closure_indices(mul: np.ndarray, seed: Iterable[int]) -> np.ndarray:
-    current = np.unique(np.fromiter(seed, dtype=np.int64))
-    while True:
-        products = np.unique(mul[np.ix_(current, current)])
-        merged = np.union1d(current, products)
-        if len(merged) == len(current):
-            return merged
-        current = merged
+    """Sorted members of the subgroup generated by seed.
+
+    A breadth-first walk: each round multiplies the members first reached in
+    the round before by every seed element, so each member is expanded once.
+    In a finite group the products of seed elements already hold the
+    identity and every inverse.
+    """
+    mask = np.zeros(len(mul), dtype=bool)
+    mask[np.fromiter(seed, dtype=np.int64)] = True
+    new = np.flatnonzero(mask)
+    gens = new[new != 0]
+    while len(new):
+        reached = mask.copy()
+        reached[mul[new[:, None], gens]] = True
+        new = np.flatnonzero(reached & ~mask)
+        mask = reached
+    return np.flatnonzero(mask)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -492,14 +500,18 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
+    """[G, G], generated by the commutators x s x^-1 s^-1 with s a generator.
+
+    Those generate a normal subgroup, since
+    y [x, s] y^-1 = [yx, s] [y, s]^-1, and it holds [a, b] for every pair of
+    generators, whose normal closure is [G, G].
+    """
     if "derived" in G._cache:
         return G._cache["derived"]
-    n = G.order
-    a = np.arange(n)
-    # commutators x y x^-1 y^-1 over all pairs
-    xy = G.mul
-    comm = G.mul[xy, G.mul[G.inv[a][:, None], G.inv[a][None, :]]]
-    result = subgroup_closure(G, np.unique(comm))
+    x = np.arange(G.order)[:, None]
+    s = np.array(G.gens, dtype=np.int64)
+    comm = G.mul[G.mul[x, s], G.mul[G.inv[x], G.inv[s]]]
+    result = subgroup_closure(G, comm.ravel())
     G._cache["derived"] = result
     return result
 
@@ -533,8 +545,10 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     frontier = [trivial]
     while frontier:
         base = frontier.pop()
+        in_base = np.zeros(G.order, dtype=bool)
+        in_base[base] = True
         for cls in classes:
-            if cls[0] == 0 or np.all(np.isin(cls, base)):
+            if cls[0] == 0 or in_base[cls].all():
                 continue
             joined = _closure_indices(G.mul, np.concatenate([base, cls]))
             key = joined.tobytes()

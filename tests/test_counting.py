@@ -164,10 +164,12 @@ def test_brute_force_respects_cap():
 
 
 def test_order_12_flag_still_caps_order_16():
-    with pytest.raises(CapExceededError):
-        count_brute_force(resolve_spec("C16"), allow_order_12=True)
-    assert main(["count", "-G", "C16", "-N", "C16", "--method", "brute",
-                 "--allow-order-12"]) == 3
+    # the flag reaches order 9; order 10 is refused before any search starts
+    for spec in ("C16", "C10"):
+        with pytest.raises(CapExceededError, match="capped at order 9"):
+            count_brute_force(resolve_spec(spec), allow_order_12=True)
+        assert main(["count", "-G", spec, "-N", spec, "--method", "brute",
+                     "--allow-order-12"]) == 3
 
 
 def test_brute_force_agrees_with_byott_order_six(small_catalog):
