@@ -37,7 +37,6 @@ from .morphisms import (
     is_fixed_point_free,
 )
 from .holomorph import (
-    Checkpoint,
     CrossedHom,
     Holomorph,
     RegularSubgroup,

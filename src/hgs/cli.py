@@ -2,16 +2,15 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 infeasible
 (a size cap was exceeded), 4 internal error (an engine invariant failed,
-which is a bug in hgs).  HGS_MAX_TABLE overrides the Cayley-table cap and
-HGS_JOBS sets the default worker count; results never depend on the worker
-count.
+which is a bug in hgs).  HGS_MAX_TABLE overrides the Cayley-table cap.
+``--jobs`` sets the worker count of holomorph counts (default 1); results
+never depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .catalog import SpecError, catalog_list, resolve_spec
 from .counting import (
@@ -25,7 +24,6 @@ from .counting import (
 )
 from .groups import CapExceededError, EngineError, GroupError, center
 from .morphisms import are_isomorphic
-from .parallel import default_jobs
 from .report import emit_report
 from .screening import classify_group, screen_candidate
 from .verify import SUITE_NAMES, run_verify_suite
@@ -53,9 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("-N", required=True, metavar="SPEC")
     p_count.add_argument("--method", required=True,
                          choices=["formula", "byott", "brute", "fpf"])
-    p_count.add_argument("--resume", metavar="CKPT", default=None,
-                         help="checkpoint file for byott runs")
-    p_count.add_argument("--jobs", type=int, default=None)
+    p_count.add_argument("--jobs", type=int, default=1)
     p_count.add_argument("--json", action="store_true")
     p_count.add_argument("--allow-order-12", action="store_true",
                          help="lift the brute-force cap from 8 to 9 (~15 s); "
@@ -69,8 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=None)
-    p_verify.add_argument("--checkpoint-dir", default=None)
+    p_verify.add_argument("--jobs", type=int, default=1)
 
     p_catalog = sub.add_parser("catalog", help="catalog utilities")
     p_catalog.add_argument("action", choices=["list"])
@@ -105,7 +100,6 @@ def _cmd_info(args) -> int:
 def _cmd_count(args) -> int:
     G = resolve_spec(args.G)
     N = resolve_spec(args.N)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.method == "formula":
         cls = classify_group(G)
         if cls.kind != "almost-simple":
@@ -125,9 +119,8 @@ def _cmd_count(args) -> int:
                       "use --method byott", file=sys.stderr)
                 return EXIT_USAGE
     elif args.method == "byott":
-        ckpt = Path(args.resume) if args.resume else None
         result = count_byott(G, N, g_label=args.G, n_label=args.N,
-                             checkpoint_path=ckpt, jobs=jobs)
+                             jobs=args.jobs)
     elif args.method == "fpf":
         result = count_fpf_inner_holomorph(G, N, g_label=args.G, n_label=args.N)
     else:  # brute
@@ -157,10 +150,8 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    ckdir = Path(args.checkpoint_dir) if args.checkpoint_dir else None
     log = None if args.json else print
-    report = run_verify_suite(args.suite, jobs=jobs, checkpoint_dir=ckdir, log=log)
+    report = run_verify_suite(args.suite, jobs=args.jobs, log=log)
     if args.json:
         print(emit_report(report, "json"))
     else:

@@ -20,8 +20,6 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import permutations as _itpermutations
-from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -58,18 +56,16 @@ class CountResult:
     value: int
     runtime_ms: int
     notes: str = ""
-    checkpoint_id: Optional[str] = None
 
     def row(self) -> str:
-        ck = self.checkpoint_id or "-"
         return (f"{self.g_label:<14} {self.n_label:<14} {self.method:<20} "
-                f"{self.value:>10d} {self.runtime_ms:>8d}ms {ck}")
+                f"{self.value:>10d} {self.runtime_ms:>8d}ms")
 
     def to_dict(self) -> dict:
         return {
             "G": self.g_label, "N": self.n_label, "method": self.method,
             "value": self.value, "runtime_ms": self.runtime_ms,
-            "notes": self.notes, "checkpoint_id": self.checkpoint_id,
+            "notes": self.notes,
         }
 
 
@@ -172,23 +168,19 @@ def count_sn(n: int, variant: str) -> CountResult:
 
 def count_byott(G: FiniteGroup, N: FiniteGroup, *,
                 g_label: str | None = None, n_label: str | None = None,
-                checkpoint_path: Optional[Path] = None,
                 jobs: int = 1, log=None) -> CountResult:
     """e(G, N) = pair count over Hol(N) divided by |Aut(N)|, exactly."""
     t0 = time.perf_counter()
     if G.order != N.order:
         raise GroupError("count needs |G| = |N|")
-    run = regular_subgroups_in_holomorph(N, G, checkpoint_path=checkpoint_path,
-                                         jobs=jobs, log=log)
+    run = regular_subgroups_in_holomorph(N, G, jobs=jobs, log=log)
     aut_n = automorphism_group(N).order
     value = _exact_div(run.pair_count, aut_n, "holomorph pair count")
     ms = int((time.perf_counter() - t0) * 1000)
-    ck = str(checkpoint_path) if checkpoint_path else None
     return CountResult(g_label or G.name or "G", n_label or N.name or "N",
                        METHOD_BYOTT, value, ms,
                        notes=(f"pairs={run.pair_count} subgroups={run.subgroup_count} "
-                              f"orbits={run.orbit_count}"),
-                       checkpoint_id=ck)
+                              f"orbits={run.orbit_count}"))
 
 
 # -- fixed-point-free pairs in the inner holomorph -------------------------------

@@ -13,10 +13,8 @@ and the subgroup is {(g(d), f(d)) : d in G}.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import permutations
-from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -38,8 +36,6 @@ from .morphisms import (
     class_cut,
     enumerate_homomorphisms,
 )
-
-HOL_CONVENTION = "rho-semidirect-v1"
 
 
 class Holomorph:
@@ -387,75 +383,7 @@ def regular_subgroup_from_crossed(c: CrossedHom, iso_label: str | None = None) -
     return RegularSubgroup(hol.base, rows, ambient="holomorph", iso_label=iso_label)
 
 
-# -- counting runs with checkpoints --------------------------------------------
-
-
-def group_digest(G: FiniteGroup) -> str:
-    h = hashlib.sha256()
-    h.update(str(G.order).encode())
-    h.update(np.ascontiguousarray(G.mul).tobytes())
-    h.update(str(list(G.gens)).encode())
-    return h.hexdigest()[:16]
-
-
-CHECKPOINT_TAG = "hgs-checkpoint/2"
-
-
-@dataclass
-class Checkpoint:
-    g_digest: str
-    n_digest: str
-    convention: str
-    orbit_index: int      # last completed orbit representative, -1 for none
-    pair_count: int       # weighted by orbit size
-
-    def write(self, path: Path) -> None:
-        lines = [
-            CHECKPOINT_TAG,
-            f"g-digest: {self.g_digest}",
-            f"n-digest: {self.n_digest}",
-            f"convention: {self.convention}",
-            f"orbit-index: {self.orbit_index}",
-            f"pair-count: {self.pair_count}",
-        ]
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        tmp.replace(path)
-
-    @staticmethod
-    def read(path: Path) -> "Checkpoint":
-        lines = path.read_text(encoding="utf-8").splitlines()
-        tag = lines[0].strip() if lines else ""
-        if tag == "hgs-checkpoint/1":
-            raise GroupError(f"{path}: hgs-checkpoint/1 counts single f's, and runs "
-                             f"now step over orbits ({CHECKPOINT_TAG}); "
-                             f"start the run again without it")
-        if tag != CHECKPOINT_TAG:
-            raise GroupError(f"{path}: not a checkpoint file")
-        fields = {}
-        for i, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            if ":" not in line:
-                raise GroupError(f"{path}: line {i}: expected 'field: value'")
-            k, v = line.split(":", 1)
-            fields[k.strip()] = v.strip()
-        try:
-            ckpt = Checkpoint(
-                g_digest=fields["g-digest"],
-                n_digest=fields["n-digest"],
-                convention=fields["convention"],
-                orbit_index=int(fields["orbit-index"]),
-                pair_count=int(fields["pair-count"]),
-            )
-        except KeyError as exc:
-            raise GroupError(f"{path}: missing checkpoint field {exc}")
-        except ValueError as exc:
-            raise GroupError(f"{path}: checkpoint field is not an integer: {exc}")
-        if ckpt.pair_count < 0 or (ckpt.orbit_index == -1 and ckpt.pair_count != 0):
-            raise GroupError(f"{path}: impossible pair-count {ckpt.pair_count} "
-                             f"at orbit-index {ckpt.orbit_index}")
-        return ckpt
+# -- counting runs -------------------------------------------------------------
 
 
 @dataclass
@@ -544,7 +472,6 @@ def regular_subgroups_in_holomorph(
     G: FiniteGroup,
     *,
     collect_subgroups: bool = False,
-    checkpoint_path: Optional[Path] = None,
     jobs: int = 1,
     log=None,
 ) -> RegularSubgroupCount:
@@ -553,15 +480,16 @@ def regular_subgroups_in_holomorph(
     The pair count is the sum over the Aut(G) x Aut(N)-orbits on
     Hom(G, Aut(N)) of |orbit| times the bijective crossed-hom count of the
     orbit's representative (``hom_orbits``).  Collecting needs every
-    subgroup, so there every f is its own orbit of weight 1.  The loop runs
-    over the orbits in a fixed order, so a checkpoint records the last
-    completed orbit index and the running pair count; resuming from it
-    reproduces identical totals.  With ``jobs > 1`` the per-orbit counts
-    come from a worker pool, merged back in orbit order.  ``log`` receives
-    (orbit index, orbit count, running pair count) after each orbit.
+    subgroup, so there every f is its own orbit of weight 1.  With
+    ``jobs > 1`` the per-orbit counts come from a worker pool of at most one
+    worker per orbit, merged back in orbit order, so totals do not depend on
+    ``jobs``.  ``log`` receives (orbit index, orbit count, running pair
+    count) after each orbit.
     """
     if N.order != G.order:
         raise GroupError("regular subgroups need |N| = |G|")
+    if jobs > 1 and collect_subgroups:
+        raise GroupError("subgroup collection runs are serial; drop jobs")
     hol = build_holomorph(N)
     aut_g = automorphism_group(G)
     if collect_subgroups:
@@ -569,39 +497,18 @@ def regular_subgroups_in_holomorph(
     else:
         orbits = hom_orbits(G, aut_g, hol.aut)
     reps = [f for f, _ in orbits]
-    start_index = 0
-    pair_count = 0
-    if checkpoint_path is not None:
-        checkpoint_path = Path(checkpoint_path)
-        if collect_subgroups:
-            raise GroupError("checkpointing is only supported for counting runs")
-        digests = (group_digest(G), group_digest(N))
-        if checkpoint_path.exists():
-            ckpt = Checkpoint.read(checkpoint_path)
-            if ((ckpt.g_digest, ckpt.n_digest) != digests
-                    or ckpt.convention != HOL_CONVENTION):
-                raise GroupError(f"{checkpoint_path}: checkpoint belongs to a different run")
-            if not -1 <= ckpt.orbit_index < len(reps):
-                raise GroupError(f"{checkpoint_path}: orbit-index {ckpt.orbit_index} "
-                                 f"outside [-1, {len(reps) - 1}]")
-            start_index = ckpt.orbit_index + 1
-            pair_count = ckpt.pair_count
-    if jobs > 1 and collect_subgroups:
-        raise GroupError("subgroup collection runs are serial; drop jobs")
 
     found: dict[tuple, CrossedHom] = {}
-    workers = min(jobs, len(reps) - start_index)
+    workers = min(jobs, len(reps))
     if workers > 1:
         from .parallel import parallel_crossed_counts
-        counts = parallel_crossed_counts(hol, reps, start_index, jobs=workers)
+        counts = parallel_crossed_counts(hol, reps, jobs=workers)
     else:
         sink = found if collect_subgroups else None
-        counts = ((oi, bijective_pair_count(hol, reps[oi], sink))
-                  for oi in range(start_index, len(reps)))
+        counts = enumerate(bijective_pair_count(hol, f, sink) for f in reps)
+    pair_count = 0
     for oi, count in counts:
         pair_count += orbits[oi][1] * count
-        if checkpoint_path is not None:
-            Checkpoint(*digests, HOL_CONVENTION, oi, pair_count).write(checkpoint_path)
         if log:
             log(oi, len(reps), pair_count)
 

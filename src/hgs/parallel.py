@@ -1,17 +1,16 @@
-"""Deterministic worker pools for the enumeration outer loops.
+"""Deterministic worker pool for the holomorph run's orbit loop.
 
 Work is partitioned over the orbit representatives of a holomorph run;
 results are merged back in orbit order, so totals are identical for any
 worker count.  Workers reuse the parent's Hol(N) and representative list,
 handed over once through the pool initializer, and run the same per-f
-counter as a serial run.  The pool never has more workers than orbits left
-to search: the holomorph run passes min(jobs, orbits left) and stays serial
-when that is one or less.
+counter as a serial run.  The pool never has more workers than orbits: the
+holomorph run passes min(jobs, orbit count) and stays serial when that is
+one or less.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator
 
@@ -19,17 +18,6 @@ from .holomorph import Holomorph, bijective_pair_count
 from .morphisms import Homomorphism
 
 _CONTEXT = {}
-
-
-def default_jobs() -> int:
-    raw = os.environ.get("HGS_JOBS", "")
-    if raw.strip():
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(f"HGS_JOBS must be an integer, got {raw!r}")
-        return max(1, jobs)
-    return 1
 
 
 def _init_crossed_worker(context: tuple[Holomorph, list[Homomorphism]]) -> None:
@@ -41,13 +29,12 @@ def _count_one(oi: int) -> tuple[int, int]:
     return oi, bijective_pair_count(_CONTEXT["hol"], _CONTEXT["reps"][oi])
 
 
-def parallel_crossed_counts(hol: Holomorph, reps: list[Homomorphism],
-                            start_index: int, *,
+def parallel_crossed_counts(hol: Holomorph, reps: list[Homomorphism], *,
                             jobs: int) -> Iterator[tuple[int, int]]:
-    """Bijective crossed-hom counts of reps[start_index:], yielded in orbit order."""
+    """Bijective crossed-hom counts of every representative, yielded in orbit order."""
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_init_crossed_worker,
         initargs=((hol, reps),),
     ) as pool:
-        yield from pool.map(_count_one, range(start_index, len(reps)))
+        yield from pool.map(_count_one, range(len(reps)))

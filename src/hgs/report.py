@@ -8,7 +8,7 @@ from .counting import CountResult
 from .verify import SuiteReport
 
 _COUNT_HEADER = (f"{'G':<14} {'N':<14} {'method':<20} {'value':>10} "
-                 f"{'runtime':>10} checkpoint")
+                 f"{'runtime':>10}")
 
 
 def emit_report(results, fmt: str = "table") -> str:

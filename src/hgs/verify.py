@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -346,8 +345,7 @@ def _suite_lemmas(s: _Suite, jobs: int) -> None:
                 outer_solvable)
 
 
-def _suite_stretch(s: _Suite, jobs: int, checkpoint_dir: Optional[Path],
-                   include_s6: bool = True) -> None:
+def _suite_stretch(s: _Suite, jobs: int) -> None:
     PGL = resolve_spec("PGL(2,9)")
     M10 = resolve_spec("M10")
     S6 = resolve_spec("S6")
@@ -359,22 +357,14 @@ def _suite_stretch(s: _Suite, jobs: int, checkpoint_dir: Optional[Path],
         ("M10", M10, "A6xC2", A6xC2, 0),
         ("M10", M10, "S6", S6, 72),
         ("PGL(2,9)", PGL, "S6", S6, 0),
+        ("S6", S6, "M10", M10, 72),
+        ("S6", S6, "PGL(2,9)", PGL, 0),
     ]
-    if include_s6:
-        cases += [
-            ("S6", S6, "M10", M10, 72),
-            ("S6", S6, "PGL(2,9)", PGL, 0),
-        ]
     for gl, G, nl, N, expected in cases:
-        ckpt = None
-        if checkpoint_dir is not None:
-            safe = f"{gl}-{nl}".replace("(", "").replace(")", "").replace(",", "_")
-            ckpt = Path(checkpoint_dir) / f"byott-{safe}.ckpt"
         s.check(
             f"holomorph enumeration e({gl},{nl})", expected,
-            lambda G=G, N=N, gl=gl, nl=nl, ckpt=ckpt: count_byott(
-                G, N, g_label=gl, n_label=nl, checkpoint_path=ckpt,
-                jobs=jobs).value,
+            lambda G=G, N=N, gl=gl, nl=nl: count_byott(
+                G, N, g_label=gl, n_label=nl, jobs=jobs).value,
         )
 
 
@@ -382,7 +372,6 @@ SUITE_NAMES = ("small", "paper-120", "paper-720", "lemmas", "stretch-720")
 
 
 def run_verify_suite(name: str, *, jobs: int = 1,
-                     checkpoint_dir: Optional[Path] = None,
                      log: Optional[Callable[[str], None]] = None) -> SuiteReport:
     """Run a named suite; each item prints one pass/fail line through ``log``."""
     s = _Suite(name, log)
@@ -395,7 +384,7 @@ def run_verify_suite(name: str, *, jobs: int = 1,
     elif name == "lemmas":
         _suite_lemmas(s, jobs)
     elif name == "stretch-720":
-        _suite_stretch(s, jobs, checkpoint_dir)
+        _suite_stretch(s, jobs)
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return s.report

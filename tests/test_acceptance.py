@@ -76,9 +76,8 @@ def test_criterion_5_screening_verdicts(paper_720):
 @pytest.mark.skipif(not os.environ.get("HGS_STRETCH"),
                     reason="the remaining order-720 holomorph counts take about "
                            "2.5 minutes; set HGS_STRETCH=1 to run")
-def test_criterion_6_stretch_order_720(tmp_path):
+def test_criterion_6_stretch_order_720():
     """Holomorph enumeration at order 720: 60, 60, 92, 0, 72, 0 (plus S6 rows)."""
-    report = _run("stretch-720", checkpoint_dir=tmp_path,
-                  jobs=int(os.environ.get("HGS_JOBS", "1")))
+    report = _run("stretch-720")
     for item in report.items:
         assert item.ok, item.line()

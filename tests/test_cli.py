@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hgs import cli
 from hgs.cli import main
 from hgs.groups import EngineError
@@ -102,22 +104,16 @@ def test_verify_suite_exit_codes(capsys):
     assert len(payload["items"]) == 7
 
 
-def test_count_resume_rejects_corrupt_checkpoint(tmp_path, capsys):
-    from hgs.catalog import resolve_spec
-    from hgs.holomorph import Checkpoint, group_digest
-    path = tmp_path / "corrupt.ckpt"
-    Checkpoint(group_digest(resolve_spec("C4")), group_digest(resolve_spec("V4")),
-               "rho-semidirect-v1", "seven", 0).write(path)
-    rc = main(["count", "-G", "C4", "-N", "V4", "--method", "byott",
-               "--resume", str(path)])
+def test_group_error_exits_1(capsys):
+    rc = main(["count", "-G", "C4", "-N", "C6", "--method", "byott"])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert "error: count needs |G| = |N|" in capsys.readouterr().err
 
 
-def test_count_resume_rejects_a_format_1_checkpoint(tmp_path, capsys):
-    path = tmp_path / "old.ckpt"
-    path.write_text("hgs-checkpoint/1\nf-index: 0\npair-count: 0\n")
-    rc = main(["count", "-G", "C4", "-N", "V4", "--method", "byott",
-               "--resume", str(path)])
-    assert rc == 1
-    assert "hgs-checkpoint/1" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["count", "-G", "C4", "-N", "V4", "--method", "byott", "--resume", "run.ckpt"],
+    ["verify", "--suite", "small", "--checkpoint-dir", "ckpt"],
+])
+def test_removed_checkpoint_options_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

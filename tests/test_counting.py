@@ -186,3 +186,4 @@ def test_count_result_row_and_dict():
     assert "S5" in row and "20" in row and "byott" in row
     d = r.to_dict()
     assert d["value"] == 20 and d["method"] == "byott"
+    assert set(d) == {"G", "N", "method", "value", "runtime_ms", "notes"}

@@ -82,6 +82,14 @@ def test_s5_normal_subgroup_lattice(S5):
     assert a5.is_normal()
 
 
+def test_c720_has_one_normal_subgroup_per_divisor():
+    # cyclic: every subgroup is normal and there is one of each order d | 720
+    subs = normal_subgroups(resolve_spec("C720"))
+    divisors = [d for d in range(1, 721) if 720 % d == 0]
+    assert len(subs) == len(divisors) == 30
+    assert [s.size for s in subs] == divisors
+
+
 def test_order_census_regions(S5):
     a5 = [s for s in normal_subgroups(S5) if s.size == 60][0]
     assert order_census(S5, 2, "inside", a5) == 15

@@ -6,12 +6,10 @@ import pytest
 from hgs.catalog import resolve_spec
 from hgs.groups import GroupError, center, normal_subgroups
 from hgs.holomorph import (
-    Checkpoint,
     build_holomorph,
     crossed_homomorphisms,
     derive_h,
     dual_regular_subgroup,
-    group_digest,
     holomorph_equals_translation_normalizers,
     induce_on_quotient,
     is_characteristic,
@@ -153,7 +151,8 @@ def _crossed_sequence_digest(G, N):
     ("D4", "Q8", "d68d496089bd896a82c28a77a64a1a4b39f22093dedf738a1b15ed6013332389", 1216),
 ])
 def test_crossed_emission_order_is_pinned(g_label, n_label, digest, count):
-    # checkpoints and collected samples depend on this order
+    # a collecting run keeps the first crossed hom it meets for each subgroup,
+    # so its samples depend on this order
     G, N = resolve_spec(g_label), resolve_spec(n_label)
     assert _crossed_sequence_digest(G, N) == (digest, count)
 
@@ -278,103 +277,6 @@ def test_normalized_by_lambda_self():
     from hgs.holomorph import RegularSubgroup
     lam = RegularSubgroup(G, lambda_perms(G), ambient="perm")
     assert normalized_by(lam, lambda_perms(G, G.gens))
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    path = tmp_path / "run.ckpt"
-    ck = Checkpoint("aaaa", "bbbb", "rho-semidirect-v1", 17, 4242)
-    ck.write(path)
-    back = Checkpoint.read(path)
-    assert back == ck
-
-
-def test_checkpoint_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_text("not a checkpoint\n")
-    with pytest.raises(GroupError, match="not a checkpoint"):
-        Checkpoint.read(path)
-
-
-def test_checkpoint_rejects_the_per_f_format(tmp_path):
-    # format 1 counted single f's; its index means nothing in an orbit run
-    path = tmp_path / "old.ckpt"
-    V4, C4 = _matching_checkpoint(path, 0, 0)
-    path.write_text(path.read_text().replace("hgs-checkpoint/2", "hgs-checkpoint/1")
-                    .replace("orbit-index", "f-index"))
-    with pytest.raises(GroupError, match="hgs-checkpoint/1"):
-        regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
-
-
-def test_checkpoint_resume_reproduces_counts(tmp_path):
-    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
-    running = []
-    full = regular_subgroups_in_holomorph(
-        V4, C4, log=lambda oi, total, pairs: running.append((oi, pairs)))
-    assert len(running) == full.orbit_count
-    # rewind to the state after the first completed orbit and resume; the
-    # total must match the uninterrupted run exactly
-    path = tmp_path / "resume.ckpt"
-    regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
-    ck = Checkpoint.read(path)
-    assert ck.orbit_index == full.orbit_count - 1
-    assert ck.pair_count == full.pair_count
-    # a finished run's checkpoint is in range and resumes to its own total
-    done = regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
-    assert done.pair_count == full.pair_count
-    mid = Checkpoint(group_digest(C4), group_digest(V4), ck.convention,
-                     running[0][0], running[0][1])
-    mid.write(path)
-    resumed = regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
-    assert resumed.pair_count == full.pair_count
-
-
-def test_checkpoint_rejects_wrong_run(tmp_path):
-    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
-    path = tmp_path / "wrong.ckpt"
-    Checkpoint("dead", "beef", "rho-semidirect-v1", 0, 0).write(path)
-    with pytest.raises(GroupError, match="different run"):
-        regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
-
-
-def _matching_checkpoint(path, orbit_index, pair_count):
-    """A checkpoint for the (G, N) = (C4, V4) run, with the given progress."""
-    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
-    Checkpoint(group_digest(C4), group_digest(V4), "rho-semidirect-v1",
-               orbit_index, pair_count).write(path)
-    return V4, C4
-
-
-def test_checkpoint_rejects_non_integer_fields(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    _matching_checkpoint(path, "x3", 0)
-    with pytest.raises(GroupError, match="not an integer"):
-        Checkpoint.read(path)
-
-
-@pytest.mark.parametrize("orbit_index, pair_count, message", [
-    (99, 8, "outside"),
-    (-2, 0, "outside"),
-    (1, -8, "impossible pair-count"),
-    (-1, 8, "impossible pair-count"),
-])
-def test_checkpoint_rejects_impossible_progress(tmp_path, orbit_index, pair_count,
-                                                message):
-    path = tmp_path / "bad.ckpt"
-    V4, C4 = _matching_checkpoint(path, orbit_index, pair_count)
-    run = regular_subgroups_in_holomorph(V4, C4)
-    assert (run.f_total, run.orbit_count) == (4, 2)
-    with pytest.raises(GroupError, match=message):
-        regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path)
-
-
-def test_checkpointed_run_digests_each_group_once(tmp_path, monkeypatch):
-    import hgs.holomorph
-    digested = []
-    monkeypatch.setattr(hgs.holomorph, "group_digest",
-                        lambda G: digested.append(G) or group_digest(G))
-    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
-    regular_subgroups_in_holomorph(V4, C4, checkpoint_path=tmp_path / "run.ckpt")
-    assert digested == [C4, V4]
 
 
 def test_pair_count_divisible_by_aut_g(S5, A5xC2):

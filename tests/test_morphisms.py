@@ -201,8 +201,9 @@ def test_inn_reduced_aut_equals_exhaustive_search(spec):
     ("SL(2,9)", "361653dc9fe39b2d10c7dfc8da203d63dcbf94fb5a97ba570d572112a5482f2e"),
 ])
 def test_aut_perms_pinned_at_order_720(spec, digest):
-    # carrier indices feed checkpoints and digests; pinned from the
-    # exhaustive search that preceded the Inn(G) reduction
+    # every f: G -> Aut(N) holds carrier indices, so Hom emission order and
+    # the orbit representatives depend on them; pinned from the exhaustive
+    # search that preceded the Inn(G) reduction
     aut = automorphism_group(resolve_spec(spec))
     assert aut.order == 1440
     assert hashlib.sha256(np.ascontiguousarray(aut.perms).tobytes()).hexdigest() == digest

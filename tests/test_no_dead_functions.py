@@ -1,10 +1,13 @@
-"""Every module-level function and class in the package is used somewhere.
+"""Every module-level function and class in the package, and every
+non-dunder method of those classes, is used somewhere.
 
 A name counts as used when the package, the tests or the demos mention it
 outside its own definition: as a name, an attribute, an imported name or a
 string (``monkeypatch.setattr`` and ``getattr`` name functions by string).
-Functions registered by a decorator, such as catalog's ``@_atom`` specs, are
-reached through the registry and are exempt.
+A method's own body does not count either, since a cached method may name
+itself as its cache key.  Module-level functions registered by a decorator,
+such as catalog's ``@_atom`` specs, are reached through the registry and
+are exempt.
 """
 
 import ast
@@ -32,15 +35,24 @@ def _mentions(node: ast.AST) -> set[str]:
     return names
 
 
+def _mentions_outside_itself(stmt: ast.stmt) -> set[str]:
+    """Names a statement mentions; a definition's own name does not count
+    inside its own body, nor a method's inside the method's body."""
+    if isinstance(stmt, ast.ClassDef):
+        found = set().union(*map(_mentions_outside_itself, stmt.body),
+                            *map(_mentions, stmt.bases + stmt.decorator_list))
+    else:
+        found = _mentions(stmt)
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        found.discard(stmt.name)
+    return found
+
+
 def _used_names() -> set[str]:
-    """Names mentioned anywhere, leaving out each top-level definition's own body."""
     used = set()
     for path in USERS:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            found = _mentions(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                found.discard(stmt.name)
-            used |= found
+            used |= _mentions_outside_itself(stmt)
     return used
 
 
@@ -50,6 +62,10 @@ def _definitions() -> list[tuple[str, str]]:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, ast.FunctionDef) and stmt.decorator_list:
                 continue  # registered by its decorator
+            if isinstance(stmt, ast.ClassDef):
+                defs += [(path.name, f"{stmt.name}.{m.name}") for m in stmt.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((path.name, stmt.name))
     return defs
@@ -59,4 +75,6 @@ def test_every_module_level_definition_is_used():
     defs = _definitions()
     assert len(defs) >= 100
     used = _used_names()
-    assert [f"{mod}:{name}" for mod, name in defs if name not in used] == []
+    unused = [f"{mod}:{name}" for mod, name in defs
+              if name.rpartition(".")[2] not in used]
+    assert unused == []

@@ -7,7 +7,7 @@ import pytest
 from hgs import holomorph, morphisms, parallel
 from hgs.catalog import resolve_spec
 from hgs.counting import count_byott
-from hgs.holomorph import Checkpoint, group_digest, regular_subgroups_in_holomorph
+from hgs.holomorph import regular_subgroups_in_holomorph
 
 
 def test_byott_counts_do_not_depend_on_jobs():
@@ -22,15 +22,6 @@ def test_byott_value_matches_across_jobs():
     C8 = resolve_spec("C8")
     D4 = resolve_spec("D4")
     assert count_byott(C8, D4, jobs=1).value == count_byott(C8, D4, jobs=2).value
-
-
-def test_parallel_checkpoint_writes(tmp_path):
-    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
-    path = tmp_path / "par.ckpt"
-    run = regular_subgroups_in_holomorph(V4, C4, checkpoint_path=path, jobs=2)
-    ck = Checkpoint.read(path)
-    assert ck.pair_count == run.pair_count
-    assert ck.orbit_index == run.orbit_count - 1
 
 
 def _logged(N, G, **kwargs):
@@ -50,19 +41,6 @@ def test_per_orbit_counts_do_not_depend_on_jobs():
     assert sum(b > a for a, b in zip(totals, totals[1:])) == 2  # orbits with pairs
     assert pooled == serial
     assert pooled_run == serial_run
-
-
-def test_pooled_resume_gives_the_serial_total(tmp_path):
-    Q8, D4 = resolve_spec("Q8"), resolve_spec("D4")
-    full, logged = _logged(Q8, D4)
-    mid = 3
-    path = tmp_path / "mid.ckpt"
-    Checkpoint(group_digest(D4), group_digest(Q8), holomorph.HOL_CONVENTION, mid,
-               logged[mid][2]).write(path)
-    resumed, rest = _logged(Q8, D4, checkpoint_path=path, jobs=2)
-    assert rest == logged[mid + 1:]
-    assert resumed.pair_count == full.pair_count
-    assert Checkpoint.read(path).pair_count == full.pair_count
 
 
 def test_worker_context_survives_pickling():
@@ -139,20 +117,17 @@ def test_workers_reuse_the_parent_holomorph_and_f_list(inline_pool):
     assert not any(hasattr(parallel, name) for name in REBUILDERS)
 
 
-def test_pool_never_exceeds_the_orbits_left(inline_pool, tmp_path):
-    V4, C4 = resolve_spec("V4"), resolve_spec("C4")
-    full = regular_subgroups_in_holomorph(V4, C4)
-    assert (full.f_total, full.orbit_count) == (4, 2)
-    assert regular_subgroups_in_holomorph(V4, C4, jobs=8).pair_count == full.pair_count
-    assert inline_pool["sizes"] == [2]
-    Q8, D4 = resolve_spec("Q8"), resolve_spec("D4")
-    full, logged = _logged(Q8, D4)
-    assert full.orbit_count == 9
-    path = tmp_path / "late.ckpt"
-    for done, size in [(4, [4]), (6, [2]), (7, [])]:
+def test_pool_never_exceeds_the_orbits_left(inline_pool):
+    # the pool is min(jobs, orbit count); one orbit runs serially
+    for n_label, g_label, jobs, f_total, orbits, sizes in [
+        ("Q8", "D4", 4, 76, 9, [4]),
+        ("V4", "C4", 8, 4, 2, [2]),
+        ("C3", "C3", 8, 1, 1, []),
+    ]:
+        N, G = resolve_spec(n_label), resolve_spec(g_label)
+        serial = regular_subgroups_in_holomorph(N, G)
+        assert (serial.f_total, serial.orbit_count) == (f_total, orbits)
         inline_pool["sizes"].clear()
-        Checkpoint(group_digest(D4), group_digest(Q8), holomorph.HOL_CONVENTION, done,
-                   logged[done][2]).write(path)
-        run = regular_subgroups_in_holomorph(Q8, D4, checkpoint_path=path, jobs=8)
-        assert run.pair_count == full.pair_count
-        assert inline_pool["sizes"] == size  # one orbit left runs serially
+        pooled = regular_subgroups_in_holomorph(N, G, jobs=jobs)
+        assert pooled.pair_count == serial.pair_count
+        assert inline_pool["sizes"] == sizes
