@@ -9,8 +9,12 @@ use T's own table for every k; crossed homomorphisms for f use the twisted
 table T_k[a][b] = a * f(s)(b).  The engine fixes images for one generator at
 a time.  After each assignment it extends the candidate map along the
 left-factorization word tree of the subgroup generated so far
-(element = gen * parent) and checks every generator-against-element product
-available at that stage, so bad branches die on the first violated pair.
+(element = gen * parent).  Each generator-against-element product that the
+tree does not cover is checked right after the node that gives the second
+of its two elements an image (elements of earlier stages have theirs from
+the start), so a bad branch dies on its first decidable violated product,
+usually long before the stage is filled.  Table rows become Python lists
+the first time a generator image selects them, once per search.
 
 Callers certify every total assignment before emitting it, in O(n * |gens|)
 rather than n^2 steps: ``generator_certificate`` checks
@@ -33,11 +37,13 @@ class StageData:
     """Word-tree stages for a fixed group and effective generator chain.
 
     ``nodes[k]`` lists (element, gi, parent) with element = gens[gi] * parent
-    for the elements first reached at stage k; ``checks[k]`` lists
-    (gi, w, gens[gi] * w) for the products that the tree does not cover.
+    for the elements first reached at stage k; ``nodes[k][0]`` is gens[k]
+    itself.  ``due[k][i]`` lists the checks (gi, w, gens[gi] * w), for the
+    products that the tree does not cover, whose two elements both have
+    images once node i is filled.
     """
 
-    __slots__ = ("gens", "nodes", "checks", "stage_sizes", "order")
+    __slots__ = ("gens", "nodes", "due", "stage_sizes", "order", "_fill")
 
     def __init__(self, mul: np.ndarray, gens: Sequence[int]):
         n = mul.shape[0]
@@ -47,7 +53,7 @@ class StageData:
         eff_gens: list[int] = []
         gen_rows: list[list[int]] = []
         self.nodes: list[list[tuple[int, int, int]]] = []
-        self.checks: list[list[tuple[int, int, int]]] = []
+        self.due: list[list[list[tuple[int, int, int]]]] = []
         self.stage_sizes: list[int] = []
         for g in gens:
             if g in member_set:
@@ -69,7 +75,9 @@ class StageData:
                         member_list.append(y)
                         nodes.append((y, gi, x))
                         tree_edge.add((gi, x))
-            checks: list[tuple[int, int, int]] = []
+            # node index of each new element; earlier ones count as node 0
+            node_of = {e: i for i, (e, _, _) in enumerate(nodes)}
+            due: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
             new_members = member_list[prev_count:]
             for gi in range(k + 1):
                 targets = member_list if gi == k else new_members
@@ -77,13 +85,18 @@ class StageData:
                 for w in targets:
                     if (gi, w) in tree_edge:
                         continue
-                    checks.append((gi, w, row[w]))
+                    u = row[w]
+                    due[max(node_of.get(w, 0), node_of.get(u, 0))].append((gi, w, u))
             self.nodes.append(nodes)
-            self.checks.append(checks)
+            self.due.append(due)
             self.stage_sizes.append(len(member_list))
         self.gens = eff_gens
         if len(member_list) != n:
             raise ValueError("generators do not generate the group")
+        # the fill program of each stage past its generator's own node
+        self._fill = [[(e, gi, par, tuple(checks))
+                       for (e, gi, par), checks in zip(nodes[1:], due[1:])]
+                      for nodes, due in zip(self.nodes, self.due)]
 
 
 def stage_data(G) -> StageData:
@@ -109,18 +122,19 @@ def generator_certificate(S, T, images: np.ndarray) -> bool:
 
 def iter_stage_maps(
     sd: StageData,
-    tables: Sequence[Sequence[Sequence[int]]],
+    tables: Sequence[np.ndarray],
     candidates: Sequence[Sequence[int]],
     *,
     bijective: bool = False,
 ) -> Iterator[np.ndarray]:
     """Every map passing the staged checks against the per-generator tables.
 
-    ``tables[k]`` is T_k as row lists, one row per target element, and
-    ``candidates[k]`` lists the allowed images of the k-th effective
-    generator, tried in the given order; emission order is the lexicographic
-    order of generator-image tuples, so it is deterministic.  With
-    ``bijective`` no value is used twice.
+    ``tables[k]`` is T_k as a 2-d array, one row per target element; a row
+    becomes a list the first time the k-th generator's image selects it,
+    once per search and table.  ``candidates[k]`` lists the allowed images
+    of the k-th effective generator, tried in the given order; emission
+    order is the lexicographic order of generator-image tuples, so it is
+    deterministic.  With ``bijective`` no value is used twice.
     """
     if len(candidates) != len(sd.gens) or len(tables) != len(sd.gens):
         raise ValueError("need one candidate list and table per effective generator")
@@ -133,52 +147,69 @@ def iter_stage_maps(
     if bijective:
         used = bytearray(len(tables[0]))
         used[0] = 1
+    # converted rows, shared by the generators that share a table
+    by_table: dict[int, list] = {}
+    row_lists = [by_table.setdefault(id(t), [None] * len(t)) for t in tables]
     # rows[gi] = tables[gi][image of generator gi], fixed once gi is assigned
     rows: list = [None] * len(sd.gens)
-    yield from _drive(sd, tables, candidates, img, used, rows, 0)
+    yield from _drive(sd, tables, row_lists, candidates, img, used, rows, 0)
 
 
-def _drive(sd, tables, candidates, img, used, rows, k) -> Iterator[np.ndarray]:
-    """Assign generator k and every later one; yield each total assignment."""
-    nodes = sd.nodes[k]
-    checks = sd.checks[k]
+def _drive(sd, tables, row_lists, candidates, img, used, rows, k) -> Iterator[np.ndarray]:
+    """Assign generator k and every later one; yield each total assignment.
+
+    Images are only ever read after the schedule has written them, so a
+    rejected branch leaves stale entries in ``img`` rather than -1; only
+    the ``used`` marks are undone.
+    """
+    fill = sd._fill[k]
+    first_due = sd.due[k][0]
     gen_elt = sd.gens[k]
     table = tables[k]
+    row_list = row_lists[k]
     last = k + 1 == len(sd.gens)
     for x in candidates[k]:
-        if used is not None and used[x]:
-            continue
-        img[gen_elt] = x
-        rows[k] = table[x]
         if used is not None:
-            used[x] = 1
-        trail = [gen_elt]
-        ok = True
-        for e, gi, par in nodes:
-            if e == gen_elt:
+            if used[x]:
                 continue
-            v = rows[gi][img[par]]
-            if used is not None:
-                if used[v]:
-                    ok = False
-                    break
-                used[v] = 1
-            img[e] = v
-            trail.append(e)
+            used[x] = 1
+        row = row_list[x]
+        if row is None:
+            row = row_list[x] = table[x].tolist()
+        rows[k] = row
+        img[gen_elt] = x
+        ok = True
+        for gi, w, u in first_due:
+            if img[u] != rows[gi][img[w]]:
+                ok = False
+                break
+        filled = 0
         if ok:
-            for gi, w, u in checks:
-                if img[u] != rows[gi][img[w]]:
-                    ok = False
-                    break
+            for e, gi, par, checks in fill:
+                v = rows[gi][img[par]]
+                if used is not None:
+                    if used[v]:
+                        ok = False
+                        break
+                    used[v] = 1
+                img[e] = v
+                filled += 1
+                for cgi, w, u in checks:
+                    if img[u] != rows[cgi][img[w]]:
+                        break
+                else:
+                    continue
+                ok = False
+                break
         if ok:
             if last:
                 yield np.array(img, dtype=np.int32)
             else:
-                yield from _drive(sd, tables, candidates, img, used, rows, k + 1)
-        for e in trail:
-            if used is not None:
+                yield from _drive(sd, tables, row_lists, candidates, img, used, rows, k + 1)
+        if used is not None:
+            used[x] = 0
+            for e, _, _, _ in fill[:filled]:
                 used[img[e]] = 0
-            img[e] = -1
 
 
 def iter_hom_images(
@@ -194,7 +225,7 @@ def iter_hom_images(
     S, in the emission order of ``iter_stage_maps``.
     """
     sd = stage_data(S)
-    tables = [T.mul_rows()] * len(sd.gens)
+    tables = [T.mul] * len(sd.gens)
     for img in iter_stage_maps(sd, tables, candidates, bijective=bijective):
         if generator_certificate(S, T, img):
             yield img

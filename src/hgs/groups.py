@@ -8,6 +8,7 @@ pairs instead).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -167,12 +168,6 @@ class FiniteGroup:
 
     # -- basic queries -----------------------------------------------------------
 
-    def mul_rows(self) -> list:
-        """Table as a list of row lists (fast scalar indexing in hot loops)."""
-        if "mul_rows" not in self._cache:
-            self._cache["mul_rows"] = self.mul.tolist()
-        return self._cache["mul_rows"]
-
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return int(self.mul[self.mul[g, x], self.inv[g]])
@@ -305,9 +300,22 @@ def _closure_indices(mul: np.ndarray, seed: Iterable[int]) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable opaque key per row of an int32 array."""
-    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    """One opaque key per row of nonnegative integers, below 2^32.
+
+    Entries are stored as big-endian unsigned 32-bit words, so the keys'
+    byte order is the rows' lexicographic order.
+    """
+    rows = np.ascontiguousarray(rows, dtype=">u4")
     return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+
+
+def row_sort_order(rows: np.ndarray) -> np.ndarray:
+    """Indices that sort nonnegative integer rows lexicographically.
+
+    Equal to ``np.lexsort(rows.T[::-1])``, ties included (the sort is
+    stable), with one argsort over whole-row keys.
+    """
+    return np.argsort(_row_keys(rows), kind="stable")
 
 
 def perm_table(images: np.ndarray) -> np.ndarray:
@@ -542,10 +550,20 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     if "normal_subgroups" in G._cache:
         return G._cache["normal_subgroups"]
     closures: dict[bytes, np.ndarray] = {}
+    # x^k with gcd(k, ord x) = 1 generates <x>, so its class closes to the
+    # same subgroup as the class of x: marked once x's class is closed
+    known = np.zeros(G.order, dtype=bool)
     for cls in G.conjugacy_classes():
-        if cls[0] != 0:
-            closure = _closure_indices(G.mul, cls)
-            closures.setdefault(closure.tobytes(), closure)
+        if cls[0] == 0 or known[cls].any():
+            continue
+        closure = _closure_indices(G.mul, cls)
+        closures.setdefault(closure.tobytes(), closure)
+        x = int(cls[0])
+        m = int(G.elt_order[x])
+        powers = [0, x]
+        for _ in range(m - 2):
+            powers.append(int(G.mul[powers[-1], x]))
+        known[[p for k, p in enumerate(powers) if math.gcd(k, m) == 1]] = True
     found: dict[bytes, np.ndarray] = {}
     trivial = np.array([0], dtype=np.int64)
     found[trivial.tobytes()] = trivial

@@ -27,6 +27,7 @@ from .groups import (
     Subgroup,
     _readonly,
     quotient_group,
+    row_sort_order,
 )
 from .morphisms import (
     AutomorphismGroup,
@@ -196,7 +197,7 @@ def crossed_homomorphisms(
         raise GroupError("f must land in the automorphism carrier of the holomorph")
     sd = _search.stage_data(G)
     nG, nN = G.order, N.order
-    tables = [N.mul[:, hol.aut.perms[int(f.images[s])]].tolist() for s in sd.gens]
+    tables = [N.mul[:, hol.aut.perms[int(f.images[s])]] for s in sd.gens]
     candidates = _crossed_candidates(hol, f, bijective_only)
     for g in _search.iter_stage_maps(sd, tables, candidates, bijective=bijective_only):
         if crossed_relation_holds(hol, f, g):
@@ -210,15 +211,16 @@ def derive_h(c: CrossedHom) -> Homomorphism:
     hol = c.hol
     G = c.source
     N = hol.base
-    base_pts = np.array(hol.aut._base_points, dtype=np.int64)
-    images = np.empty(G.order, dtype=np.int32)
-    for d in range(G.order):
-        gd = int(c.g[d])
-        fp = hol.aut.perms[int(c.f.images[d])]
-        key_vals = N.mul[N.mul[gd, fp[base_pts]], N.inv[gd]]
-        images[d] = hol.aut._index.get(tuple(int(v) for v in key_vals), -1)
-        if images[d] < 0:
-            raise EngineError("conj(g(d)).f(d) is not an automorphism of N")
+    base_pts = np.array(hol.aut._base_points, dtype=np.intp)
+    g = c.g.astype(np.intp)
+    # row d: conj(g(d)) . f(d) on the base points, the carrier's index key
+    keys = N.mul[N.mul[g[:, None], hol.aut.perms[c.f.images[:, None], base_pts]],
+                 N.inv[g][:, None]]
+    index = hol.aut._index
+    images = np.fromiter((index.get(k, -1) for k in map(tuple, keys.tolist())),
+                         dtype=np.int32, count=G.order)
+    if (images < 0).any():
+        raise EngineError("conj(g(d)).f(d) is not an automorphism of N")
     try:
         return Homomorphism(G, hol.aut.carrier, images)
     except GroupError as exc:
@@ -284,8 +286,7 @@ class RegularSubgroup:
 
     def __post_init__(self):
         members = np.asarray(self.members, dtype=np.int32)
-        order = np.lexsort(members.T[::-1])
-        members = members[order]
+        members = members[row_sort_order(members)]
         self.members = _readonly(members)
         n = self.base.order
         if members.shape != (n, n):

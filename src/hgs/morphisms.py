@@ -17,6 +17,7 @@ from .groups import (
     center,
     fingerprint,
     perm_table,
+    row_sort_order,
     table_cap,
     _readonly,
 )
@@ -171,7 +172,7 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
         raise GroupError("automorphism search lost the identity map")
     perms = inn[:, np.stack(coset_reps)].reshape(-1, G.order).astype(np.int32, copy=False)
     # the identity is the least permutation, so it sorts first
-    perms = perms[np.lexsort(perms.T[::-1])]
+    perms = perms[row_sort_order(perms)]
     if not np.array_equal(perms[0], np.arange(G.order)):
         raise EngineError("the automorphism cosets miss the identity map")
     if not _search.generator_certificate(G, G, perms):

@@ -1,13 +1,10 @@
 """Acceptance criteria, one test per criterion, printing pass/fail lines.
 
-Criteria 1-5 run in the default suite; criteria 1 and 5 share one run of
-the paper-720 suite, which reaches 92 and 72 for PGL(2,9) by formula and by
+All six run in the default suite; criteria 1 and 5 share one run of the
+paper-720 suite, which reaches 92 and 72 for PGL(2,9) by formula and by
 the orbit-reduced holomorph route.  Criterion 6 runs the remaining
-order-720 holomorph counts (about 2.5 minutes on one core, most of it the
-four rows with M10 as the source) and is opt-in: set HGS_STRETCH=1 to run it.
+order-720 holomorph counts, the stretch-720 suite (about 15 s on one core).
 """
-
-import os
 
 import pytest
 
@@ -73,9 +70,6 @@ def test_criterion_5_screening_verdicts(paper_720):
     assert named["M10 outer coset is involution-free"].ok
 
 
-@pytest.mark.skipif(not os.environ.get("HGS_STRETCH"),
-                    reason="the remaining order-720 holomorph counts take about "
-                           "2.5 minutes; set HGS_STRETCH=1 to run")
 def test_criterion_6_stretch_order_720():
     """Holomorph enumeration at order 720: 60, 60, 92, 0, 72, 0 (plus S6 rows)."""
     report = _run("stretch-720")
