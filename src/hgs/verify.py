@@ -13,7 +13,7 @@ Suites:
 * ``lemmas``     — the structural property sweep (crossed-homomorphism laws,
                    normalizer identity, duality, exactly-one normalization,
                    socle facts, fixed points of simple-group automorphisms).
-* ``stretch-720``— opt-in: the remaining order-720 holomorph enumerations
+* ``stretch-720``— the remaining order-720 holomorph enumerations
                    (60, 60, 92, 0, 72, 0 and the two S6-source values).
 """
 

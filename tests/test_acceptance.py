@@ -3,7 +3,7 @@
 All six run in the default suite; criteria 1 and 5 share one run of the
 paper-720 suite, which reaches 92 and 72 for PGL(2,9) by formula and by
 the orbit-reduced holomorph route.  Criterion 6 runs the remaining
-order-720 holomorph counts, the stretch-720 suite (about 15 s on one core).
+order-720 holomorph counts, the stretch-720 suite (about 6 s on one core).
 """
 
 import pytest
