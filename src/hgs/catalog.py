@@ -111,6 +111,7 @@ def alternating(n: int) -> FiniteGroup:
 
 
 def _mat_mul(F: GaloisField, m1, m2):
+    """Product of 2x2 matrices (a, b, c, d); the entries may be arrays."""
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
     mu, ad = F.mul, F.add
@@ -125,16 +126,16 @@ def _det(F: GaloisField, m):
     return F.add[F.mul[a, d], F.neg[F.mul[b, c]]]
 
 
-def _gl2_elements(F: GaloisField) -> list[tuple[int, int, int, int]]:
-    out = []
-    for a in range(F.q):
-        for b in range(F.q):
-            for c in range(F.q):
-                for d in range(F.q):
-                    m = (a, b, c, d)
-                    if _det(F, m) != 0:
-                        out.append(m)
-    return out
+def _gl2_elements(F: GaloisField) -> np.ndarray:
+    """The invertible matrices (a, b, c, d) over F, one row each, in
+    lexicographic order."""
+    mats = np.indices((F.q,) * 4).reshape(4, -1).T
+    return mats[_det(F, mats.T) != 0]
+
+
+def _sl2_elements(F: GaloisField) -> np.ndarray:
+    mats = _gl2_elements(F)
+    return mats[_det(F, mats.T) == 1]
 
 
 def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGroup:
@@ -153,16 +154,18 @@ def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGr
 def special_linear2(q: int) -> FiniteGroup:
     """SL(2, q) as an abstract Cayley table over matrix indices."""
     F = gf(q)
-    mats = [m for m in _gl2_elements(F) if _det(F, m) == 1]
-    ident = (1, 0, 0, 1)
-    mats.remove(ident)
-    mats = [ident] + sorted(mats)
-    index = {m: i for i, m in enumerate(mats)}
+    mats = _sl2_elements(F)
+    is_ident = (mats == (1, 0, 0, 1)).all(axis=1)
+    mats = np.concatenate([mats[is_ident], mats[~is_ident]])  # the rest stay sorted
     n = len(mats)
+    # matrices are looked up by their entries read as base-q digits
+    cols = mats.T
+    digits = q ** np.arange(3, -1, -1)
+    index = np.zeros(q ** 4, dtype=np.int32)
+    index[digits @ cols] = np.arange(n)
     mul = np.empty((n, n), dtype=np.int32)
-    for i, m1 in enumerate(mats):
-        for j, m2 in enumerate(mats):
-            mul[i, j] = index[_mat_mul(F, m1, m2)]
+    for i in range(n):
+        mul[i] = index[digits @ np.stack(_mat_mul(F, cols[:, i], cols))]
     expected = q * (q - 1) * (q + 1)
     if n != expected:
         raise GroupError(f"SL(2,{q}) came out with order {n}, expected {expected}")
@@ -194,8 +197,7 @@ def projective_general_linear2(q: int) -> FiniteGroup:
 
 def projective_special_linear2(q: int) -> FiniteGroup:
     F = gf(q)
-    mats = [m for m in _gl2_elements(F) if _det(F, m) == 1]
-    rows = _projective_action(F, mats)
+    rows = _projective_action(F, _sl2_elements(F))
     G = from_perm_set(rows, name=f"PSL(2,{q})")
     return G
 
@@ -246,10 +248,11 @@ def catalog_aut6_tower() -> dict[str, FiniteGroup]:
         overgroups[label] = H
     if set(overgroups) != {"M10", "S6", "PGL(2,9)"}:
         raise GroupError(f"tower labeling incomplete: {sorted(overgroups)}")
-    # cross-check labels against independent constructions
-    if are_isomorphic(overgroups["S6"], symmetric(6)) is None:
+    # cross-check labels against independent constructions: the catalog's
+    # permutation and matrix models, built once and cached
+    if are_isomorphic(overgroups["S6"], resolve_spec("S6")) is None:
         raise GroupError("tower S6 label failed the isomorphism cross-check")
-    if are_isomorphic(overgroups["PGL(2,9)"], projective_general_linear2(9)) is None:
+    if are_isomorphic(overgroups["PGL(2,9)"], resolve_spec("PGL(2,9)")) is None:
         raise GroupError("tower PGL(2,9) label failed the isomorphism cross-check")
     if are_isomorphic(overgroups["M10"], overgroups["S6"]) is not None:
         raise GroupError("tower M10 should not be isomorphic to S6")

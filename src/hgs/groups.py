@@ -89,8 +89,9 @@ class FiniteGroup:
         self.perm_rep = perm_rep
         if validate:
             self._validate_table(assume_associative)
-        self.inv = _readonly(self._compute_inverses())
-        self.elt_order = _readonly(self._compute_element_orders())
+        orders, inv = self._compute_orders_and_inverses()
+        self.inv = _readonly(inv)
+        self.elt_order = _readonly(orders)
         self._cache: dict = {}
         if gens is None:
             gens = self._greedy_generators()
@@ -127,43 +128,29 @@ class FiniteGroup:
                 if not np.array_equal(mul[mul[a]], mul[a][mul]):
                     raise GroupError(f"associativity fails with left factor {a}")
 
-    def _compute_inverses(self) -> np.ndarray:
-        inv = np.argmin(self.mul, axis=1).astype(np.int32)
-        # argmin finds the column holding 0 in each row
-        if not np.all(self.mul[np.arange(self.order), inv] == 0):
-            raise GroupError("some element has no inverse")
-        return inv
-
-    def _compute_element_orders(self) -> np.ndarray:
+    def _compute_orders_and_inverses(self) -> tuple[np.ndarray, np.ndarray]:
         n, mul = self.order, self.mul
         orders = np.ones(n, dtype=np.int32)
-        # walk x, x^2, ... for every x at once; z[i] = x[i]^k is not yet 0
+        inv = np.zeros(n, dtype=np.int32)
+        # walk x, x^2, ... for every x at once; z[i] = x[i]^k is not yet 0,
+        # and for x of order m the last power before 0, x^(m-1), is x^-1
         x = np.arange(1, n)
         z = x
         k = 1
         while len(x):
             if k >= n:  # an element of a group of order n has x^n = 1
                 raise GroupError("element has no finite order")
+            last = z
             z = mul[z, x]
             k += 1
             done = z == 0
             orders[x[done]] = k
+            inv[x[done]] = last[done]
             x, z = x[~done], z[~done]
-        return orders
+        return orders, inv
 
     def _greedy_generators(self) -> list[int]:
-        n = self.order
-        if n == 1:
-            return []
-        gens: list[int] = []
-        closed = np.zeros(n, dtype=bool)
-        closed[0] = True
-        while not closed.all():
-            x = int(np.argmin(closed))
-            gens.append(x)
-            members = _closure_indices(self.mul, [0] + gens)
-            closed[:] = False
-            closed[members] = True
+        gens, _ = _greedy_closure(self.mul, np.ones(self.order, dtype=bool))
         return gens
 
     # -- basic queries -----------------------------------------------------------
@@ -173,19 +160,37 @@ class FiniteGroup:
         return int(self.mul[self.mul[g, x], self.inv[g]])
 
     def is_abelian(self) -> bool:
+        """Whether the generators commute pairwise, which they do exactly
+        when G is abelian."""
         if "abelian" not in self._cache:
-            self._cache["abelian"] = bool(np.array_equal(self.mul, self.mul.T))
+            g = np.asarray(self.gens, dtype=np.intp)
+            block = self.mul[np.ix_(g, g)]
+            self._cache["abelian"] = bool(np.array_equal(block, block.T))
         return self._cache["abelian"]
 
     def conjugacy_classes(self) -> list[np.ndarray]:
-        """Classes as sorted index arrays; class 0 is the identity class."""
+        """Classes as sorted index arrays; class 0 is the identity class.
+
+        Conjugation by the generators generates conjugation by G, so the
+        class of x is its orbit under the k maps x -> g x g^-1, one row each.
+        Every element's label starts as itself and is pulled down along those
+        rows, with pointer jumping (least = least[least]) in between, until
+        every row maps each label to itself: each label is then its class's
+        least member, at O(n k) per round.  Classes are numbered by that
+        member.
+        """
         if "classes" in self._cache:
             return self._cache["classes"]
         n, mul = self.order, self.mul
-        # column x of conj lists every g x g^-1, so its minimum is the least
-        # member of the class of x; classes are numbered by that member
-        conj = mul[mul, self.inv[:, None]]
-        least = conj.min(axis=0)
+        g = np.asarray(self.gens, dtype=np.intp)
+        conj = mul[mul[g], self.inv[g][:, None]]
+        least = np.arange(n)
+        while True:
+            for row in conj:
+                least = np.minimum(least, least[row])
+            least = least[least]
+            if (least[conj] == least).all():  # constant on every class
+                break
         is_least = least == np.arange(n)
         cls_id = (np.cumsum(is_least, dtype=np.int64) - 1)[least]
         by_class = np.argsort(cls_id, kind="stable")
@@ -220,7 +225,14 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A verified subgroup, stored as a sorted member index set."""
+    """A verified subgroup, stored as a sorted member index set.
+
+    The set is checked by generating it greedily from inside: each
+    generator is its least member not yet reached, and the set is a
+    subgroup exactly when the closure of these generators is the set.
+    That costs O(|S| k) for k generators rather than the |S|^2 products
+    of S.
+    """
 
     parent: FiniteGroup
     members: np.ndarray  # sorted int64
@@ -230,8 +242,8 @@ class Subgroup:
         object.__setattr__(self, "members", _readonly(members))
         if len(members) == 0 or members[0] != 0:
             raise GroupError("subgroup must contain the identity")
-        sub = self.parent.mul[np.ix_(members, members)]
-        if not self.member_mask()[sub].all():
+        mask = self.member_mask()
+        if not np.array_equal(_greedy_closure(self.parent.mul, mask)[1], mask):
             raise GroupError("subgroup members are not closed under multiplication")
         if self.parent.order % len(members) != 0:
             raise GroupError("subgroup size does not divide the group order")
@@ -279,24 +291,56 @@ class Subgroup:
 # -- construction ------------------------------------------------------------
 
 
-def _closure_indices(mul: np.ndarray, seed: Iterable[int]) -> np.ndarray:
-    """Sorted members of the subgroup generated by seed.
+def _grow_closure(mul: np.ndarray, reached: np.ndarray, gens: list[int], g: int) -> None:
+    """Grow the subgroup H marked in ``reached``, generated by gens, by g.
 
-    A breadth-first walk: each round multiplies the members first reached in
-    the round before by every seed element, so each member is expanded once.
-    In a finite group the products of seed elements already hold the
-    identity and every inverse.
+    In place, and g joins gens.  With g^j the first power of g inside H,
+    the cosets H g, .., H g^(j-1) are distinct and new, and together with
+    H they are closed under g.  So they are multiplied by the old
+    generators only, and from there each newly reached member by every
+    generator: no member is expanded twice.
     """
-    mask = np.zeros(len(mul), dtype=bool)
-    mask[np.fromiter(seed, dtype=np.int64)] = True
-    new = np.flatnonzero(mask)
-    gens = new[new != 0]
-    while len(new):
-        reached = mask.copy()
-        reached[mul[new[:, None], gens]] = True
-        new = np.flatnonzero(reached & ~mask)
-        mask = reached
-    return np.flatnonzero(mask)
+    powers = []
+    p = g
+    while not reached[p]:
+        powers.append(p)
+        p = int(mul[p, g])
+    by = np.asarray(gens, dtype=np.intp)
+    gens.append(g)
+    new = mul[np.flatnonzero(reached)[:, None], powers].ravel()
+    reached[new] = True
+    while len(new) and len(by):
+        before = reached.copy()
+        reached[mul[new[:, None], by]] = True
+        new = np.flatnonzero(reached > before)  # reached only now
+        by = np.asarray(gens, dtype=np.intp)
+
+
+def _greedy_closure(mul: np.ndarray, wanted: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Greedy generators of the subgroup generated by the marked elements,
+    and the mask of its members.
+
+    Each generator is the least marked element not yet reached, and the
+    closure grows one generator at a time (``_grow_closure``), at O(m k)
+    for m members and k generators.  A marked set holding 0 is a subgroup
+    exactly when the mask comes back equal to it.
+    """
+    reached = np.zeros(len(mul), dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while True:
+        g = int(np.argmax(wanted > reached))
+        if reached[g]:  # argmax found no wanted element unreached
+            return gens, reached
+        _grow_closure(mul, reached, gens, g)
+
+
+def _closure_indices(mul: np.ndarray, seed: Iterable[int]) -> np.ndarray:
+    """Sorted members of the subgroup generated by seed."""
+    wanted = np.zeros(len(mul), dtype=bool)
+    wanted[np.fromiter(seed, dtype=np.int64)] = True
+    _, reached = _greedy_closure(mul, wanted)
+    return np.flatnonzero(reached)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -491,7 +535,10 @@ def order_census(G: FiniteGroup, k: int, region: str = "all",
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    central = np.flatnonzero(np.all(G.mul == G.mul.T, axis=1))
+    """Z(G): the elements that commute with every generator, found by
+    comparing row and column on the generator columns only."""
+    g = np.asarray(G.gens, dtype=np.intp)
+    central = np.flatnonzero(np.all(G.mul[:, g] == G.mul[g].T, axis=1))
     return Subgroup(G, central)
 
 

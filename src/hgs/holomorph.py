@@ -26,6 +26,7 @@ from .groups import (
     GroupError,
     Subgroup,
     _readonly,
+    _row_keys,
     quotient_group,
     row_sort_order,
 )
@@ -413,28 +414,42 @@ def hom_orbit(images: np.ndarray, aut_g: AutomorphismGroup,
 
     (b, a) runs over Aut(G) x Aut(N).  The orbit is closed one frontier at
     a time under the generators of both carriers; a map is known by its
-    images of the effective generators of G.
+    images of the effective generators of G, read as one byte key per row.
+    Each frontier moves those images only, keeps the first copy of every
+    key not seen before, in the order the moves produce them, and builds
+    whole rows for the new keys alone.
     """
-    gens = _search.stage_data(aut_g.base).gens
+    gens = np.asarray(_search.stage_data(aut_g.base).gens, dtype=np.intp)
     B, A = aut_g.carrier, aut_n.carrier
-    b_invs = aut_g.perms[B.inv[np.asarray(B.gens, dtype=np.intp)]]
-    rows = [np.asarray(images, dtype=np.int32)]
-    seen = {tuple(rows[0][gens].tolist())}
-    frontier = rows[0][None, :]
-    while len(frontier):
-        moved = [frontier[:, b_inv] for b_inv in b_invs]                # f . b^-1
-        moved += [A.mul[A.mul[a, frontier], A.inv[a]] for a in A.gens]  # c_a . f
-        if not moved:
-            break
-        moved = np.concatenate(moved)
-        fresh = []
-        for i, key in enumerate(map(tuple, moved[:, gens].tolist())):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        frontier = moved[fresh]
-        rows.extend(frontier)
-    return np.stack(rows)
+    b_gens = np.asarray(B.gens, dtype=np.intp)
+    a_gens = np.asarray(A.gens, dtype=np.intp)
+    # move j sends the row f to conj[j][f[perm[j]]]: first f . b^-1 for each
+    # generator b of Aut(G), then c_a . f for each generator a of Aut(N)
+    nb, m = len(b_gens), len(b_gens) + len(a_gens)
+    perm = np.empty((m, len(images)), dtype=np.int32)
+    perm[:nb] = aut_g.perms[B.inv[b_gens]]
+    perm[nb:] = np.arange(len(images))
+    conj = np.empty((m, A.order), dtype=np.int32)
+    conj[:nb] = np.arange(A.order)
+    conj[nb:] = A.mul[A.mul[a_gens], A.inv[a_gens][:, None]]
+    moves = np.arange(m)[:, None, None]
+    frontier = np.asarray(images, dtype=np.int32)[None, :]
+    blocks = [frontier]
+    seen = _row_keys(frontier[:, gens])
+    while True:
+        # key j * len(frontier) + r is move j applied to frontier row r
+        moved = conj[moves, frontier[:, perm[:, gens]].transpose(1, 0, 2)]
+        keys = _row_keys(moved.reshape(len(perm) * len(frontier), len(gens)))
+        # the seen keys come first, so a key's first copy lies past them
+        # exactly when the key is new
+        count = len(seen)
+        seen, first = np.unique(np.concatenate([seen, keys]), return_index=True)
+        fresh = np.sort(first[first >= count]) - count
+        if not len(fresh):
+            return np.concatenate(blocks)
+        move, row = np.divmod(fresh, len(frontier))
+        frontier = conj[move[:, None], frontier[row[:, None], perm[move]]]
+        blocks.append(frontier)
 
 
 def hom_orbits(G: FiniteGroup, aut_g: AutomorphismGroup,

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from hgs import _search
-from hgs.catalog import resolve_spec
-from hgs.groups import GroupError, normal_subgroups, perm_table
+from hgs.catalog import cyclic, resolve_spec
+from hgs.groups import (
+    CapExceededError,
+    GroupError,
+    direct_product,
+    from_mul_table,
+    normal_subgroups,
+    perm_table,
+)
 from hgs.morphisms import (
     Homomorphism,
     _iso_candidates,
@@ -22,6 +29,18 @@ def test_homomorphism_rejects_non_multiplicative(S5):
     images[1] = 1
     with pytest.raises(GroupError):
         Homomorphism(S5, S5, images)
+
+
+def test_table_cap_applies_to_inputs_not_to_aut_carriers(monkeypatch):
+    monkeypatch.setenv("HGS_MAX_TABLE", "100")
+    C2 = cyclic(2)
+    G = direct_product(direct_product(C2, C2), C2)  # built afresh, so under the cap
+    carrier = automorphism_group(G).carrier  # GL(3,2)
+    assert carrier.order == 168
+    with pytest.raises(CapExceededError):
+        from_mul_table(carrier.mul, validate=True)
+    with pytest.raises(CapExceededError):
+        automorphism_group(carrier)
 
 
 def test_aut_a5_is_s5(A5):

@@ -1,13 +1,15 @@
 """The orbit-reduced holomorph route against the exhaustive per-f route.
 
 The exhaustive route, one bijective crossed-hom search for every f in
-Hom(G, Aut(N)), is kept here as the reference for the orbit-weighted sum.
+Hom(G, Aut(N)), is kept here as the reference for the orbit-weighted sum,
+and the orbit closure keyed by Python tuples as the reference for the one
+keyed by byte rows.
 """
 
 import numpy as np
 import pytest
 
-from hgs import holomorph
+from hgs import _search, holomorph
 from hgs.catalog import resolve_spec
 from hgs.groups import EngineError
 from hgs.holomorph import (
@@ -126,3 +128,56 @@ def test_an_orbit_size_that_breaks_orbit_stabilizer_raises(monkeypatch):
     monkeypatch.setattr(holomorph, "hom_orbit", one_row_too_many)
     with pytest.raises(EngineError, match="does not divide"):
         regular_subgroups_in_holomorph(N, G)
+
+
+def tuple_keyed_hom_orbit(images, aut_g, aut_n):
+    """``hom_orbit`` with one Python tuple per row as its key."""
+    gens = _search.stage_data(aut_g.base).gens
+    B, A = aut_g.carrier, aut_n.carrier
+    b_invs = aut_g.perms[B.inv[np.asarray(B.gens, dtype=np.intp)]]
+    rows = [np.asarray(images, dtype=np.int32)]
+    seen = {tuple(rows[0][gens].tolist())}
+    frontier = rows[0][None, :]
+    while len(frontier):
+        moved = [frontier[:, b_inv] for b_inv in b_invs]
+        moved += [A.mul[A.mul[a, frontier], A.inv[a]] for a in A.gens]
+        if not moved:
+            break
+        moved = np.concatenate(moved)
+        fresh = []
+        for i, key in enumerate(map(tuple, moved[:, gens].tolist())):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        frontier = moved[fresh]
+        rows.extend(frontier)
+    return np.stack(rows)
+
+
+def _orbit_rows_and_list_match_tuple_keys(G, N, monkeypatch):
+    aut_g, aut_n = automorphism_group(G), automorphism_group(N)
+    got = hom_orbits(G, aut_g, aut_n)
+    for rep, size in got:
+        rows = hom_orbit(rep.images, aut_g, aut_n)
+        assert rows.dtype == np.int32
+        assert np.array_equal(rows, tuple_keyed_hom_orbit(rep.images, aut_g, aut_n))
+        assert len(rows) == size
+    with monkeypatch.context() as m:
+        m.setattr(holomorph, "hom_orbit", tuple_keyed_hom_orbit)
+        ref = hom_orbits(G, aut_g, aut_n)
+    assert [(f.images.tolist(), size) for f, size in got] == \
+        [(f.images.tolist(), size) for f, size in ref]
+    return len(got)
+
+
+def test_byte_keyed_orbits_equal_tuple_keyed_orbits_on_the_small_grid(monkeypatch):
+    groups = [resolve_spec(label) for label in SMALL_CATALOG]
+    orbit_counts = [_orbit_rows_and_list_match_tuple_keys(G, N, monkeypatch)
+                    for G in groups for N in groups]
+    assert len(orbit_counts) == 81
+
+
+@pytest.mark.parametrize("gl, nl", ORDER_120)
+def test_byte_keyed_orbits_equal_tuple_keyed_orbits_at_order_120(gl, nl, monkeypatch):
+    G, N = resolve_spec(gl), resolve_spec(nl)
+    assert _orbit_rows_and_list_match_tuple_keys(G, N, monkeypatch) == 4

@@ -1,24 +1,36 @@
-"""The whole-table structure kernels against the per-element loops they replace.
+"""The structure kernels against the forms they replace.
 
-Each reference below is the loop form: one ``np.unique`` per row, column,
-element or closure round, or one Python step per element or point.  The
-kernels must give the same arrays, in the same order, on every catalog group
-up to order 720, on Aut(A6) where the loop form is cheap enough, and on
-relabelled copies.
+Each reference below is an older form of a kernel: a per-element loop (one
+``np.unique`` per row, column, element or closure round, or one Python step
+per element or point), or a whole-table pass where the kernel now works from
+the generators alone.  The kernels must give the same arrays, in the same
+order, and raise the same errors, on every catalog group up to order 720, on
+Aut(A6) where the reference is cheap enough, and on relabelled copies.
 """
 
 import numpy as np
 import pytest
 
-from hgs.catalog import _gl2_elements, _projective_action, catalog_aut6_tower, resolve_spec
+from hgs.catalog import (
+    _det,
+    _gl2_elements,
+    _mat_mul,
+    _projective_action,
+    catalog_aut6_tower,
+    resolve_spec,
+    special_linear2,
+)
 from hgs.fields import gf
 from hgs.groups import (
     FiniteGroup,
     GroupError,
+    Subgroup,
     _closure_indices,
+    center,
     commutator_subgroup,
     from_mul_table,
     normal_subgroups,
+    subgroup_closure,
 )
 
 SPECS = ["C4", "V4", "C6", "S3", "C8", "C4xC2", "C2xC2xC2", "D4", "Q8",
@@ -136,6 +148,83 @@ def _projective_action_by_loop(F, mats):
     return rows
 
 
+def _gl2_elements_by_loop(F):
+    out = []
+    for a in range(F.q):
+        for b in range(F.q):
+            for c in range(F.q):
+                for d in range(F.q):
+                    if _det(F, (a, b, c, d)) != 0:
+                        out.append((a, b, c, d))
+    return out
+
+
+def _sl2_table_by_loop(F):
+    mats = [m for m in _gl2_elements_by_loop(F) if _det(F, m) == 1]
+    mats.remove((1, 0, 0, 1))
+    mats = [(1, 0, 0, 1)] + sorted(mats)
+    index = {m: i for i, m in enumerate(mats)}
+    return np.array([[index[tuple(int(e) for e in _mat_mul(F, m1, m2))] for m2 in mats]
+                     for m1 in mats])
+
+
+# -- the whole-table forms -------------------------------------------------------------
+
+
+def _inverses_by_argmin(G):
+    """The column holding 0 in each row of the table."""
+    return np.argmin(G.mul, axis=1)
+
+
+def _classes_by_conjugation_table(G):
+    """Column minima of the n x n table of every g x g^-1."""
+    least = G.mul[G.mul, G.inv[:, None]].min(axis=0)
+    cls_id = (np.cumsum(least == np.arange(G.order)) - 1)[least]
+    return [np.flatnonzero(cls_id == c) for c in range(cls_id.max() + 1)], cls_id
+
+
+def _central_by_transpose(G):
+    return np.flatnonzero(np.all(G.mul == G.mul.T, axis=1))
+
+
+def _abelian_by_transpose(G):
+    return bool(np.array_equal(G.mul, G.mul.T))
+
+
+def _greedy_generators_by_full_closures(G):
+    """Least element outside the closure, with that closure redone from scratch."""
+    gens = []
+    closed = np.zeros(G.order, dtype=bool)
+    closed[0] = True
+    while not closed.all():
+        gens.append(int(np.argmin(closed)))
+        closed[:] = False
+        closed[_closure_by_unique(G.mul, [0] + gens)] = True
+    return gens
+
+
+def _subgroup_message_by_all_products(G, members):
+    """The |S|^2 products of S gathered at once; the error or None."""
+    members = np.unique(np.asarray(members, dtype=np.int64))
+    if len(members) == 0 or members[0] != 0:
+        return "subgroup must contain the identity"
+    mask = np.zeros(G.order, dtype=bool)
+    mask[members] = True
+    if not mask[G.mul[np.ix_(members, members)]].all():
+        return "subgroup members are not closed under multiplication"
+    if G.order % len(members) != 0:
+        return "subgroup size does not divide the group order"
+    return None
+
+
+def _kernel_subgroup_message(G, members):
+    try:
+        Subgroup(G, members)
+    except GroupError as err:
+        return str(err)
+    return None
+
+
 def _kernel_validation_message(mul):
     try:
         FiniteGroup(mul, assume_associative=True)
@@ -222,6 +311,73 @@ def test_projective_action_equals_the_nested_loop(q):
     got = _projective_action(F, mats)
     assert got.dtype == np.int32
     assert np.array_equal(got, _projective_action_by_loop(F, mats))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_gl2_elements_equal_the_nested_loop(q):
+    F = gf(q)
+    assert [tuple(m) for m in _gl2_elements(F).tolist()] == _gl2_elements_by_loop(F)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_sl2_table_equals_the_per_product_loop(q):
+    assert np.array_equal(special_linear2(q).mul, _sl2_table_by_loop(gf(q)))
+
+
+def test_inverses_and_generators_equal_the_whole_table_forms(catalog_groups):
+    for label, G in catalog_groups.items():
+        assert G.inv.dtype == np.int32
+        assert np.array_equal(G.inv, _inverses_by_argmin(G)), label
+        assert G._greedy_generators() == _greedy_generators_by_full_closures(G), label
+
+
+def test_classes_equal_the_conjugation_table_minima(catalog_groups):
+    for label, G in catalog_groups.items():
+        classes, cls_id = _classes_by_conjugation_table(G)
+        got = G.conjugacy_classes()
+        assert len(got) == len(classes), label
+        assert all(np.array_equal(a, b) for a, b in zip(got, classes)), label
+        assert np.array_equal(G.class_index(), cls_id), label
+
+
+def test_center_and_abelian_equal_the_transpose_comparison(catalog_groups):
+    kinds = set()
+    for label, G in catalog_groups.items():
+        assert np.array_equal(center(G).members, _central_by_transpose(G)), label
+        assert G.is_abelian() == _abelian_by_transpose(G), label
+        kinds.add(G.is_abelian())
+    assert kinds == {False, True}
+
+
+def test_subgroup_checks_agree_with_all_products(catalog_groups):
+    rng = np.random.default_rng(5)
+    messages = set()
+    unclosed_dividing = 0
+    for label, G in catalog_groups.items():
+        n = G.order
+        subs = [center(G).members, commutator_subgroup(G).members,
+                subgroup_closure(G, [int(rng.integers(1, n))]).members,
+                subgroup_closure(G, rng.integers(1, n, 2).tolist()).members,
+                np.arange(n)]
+        sets = list(subs)
+        for members in subs:
+            outside = np.flatnonzero(~np.isin(np.arange(n), members))
+            if len(outside):  # a subgroup plus one element outside it
+                sets.append(np.append(members, rng.choice(outside)))
+            sets.append(members[members != 0])  # no identity
+        # a random set whose size is the largest proper divisor of |G|
+        d = max(k for k in range(1, n) if n % k == 0)
+        dividing = np.concatenate([[0], 1 + rng.choice(n - 1, d - 1, replace=False)])
+        sets += [dividing, np.array([], dtype=np.int64)]
+        for members in sets:
+            want = _subgroup_message_by_all_products(G, members)
+            assert _kernel_subgroup_message(G, members) == want, (label, members)
+            messages.add(want)
+        if _subgroup_message_by_all_products(G, dividing) is not None:
+            unclosed_dividing += 1
+    assert messages == {None, "subgroup must contain the identity",
+                        "subgroup members are not closed under multiplication"}
+    assert unclosed_dividing >= len(catalog_groups) - 2  # in V4 every pair {0, x} closes
 
 
 # -- tables that are not groups ------------------------------------------------------
