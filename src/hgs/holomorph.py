@@ -432,22 +432,23 @@ def hom_orbit(images: np.ndarray, aut_g: AutomorphismGroup,
     conj = np.empty((m, A.order), dtype=np.int32)
     conj[:nb] = np.arange(A.order)
     conj[nb:] = A.mul[A.mul[a_gens], A.inv[a_gens][:, None]]
+    perm_on_gens = perm[:, gens]
     moves = np.arange(m)[:, None, None]
     frontier = np.asarray(images, dtype=np.int32)[None, :]
     blocks = [frontier]
-    seen = _row_keys(frontier[:, gens])
+    seen = set(_row_keys(frontier[:, gens]).tolist())
     while True:
         # key j * len(frontier) + r is move j applied to frontier row r
-        moved = conj[moves, frontier[:, perm[:, gens]].transpose(1, 0, 2)]
-        keys = _row_keys(moved.reshape(len(perm) * len(frontier), len(gens)))
-        # the seen keys come first, so a key's first copy lies past them
-        # exactly when the key is new
-        count = len(seen)
-        seen, first = np.unique(np.concatenate([seen, keys]), return_index=True)
-        fresh = np.sort(first[first >= count]) - count
-        if not len(fresh):
+        moved = conj[moves, frontier[:, perm_on_gens].transpose(1, 0, 2)]
+        keys = _row_keys(moved.reshape(m * len(frontier), len(gens))).tolist()
+        fresh = []
+        for i, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        if not fresh:
             return np.concatenate(blocks)
-        move, row = np.divmod(fresh, len(frontier))
+        move, row = np.divmod(np.array(fresh), len(frontier))
         frontier = conj[move[:, None], frontier[row[:, None], perm[move]]]
         blocks.append(frontier)
 
