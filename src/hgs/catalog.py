@@ -31,6 +31,7 @@ from .groups import (
     perm_table,
     quotient_group,
     center,
+    sorted_distinct,
 )
 from .morphisms import are_isomorphic, automorphism_group
 
@@ -140,7 +141,7 @@ def _sl2_elements(F: GaloisField) -> np.ndarray:
 
 def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGroup:
     """Group from its full set of permutations (must already be closed)."""
-    rows = np.unique(np.asarray(perm_rows, dtype=np.int32), axis=0)
+    rows = sorted_distinct(np.asarray(perm_rows, dtype=np.int32))
     degree = rows.shape[1]
     ident = np.arange(degree, dtype=np.int32)
     ident_pos = int(np.flatnonzero((rows == ident).all(axis=1))[0])

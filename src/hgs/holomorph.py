@@ -38,6 +38,7 @@ from .morphisms import (
     class_cut,
     enumerate_homomorphisms,
 )
+from .perms import is_permutation
 
 
 class Holomorph:
@@ -184,6 +185,7 @@ def crossed_homomorphisms(
     f: Homomorphism,
     *,
     bijective_only: bool = False,
+    first_images: Optional[np.ndarray] = None,
 ) -> Iterator[CrossedHom]:
     """All crossed homomorphisms g: G -> N with respect to f, DFS order.
 
@@ -191,6 +193,9 @@ def crossed_homomorphisms(
     per effective generator s of G, and rejects a partial assignment on the
     first violated product (or repeated value, when ``bijective_only``).
     Fully assigned maps pass ``crossed_relation_holds`` before emission.
+    ``first_images``, a boolean mask over N, keeps only the maps whose first
+    effective generator lands where it is True; the emitted maps are then
+    those of the full search with that image, in the same order.
     """
     G = f.source
     N = hol.base
@@ -200,9 +205,11 @@ def crossed_homomorphisms(
     nG, nN = G.order, N.order
     tables = [N.mul[:, hol.aut.perms[int(f.images[s])]] for s in sd.gens]
     candidates = _crossed_candidates(hol, f, bijective_only)
+    if first_images is not None and candidates:
+        candidates[0] = [x for x in candidates[0] if first_images[x]]
     for g in _search.iter_stage_maps(sd, tables, candidates, bijective=bijective_only):
         if crossed_relation_holds(hol, f, g):
-            bij = bool(len(np.unique(g)) == nN) if nG == nN else False
+            bij = nG == nN and is_permutation(g)
             if not bijective_only or bij:
                 yield CrossedHom(hol, f, _readonly(g), bijective=bij)
 
@@ -267,7 +274,7 @@ def induce_on_quotient(c: CrossedHom, L: Subgroup) -> tuple[CrossedHom, Subgroup
     hol_q = build_holomorph(Q)
     if not crossed_relation_holds(hol_q, f_bar, g_bar):
         raise EngineError("induced map is not a crossed homomorphism")
-    bij = bool(len(np.unique(g_bar)) == Q.order) if G.order == Q.order else False
+    bij = G.order == Q.order and is_permutation(g_bar)
     induced = CrossedHom(hol_q, f_bar, _readonly(g_bar), bijective=bij)
     preimage = Subgroup(G, np.flatnonzero(np.isin(c.g, L.members)))
     return induced, preimage
@@ -292,8 +299,7 @@ class RegularSubgroup:
         n = self.base.order
         if members.shape != (n, n):
             raise GroupError("regular subgroup must have one member per point")
-        evals = members[:, 0]
-        if len(np.unique(evals)) != n:
+        if not is_permutation(members[:, 0]):
             raise GroupError("evaluation at the identity is not bijective")
 
     def member_set(self) -> set[bytes]:
@@ -397,14 +403,47 @@ class RegularSubgroupCount:
     orbit_count: int      # orbit representatives searched
 
 
+def centralizer_orbits(hol: Holomorph, f: Homomorphism) -> tuple[int, np.ndarray]:
+    """|C| for C = C_Aut(N)(f(G)), and the size of every C-orbit on N, kept
+    at the orbit's least member (0 at every other point).
+
+    C is read off the carrier table: the automorphisms that commute with
+    f(s) for every effective generator s of G.
+    """
+    A = hol.aut.carrier
+    imgs = f.images[_search.stage_data(f.source).gens]
+    cent = np.flatnonzero((A.mul[:, imgs] == A.mul[imgs].T).all(axis=1))
+    least = hol.aut.perms[cent].min(axis=0)
+    return len(cent), np.bincount(least, minlength=hol.base.order)
+
+
 def bijective_pair_count(hol: Holomorph, f: Homomorphism,
                          found: Optional[dict] = None) -> int:
-    """Bijective crossed homs for one f; each new subgroup goes into ``found``."""
-    count = 0
-    for c in crossed_homomorphisms(hol, f, bijective_only=True):
-        count += 1
-        if found is not None:
+    """Bijective crossed homs for one f; each new subgroup goes into ``found``.
+
+    Collecting runs (``found`` given) enumerate every map.  Counting runs
+    search one first-generator image per orbit of C = C_Aut(N)(f(G)) on N:
+    for alpha in C, g -> alpha . g permutes the bijective crossed homs of f,
+    since alpha(g(s) f(s)(g(w))) = alpha(g(s)) f(s)(alpha(g(w))).  So the
+    number of maps with g(s1) = x is constant on each C-orbit, and each
+    emitted map stands for |C . g(s1)| of them, with g(s1) the least member
+    of its orbit.  C acts freely on these maps (alpha . g = g with g onto N
+    forces alpha = 1), so the total is a multiple of |C|.
+    """
+    if found is not None:
+        count = 0
+        for c in crossed_homomorphisms(hol, f, bijective_only=True):
+            count += 1
             found.setdefault(c.subgroup_key(), c)
+        return count
+    s1 = (_search.stage_data(f.source).gens or [0])[0]  # the trivial group has none
+    cent_order, weight = centralizer_orbits(hol, f)
+    count = 0
+    for c in crossed_homomorphisms(hol, f, bijective_only=True, first_images=weight > 0):
+        count += int(weight[c.g[s1]])
+    if count % cent_order:
+        raise EngineError(f"weighted pair count {count} is not a multiple of "
+                          f"|C_Aut(N)(f(G))| = {cent_order}")
     return count
 
 

@@ -18,6 +18,7 @@ from .groups import (
     fingerprint,
     perm_table,
     row_sort_order,
+    sorted_distinct,
     table_cap,
     _readonly,
 )
@@ -53,13 +54,13 @@ class Homomorphism:
         return Subgroup(self.source, np.flatnonzero(self.images == 0))
 
     def image(self) -> Subgroup:
-        return Subgroup(self.target, np.unique(self.images))
+        return Subgroup(self.target, self.images)
 
     def is_injective(self) -> bool:
-        return len(np.unique(self.images)) == self.source.order
+        return len(sorted_distinct(self.images)) == self.source.order
 
     def is_surjective(self) -> bool:
-        return len(np.unique(self.images)) == self.target.order
+        return len(sorted_distinct(self.images)) == self.target.order
 
     def is_bijective(self) -> bool:
         return self.source.order == self.target.order and self.is_injective()
@@ -227,7 +228,7 @@ def enumerate_homomorphisms(
             if not np.array_equal(ker, kernel_filter.members):
                 continue
         if surjective_to is not None:
-            if not np.array_equal(np.unique(img), surjective_to.members):
+            if not np.array_equal(sorted_distinct(img), surjective_to.members):
                 continue
         yield Homomorphism(S, T, img, _checked=True)
 

@@ -37,7 +37,11 @@ def is_identity(p: np.ndarray) -> bool:
 
 
 def is_permutation(p: np.ndarray) -> bool:
-    return bool(len(np.unique(p)) == len(p)) and p.min() >= 0 and p.max() < len(p)
+    if p.min() < 0 or p.max() >= len(p):
+        return False
+    hit = np.zeros(len(p), dtype=bool)
+    hit[p] = True
+    return bool(hit.all())
 
 
 def perm_order(p: np.ndarray) -> int:

@@ -101,7 +101,7 @@ def _classify(G: FiniteGroup) -> StructureClass:
         Agrp, _ = A.as_group()
         if (_is_prime(p) and A.size * p == G.order
                 and _is_nonabelian_simple(Agrp)
-                and len(np.intersect1d(A.members, C.members)) == 1
+                and np.count_nonzero(A.member_mask()[C.members]) == 1
                 and np.array_equal(center(G).members, C.members)):
             return StructureClass("direct-product-simple-cyclic", socle=A,
                                   socle_group=Agrp, prime=p, cyclic_factor=C)

@@ -34,7 +34,14 @@ from .counting import (
     count_self_type,
     count_sn,
 )
-from .groups import center, is_solvable, normal_subgroups, order_census, quotient_group
+from .groups import (
+    center,
+    is_solvable,
+    normal_subgroups,
+    order_census,
+    quotient_group,
+    sorted_distinct,
+)
 from .holomorph import (
     build_holomorph,
     crossed_homomorphisms,
@@ -327,7 +334,7 @@ def _suite_lemmas(s: _Suite, jobs: int) -> None:
                 if not h.is_injective():
                     continue
                 embeddings += 1
-                if np.unique(h.images).astype(np.int64).tobytes() != inner_key:
+                if sorted_distinct(h.images).astype(np.int64).tobytes() != inner_key:
                     return "found a copy other than the inner one"
             return f"{embeddings} embeddings, all onto the inner copy"
 

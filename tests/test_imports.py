@@ -1,6 +1,10 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and a
+counting run does not pull in numpy.ma."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hgs
@@ -27,3 +31,29 @@ def test_no_unused_module_level_imports():
     unused = {p.name: _unused_imports(ast.parse(p.read_text(encoding="utf-8")))
               for p in SOURCES}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from hgs import counting
+from hgs.catalog import resolve_spec
+S5 = resolve_spec("S5")
+resolve_spec("PGL(2,9)")
+assert counting.count_byott(S5, S5).value == 32
+assert counting.count_fpf_inner_holomorph(S5, resolve_spec("AxCp(A5,2)")).value == 20
+assert counting.count_brute_force(resolve_spec("C4")).counts == \
+    {"order4-type0": 1, "order4-type1": 1}
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_counting_runs_do_not_import_numpy_ma():
+    # NumPy's plain np.unique and np.intersect1d import numpy.ma on first
+    # use (about 14 ms); groups.sorted_distinct and member masks replace them
+    src = Path(hgs.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["False"]

@@ -1,9 +1,10 @@
 """The orbit-reduced holomorph route against the exhaustive per-f route.
 
 The exhaustive route, one bijective crossed-hom search for every f in
-Hom(G, Aut(N)), is kept here as the reference for the orbit-weighted sum,
-and the orbit closure keyed by Python tuples as the reference for the one
-keyed by byte rows.
+Hom(G, Aut(N)) that counts every map, is kept here as the reference for
+the orbit-weighted sum and for the centralizer-weighted count of each
+representative, and the orbit closure keyed by Python tuples as the
+reference for the one keyed by byte rows.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hgs.groups import EngineError
 from hgs.holomorph import (
     bijective_pair_count,
     build_holomorph,
+    crossed_homomorphisms,
     hom_orbit,
     hom_orbits,
     regular_subgroups_in_holomorph,
@@ -23,9 +25,14 @@ from hgs.morphisms import automorphism_group, enumerate_homomorphisms
 from hgs.verify import SMALL_CATALOG
 
 
+def unweighted_pair_count(hol, f) -> int:
+    """Every bijective crossed hom of f, counted one by one."""
+    return sum(1 for _ in crossed_homomorphisms(hol, f, bijective_only=True))
+
+
 def exhaustive_pair_count(N, G) -> int:
     hol = build_holomorph(N)
-    return sum(bijective_pair_count(hol, f)
+    return sum(unweighted_pair_count(hol, f)
                for f in enumerate_homomorphisms(G, hol.aut.carrier))
 
 
@@ -52,6 +59,69 @@ def test_orbit_totals_equal_exhaustive_totals_at_order_120(gl, nl, pairs):
     run = regular_subgroups_in_holomorph(N, G)
     assert run.pair_count == exhaustive_pair_count(N, G) == pairs
     assert (run.f_total, run.orbit_count) == (146, 4)
+
+
+def _weighted_counts_equal_unweighted(G, N) -> list[int]:
+    hol = build_holomorph(N)
+    counts = []
+    for f, _ in hom_orbits(G, automorphism_group(G), hol.aut):
+        count = bijective_pair_count(hol, f)
+        assert count == unweighted_pair_count(hol, f), (G.name, N.name)
+        counts.append(count)
+    return counts
+
+
+def test_weighted_counts_equal_unweighted_per_representative_on_the_small_grid():
+    pairs = _same_order_pairs()
+    assert len(pairs) == 33
+    assert sum(sum(_weighted_counts_equal_unweighted(G, N)) > 0 for G, N in pairs) == 30
+
+
+@pytest.mark.parametrize("gl, nl, counts", [("S5", "S5", [120, 0, 120, 16]),
+                                            ("S5", "AxCp(A5,2)", [0, 120, 0, 10]),
+                                            ("PGL(2,9)", "M10", [0, 0, 0, 1440, 30])])
+def test_weighted_counts_equal_unweighted_per_representative(gl, nl, counts):
+    G, N = resolve_spec(gl), resolve_spec(nl)
+    assert _weighted_counts_equal_unweighted(G, N) == counts
+
+
+def test_the_weighted_search_tries_one_first_image_per_centralizer_orbit():
+    # the trivial f of S5 -> S5: C is all of Aut(S5), its orbits the seven
+    # classes, and only the class of S5's first generator has bijective maps
+    G, N = resolve_spec("S5"), resolve_spec("S5")
+    hol = build_holomorph(N)
+    trivial = next(f for f, size in hom_orbits(G, automorphism_group(G), hol.aut)
+                   if size == 1)
+    order, weight = holomorph.centralizer_orbits(hol, trivial)
+    assert order == 120
+    assert sorted(weight[weight > 0].tolist()) == [1, 10, 15, 20, 20, 24, 30]
+    classes = N.conjugacy_classes()
+    least = np.array([classes[k].min() for k in N.class_index()])
+    assert np.array_equal(weight > 0, least == np.arange(120))
+    maps = list(crossed_homomorphisms(hol, trivial, bijective_only=True,
+                                      first_images=weight > 0))
+    s1 = _search.stage_data(G).gens[0]
+    full = crossed_homomorphisms(hol, trivial, bijective_only=True)
+    assert [c.g.tolist() for c in maps] == \
+        [c.g.tolist() for c in full if weight[c.g[s1]] > 0]  # same maps, same order
+    assert sum(int(weight[c.g[s1]]) for c in maps) == 120
+    assert len(maps) == 120 // int(weight[maps[0].g[s1]])
+
+
+def test_a_weight_that_breaks_the_free_action_raises(monkeypatch):
+    G, N = resolve_spec("S5"), resolve_spec("S5")
+    hol = build_holomorph(N)
+    reps = [f for f, _ in hom_orbits(G, automorphism_group(G), hol.aut)]
+    real = holomorph.centralizer_orbits
+
+    def one_too_many(hol, f):
+        order, weight = real(hol, f)
+        return order, np.where(weight > 0, weight + 1, 0)
+
+    monkeypatch.setattr(holomorph, "centralizer_orbits", one_too_many)
+    with pytest.raises(EngineError, match="not a multiple"):
+        for f in reps:
+            bijective_pair_count(hol, f)
 
 
 def full_orbit(images, aut_g, aut_n) -> set[bytes]:

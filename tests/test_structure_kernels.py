@@ -17,6 +17,7 @@ from hgs.catalog import (
     _mat_mul,
     _projective_action,
     catalog_aut6_tower,
+    from_perm_set,
     resolve_spec,
     special_linear2,
 )
@@ -28,10 +29,14 @@ from hgs.groups import (
     _closure_indices,
     center,
     commutator_subgroup,
+    fingerprint,
     from_mul_table,
     normal_subgroups,
+    sorted_distinct,
     subgroup_closure,
 )
+from hgs.morphisms import Homomorphism
+from hgs.perms import is_permutation
 
 SPECS = ["C4", "V4", "C6", "S3", "C8", "C4xC2", "C2xC2xC2", "D4", "Q8",
          "S5", "AxCp(A5,2)", "A6", "S6", "PGL(2,9)", "M10", "AxCp(A6,2)", "C720"]
@@ -378,6 +383,56 @@ def test_subgroup_checks_agree_with_all_products(catalog_groups):
     assert messages == {None, "subgroup must contain the identity",
                         "subgroup members are not closed under multiplication"}
     assert unclosed_dividing >= len(catalog_groups) - 2  # in V4 every pair {0, x} closes
+
+
+# -- np.unique, replaced by one sort and a mask of run starts ------------------------
+
+
+def test_sorted_distinct_equals_np_unique():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        size, top = int(rng.integers(0, 50)), int(rng.integers(1, 2000))
+        dtype = (np.int32, np.int64)[trial % 2]
+        flat = rng.integers(0, top, size=size).astype(dtype)
+        got = sorted_distinct(flat)
+        assert got.dtype == np.unique(flat).dtype
+        assert np.array_equal(got, np.unique(flat))
+        rows = rng.integers(0, 3, size=(size, 1 + trial % 4)).astype(np.int32)
+        rows = np.concatenate([rows, rows[: size // 2]])
+        assert np.array_equal(sorted_distinct(rows), np.unique(rows, axis=0))
+
+
+def test_perm_set_rows_keep_the_np_unique_order():
+    rng = np.random.default_rng(11)
+    for q in (3, 4, 5, 7, 8, 9):
+        rows = _projective_action(gf(q), _gl2_elements(gf(q)))
+        unique = np.unique(rows.astype(np.int32), axis=0)
+        ident = int(np.flatnonzero((unique == np.arange(q + 1)).all(axis=1))[0])
+        expected = unique[[ident] + [i for i in range(len(unique)) if i != ident]]
+        got = from_perm_set(rows[rng.permutation(len(rows))]).perm_rep.images
+        assert np.array_equal(got, expected), q
+
+
+def test_fingerprints_and_image_checks_equal_the_np_unique_forms(catalog_groups):
+    rng = np.random.default_rng(5)
+    for label, G in catalog_groups.items():
+        orders = G.elt_order
+        census = tuple(sorted((int(k), int(np.count_nonzero(orders == k)))
+                              for k in np.unique(orders)))
+        assert fingerprint(G)[1] == census, label
+        if G.order > 120:
+            continue
+        for f in (Homomorphism(G, G, np.arange(G.order)),
+                  Homomorphism(G, G, np.zeros(G.order, dtype=np.int64))):
+            distinct = np.unique(f.images)
+            assert np.array_equal(f.image().members, distinct)
+            assert f.is_injective() == (len(distinct) == G.order)
+            assert f.is_surjective() == (len(distinct) == G.order)
+        for _ in range(5):
+            p = G.mul[int(rng.integers(G.order))].copy()
+            if rng.random() < 0.5:
+                p[int(rng.integers(G.order))] = p[0]
+            assert is_permutation(p) == (len(np.unique(p)) == G.order), label
 
 
 # -- tables that are not groups ------------------------------------------------------
