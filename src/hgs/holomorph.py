@@ -36,7 +36,6 @@ from .morphisms import (
     _hom_candidates,
     automorphism_group,
     class_cut,
-    enumerate_homomorphisms,
 )
 from .perms import is_permutation
 
@@ -82,10 +81,11 @@ class Holomorph:
             self._pair_orders[a] = _readonly(orders)
         return self._pair_orders[a]
 
-    def pair_perm(self, p: tuple[int, int]) -> np.ndarray:
-        """The pair as a permutation of the base set: x -> alpha(x) * eta^-1."""
+    def pair_perm(self, p: tuple) -> np.ndarray:
+        """The pair as a permutation of the base set: x -> alpha(x) * eta^-1,
+        one row per pair when eta and alpha are arrays."""
         e, a = p
-        return self.base.mul[self.aut.perms[a], self.base.inv[e]]
+        return self.base.mul[self.aut.perms[a], self.base.inv[e][..., None]]
 
     def lambda_pair(self, eta: int) -> tuple[int, int]:
         """Left translation by eta as a holomorph pair."""
@@ -131,15 +131,6 @@ class CrossedHom:
     @property
     def source(self) -> FiniteGroup:
         return self.f.source
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(int(self.g[d]), int(self.f.images[d])) for d in range(len(self.g))]
-
-    def subgroup_key(self) -> tuple[int, ...]:
-        """Canonical key for the regular subgroup this pair parametrizes."""
-        m = self.hol.aut.order
-        return tuple(sorted(int(self.g[d]) * m + int(self.f.images[d])
-                            for d in range(len(self.g))))
 
     def verify(self) -> bool:
         """Generator certificate of the crossed relation."""
@@ -256,20 +247,16 @@ def induce_on_quotient(c: CrossedHom, L: Subgroup) -> tuple[CrossedHom, Subgroup
     if not is_characteristic(hol.aut, L):
         raise GroupError("induction requires a characteristic subgroup")
     G = c.source
-    Q, coset_of = quotient_group(N, L, name=f"{N.name}/|{L.size}|" if N.name else None)
-    autQ = automorphism_group(Q)
-    reps = np.empty(Q.order, dtype=np.int64)
-    reps[coset_of] = np.arange(N.order)  # one representative per coset
-    # map each automorphism of N appearing in f to its induced action on Q
-    induced_cache: dict[int, int] = {}
-    h_images = np.empty(G.order, dtype=np.int32)
-    for d in range(G.order):
-        a = int(c.f.images[d])
-        if a not in induced_cache:
-            perm_q = coset_of[hol.aut.perms[a][reps]]
-            induced_cache[a] = autQ.perm_index(perm_q)
-        h_images[d] = induced_cache[a]
-    f_bar = Homomorphism(G, autQ.carrier, h_images)
+    key = ("quotient", L.members.tobytes())
+    if key not in N._cache:  # Q (and so its Aut and holomorph) once per L
+        Q, coset_of = quotient_group(N, L, name=f"{N.name}/|{L.size}|" if N.name else None)
+        reps = np.empty(Q.order, dtype=np.int64)
+        reps[coset_of] = np.arange(N.order)  # one representative per coset
+        # every automorphism of N acting on Q, as an index into Aut(Q)
+        on_q = map(automorphism_group(Q).perm_index, coset_of[hol.aut.perms[:, reps]])
+        N._cache[key] = Q, coset_of, np.fromiter(on_q, dtype=np.int32)
+    Q, coset_of, on_q = N._cache[key]
+    f_bar = Homomorphism(G, automorphism_group(Q).carrier, on_q[c.f.images])
     g_bar = coset_of[c.g].astype(np.int32)
     hol_q = build_holomorph(Q)
     if not crossed_relation_holds(hol_q, f_bar, g_bar):
@@ -384,13 +371,6 @@ def dual_regular_subgroup(D: RegularSubgroup) -> RegularSubgroup:
     return dual
 
 
-def regular_subgroup_from_crossed(c: CrossedHom, iso_label: str | None = None) -> RegularSubgroup:
-    hol = c.hol
-    rows = np.stack([hol.pair_perm((int(c.g[d]), int(c.f.images[d])))
-                     for d in range(c.source.order)])
-    return RegularSubgroup(hol.base, rows, ambient="holomorph", iso_label=iso_label)
-
-
 # -- counting runs -------------------------------------------------------------
 
 
@@ -419,28 +399,27 @@ def centralizer_orbits(hol: Holomorph, f: Homomorphism) -> tuple[int, np.ndarray
 
 def bijective_pair_count(hol: Holomorph, f: Homomorphism,
                          found: Optional[dict] = None) -> int:
-    """Bijective crossed homs for one f; each new subgroup goes into ``found``.
+    """Bijective crossed homs for one f; the subgroup of each emitted map
+    goes into ``found``, keyed by its sorted pair codes g(d) |Aut(N)| + f(d).
 
-    Collecting runs (``found`` given) enumerate every map.  Counting runs
-    search one first-generator image per orbit of C = C_Aut(N)(f(G)) on N:
-    for alpha in C, g -> alpha . g permutes the bijective crossed homs of f,
-    since alpha(g(s) f(s)(g(w))) = alpha(g(s)) f(s)(alpha(g(w))).  So the
-    number of maps with g(s1) = x is constant on each C-orbit, and each
-    emitted map stands for |C . g(s1)| of them, with g(s1) the least member
-    of its orbit.  C acts freely on these maps (alpha . g = g with g onto N
-    forces alpha = 1), so the total is a multiple of |C|.
+    One first-generator image is searched per orbit of C = C_Aut(N)(f(G))
+    on N: for alpha in C, g -> alpha . g permutes the bijective crossed homs
+    of f, since alpha(g(s) f(s)(g(w))) = alpha(g(s)) f(s)(alpha(g(w))).  So
+    the number of maps with g(s1) = x is constant on each C-orbit, and each
+    emitted map stands for |C . g(s1)| of them (and its subgroup for their
+    conjugates by (1, alpha)), with g(s1) the least member of its orbit.  C
+    acts freely on these maps (alpha . g = g with g onto N forces alpha = 1),
+    so the total is a multiple of |C|.
     """
-    if found is not None:
-        count = 0
-        for c in crossed_homomorphisms(hol, f, bijective_only=True):
-            count += 1
-            found.setdefault(c.subgroup_key(), c)
-        return count
     s1 = (_search.stage_data(f.source).gens or [0])[0]  # the trivial group has none
     cent_order, weight = centralizer_orbits(hol, f)
+    m = np.int64(hol.aut.order)
     count = 0
     for c in crossed_homomorphisms(hol, f, bijective_only=True, first_images=weight > 0):
         count += int(weight[c.g[s1]])
+        if found is not None:
+            codes = np.sort(c.g * m + f.images)
+            found.setdefault(codes.tobytes(), codes)
     if count % cent_order:
         raise EngineError(f"weighted pair count {count} is not a multiple of "
                           f"|C_Aut(N)(f(G))| = {cent_order}")
@@ -523,6 +502,23 @@ def hom_orbits(G: FiniteGroup, aut_g: AutomorphismGroup,
     return orbits
 
 
+def close_under_aut(hol: Holomorph, found: dict) -> list[np.ndarray]:
+    """The pair-code sets of ``found`` closed one frontier at a time under
+    conjugation by (1, b), (x, beta) -> (b(x), b beta b^-1), for the
+    generators b of Aut(N)'s carrier; new sets follow in first-reached order."""
+    A, m = hol.aut.carrier, np.int64(hol.aut.order)
+    b = np.asarray(A.gens, dtype=np.intp)
+    conj = A.mul[A.mul[b], A.inv[b][:, None]]  # conj[j][beta] = b_j beta b_j^-1
+    closed, frontier = dict(found), list(found.values())
+    while frontier:
+        x, beta = np.divmod(np.stack(frontier), m)
+        moved = np.sort(hol.aut.perms[b][:, x] * m + conj[:, beta], axis=2)
+        new = {codes.tobytes(): codes for codes in moved.reshape(-1, hol.base.order)}
+        frontier = [codes for key, codes in new.items() if key not in closed]
+        closed.update(new)
+    return list(closed.values())
+
+
 def regular_subgroups_in_holomorph(
     N: FiniteGroup,
     G: FiniteGroup,
@@ -535,8 +531,11 @@ def regular_subgroups_in_holomorph(
 
     The pair count is the sum over the Aut(G) x Aut(N)-orbits on
     Hom(G, Aut(N)) of |orbit| times the bijective crossed-hom count of the
-    orbit's representative (``hom_orbits``).  Collecting needs every
-    subgroup, so there every f is its own orbit of weight 1.  With
+    orbit's representative (``hom_orbits``).  Collecting runs the same
+    search: (g, f) -> (a . g . b^-1, c_a . f . b^-1) sends the subgroup of
+    (g, f) to its conjugate by (1, a), so the subgroups of the emitted maps
+    meet every Aut(N)-class, and ``close_under_aut`` must reach exactly
+    pair count / |Aut(G)| of them.  With
     ``jobs > 1`` the per-orbit counts come from a worker pool of at most one
     worker per orbit, merged back in orbit order, so totals do not depend on
     ``jobs``.  ``log`` receives (orbit index, orbit count, running pair
@@ -548,13 +547,10 @@ def regular_subgroups_in_holomorph(
         raise GroupError("subgroup collection runs are serial; drop jobs")
     hol = build_holomorph(N)
     aut_g = automorphism_group(G)
-    if collect_subgroups:
-        orbits = [(f, 1) for f in enumerate_homomorphisms(G, hol.aut.carrier)]
-    else:
-        orbits = hom_orbits(G, aut_g, hol.aut)
+    orbits = hom_orbits(G, aut_g, hol.aut)
     reps = [f for f, _ in orbits]
 
-    found: dict[tuple, CrossedHom] = {}
+    found: dict[bytes, np.ndarray] = {}
     workers = min(jobs, len(reps))
     if workers > 1:
         from .parallel import parallel_crossed_counts
@@ -571,9 +567,11 @@ def regular_subgroups_in_holomorph(
     if pair_count % aut_g.order != 0:
         raise EngineError(
             f"pair count {pair_count} not divisible by |Aut(G)| = {aut_g.order}")
-    samples = [regular_subgroup_from_crossed(c) for c in found.values()]
-    if collect_subgroups and len(samples) != pair_count // aut_g.order:
+    subgroups = close_under_aut(hol, found) if collect_subgroups else []
+    if collect_subgroups and len(subgroups) != pair_count // aut_g.order:
         raise EngineError("collected subgroup count disagrees with the pair count")
+    samples = [RegularSubgroup(N, hol.pair_perm(np.divmod(codes, hol.aut.order)),
+                               ambient="holomorph") for codes in subgroups]
     return RegularSubgroupCount(pair_count, pair_count // aut_g.order, samples,
                                 sum(size for _, size in orbits), len(reps))
 

@@ -211,24 +211,18 @@ def enumerate_homomorphisms(
     T: FiniteGroup,
     *,
     kernel_filter: Optional[Subgroup] = None,
-    surjective_to: Optional[Subgroup] = None,
 ) -> Iterator[Homomorphism]:
     """Every homomorphism S -> T exactly once, in a deterministic order.
 
-    Optional filters keep only maps with the given kernel, or with image
-    equal to the given subgroup of T; both are applied after verification.
+    An optional filter keeps only maps with the given kernel; it is applied
+    after verification.
     """
     if kernel_filter is not None and kernel_filter.parent is not S:
         raise GroupError("kernel_filter must be a subgroup of the source")
-    if surjective_to is not None and surjective_to.parent is not T:
-        raise GroupError("surjective_to must be a subgroup of the target")
     for img in _search.iter_hom_images(S, T, _hom_candidates(S, T)):
         if kernel_filter is not None:
             ker = np.flatnonzero(img == 0)
             if not np.array_equal(ker, kernel_filter.members):
-                continue
-        if surjective_to is not None:
-            if not np.array_equal(sorted_distinct(img), surjective_to.members):
                 continue
         yield Homomorphism(S, T, img, _checked=True)
 

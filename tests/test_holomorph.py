@@ -225,6 +225,30 @@ def test_induce_on_trivial_and_full_subgroup(A5xC2):
     assert pre2.size == 120
 
 
+def test_induce_on_quotient_builds_each_quotient_once(monkeypatch):
+    from hgs import holomorph
+    from hgs.groups import FiniteGroup
+    N = FiniteGroup(resolve_spec("S3").mul.copy(), name="S3")  # fresh caches
+    hol = build_holomorph(N)
+    A3 = [s for s in normal_subgroups(N) if s.size == 3][0]
+    real = holomorph.quotient_group
+    built = []
+    monkeypatch.setattr(holomorph, "quotient_group",
+                        lambda *args, **kw: built.append(real(*args, **kw)) or built[-1])
+    pairs = [c for f in enumerate_homomorphisms(N, hol.aut.carrier)
+             for c in crossed_homomorphisms(hol, f, bijective_only=True)]
+    induced = [induce_on_quotient(c, A3)[0] for c in pairs]
+    assert len(induced) == 12 and len(built) == 1
+    Q, coset_of = built[0]
+    reps = np.empty(Q.order, dtype=np.int64)
+    reps[coset_of] = np.arange(N.order)
+    for c, ind in zip(pairs, induced):
+        assert ind.hol is build_holomorph(Q)
+        on_q = coset_of[hol.aut.perms[c.f.images][:, reps]]  # f(d) acting on Q
+        assert np.array_equal(ind.hol.aut.perms[ind.f.images], on_q)
+        assert np.array_equal(ind.g, coset_of[c.g])
+
+
 def test_induce_rejects_non_characteristic():
     # the three order-2 subgroups of V4 are normal but not characteristic
     V4 = resolve_spec("V4")

@@ -115,14 +115,6 @@ def test_kernel_filter(A5xC2):
     assert count == 120
 
 
-def test_surjective_filter():
-    C4 = resolve_spec("C4")
-    C2 = resolve_spec("C2")
-    from hgs.groups import full_subgroup
-    onto = list(enumerate_homomorphisms(C4, C2, surjective_to=full_subgroup(C2)))
-    assert len(onto) == 1
-
-
 def test_fixed_points_diagonal(A5):
     aut = automorphism_group(A5)
     ident = aut.action_hom(0)

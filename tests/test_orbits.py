@@ -2,9 +2,10 @@
 
 The exhaustive route, one bijective crossed-hom search for every f in
 Hom(G, Aut(N)) that counts every map, is kept here as the reference for
-the orbit-weighted sum and for the centralizer-weighted count of each
-representative, and the orbit closure keyed by Python tuples as the
-reference for the one keyed by byte rows.
+the orbit-weighted sum, for the centralizer-weighted count of each
+representative and for the subgroups that collecting runs close under
+Aut(N), and the orbit closure keyed by Python tuples as the reference for
+the one keyed by byte rows.
 """
 
 import numpy as np
@@ -21,7 +22,8 @@ from hgs.holomorph import (
     hom_orbits,
     regular_subgroups_in_holomorph,
 )
-from hgs.morphisms import automorphism_group, enumerate_homomorphisms
+from hgs.morphisms import are_isomorphic, automorphism_group, enumerate_homomorphisms
+from hgs.perms import is_permutation
 from hgs.verify import SMALL_CATALOG
 
 
@@ -177,14 +179,68 @@ def test_orbit_list_and_totals_do_not_depend_on_jobs():
         assert runs[0] == runs[1]
 
 
-def test_collecting_runs_keep_every_f_as_its_own_orbit():
+def test_collecting_and_counting_runs_search_the_same_orbits():
     G, N = resolve_spec("D4"), resolve_spec("C4xC2")
     collected = regular_subgroups_in_holomorph(N, G, collect_subgroups=True)
     counted = regular_subgroups_in_holomorph(N, G)
-    assert collected.orbit_count == collected.f_total == counted.f_total
+    assert (collected.orbit_count, collected.f_total, collected.pair_count) == \
+        (counted.orbit_count, counted.f_total, counted.pair_count)
     assert counted.orbit_count < counted.f_total
-    assert collected.pair_count == counted.pair_count
     assert len(collected.samples) == counted.subgroup_count
+
+
+def exhaustive_member_sets(N, G) -> set[bytes]:
+    """The member rows of every regular subgroup, from every f in
+    Hom(G, Aut(N)) and every bijective crossed hom of it."""
+    hol = build_holomorph(N)
+    found = set()
+    for f in enumerate_homomorphisms(G, hol.aut.carrier):
+        for c in crossed_homomorphisms(hol, f, bijective_only=True):
+            rows = hol.pair_perm((c.g, f.images))
+            found.add(b"".join(sorted(row.tobytes() for row in rows)))
+    return found
+
+
+def collected_member_sets(N, G) -> set[bytes]:
+    run = regular_subgroups_in_holomorph(N, G, collect_subgroups=True)
+    keys = {b"".join(sorted(D.key())) for D in run.samples}
+    assert len(keys) == len(run.samples) == run.subgroup_count
+    return keys
+
+
+def test_collected_subgroups_equal_the_exhaustive_sets_on_the_small_grid():
+    pairs = _same_order_pairs()
+    assert len(pairs) == 33
+    for G, N in pairs:
+        assert collected_member_sets(N, G) == exhaustive_member_sets(N, G), \
+            (G.name, N.name)
+
+
+@pytest.mark.parametrize("gl, nl, subgroups", [("S5", "S5", 32),
+                                               ("S5", "AxCp(A5,2)", 20)])
+def test_collected_subgroups_equal_the_exhaustive_sets_at_order_120(gl, nl, subgroups):
+    G, N = resolve_spec(gl), resolve_spec(nl)
+    collected = collected_member_sets(N, G)
+    assert collected == exhaustive_member_sets(N, G)
+    assert len(collected) == subgroups
+
+
+def test_pgl29_subgroups_of_hol_m10_counted_from_below():
+    G, N = resolve_spec("PGL(2,9)"), resolve_spec("M10")
+    run = regular_subgroups_in_holomorph(N, G, collect_subgroups=True)
+    assert run.subgroup_count == len({D.key() for D in run.samples}) == 60
+    for D in run.samples:
+        assert is_permutation(D.members[:, 0])
+        assert are_isomorphic(D.as_group(), G) is not None
+
+
+def test_a_closure_that_drops_a_conjugate_raises(monkeypatch):
+    G, N = resolve_spec("PGL(2,9)"), resolve_spec("M10")
+    real = holomorph.close_under_aut
+    monkeypatch.setattr(holomorph, "close_under_aut",
+                        lambda hol, found: real(hol, found)[:-1])
+    with pytest.raises(EngineError, match="disagrees with the pair count"):
+        regular_subgroups_in_holomorph(N, G, collect_subgroups=True)
 
 
 def test_an_orbit_size_that_breaks_orbit_stabilizer_raises(monkeypatch):
