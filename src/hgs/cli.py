@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 infeasible
 (a size cap was exceeded), 4 internal error (an engine invariant failed,
 which is a bug in hgs).  HGS_MAX_TABLE overrides the Cayley-table cap.
-``--jobs`` sets the worker count of holomorph counts (default 1); results
-never depend on it.
+``hgs count --jobs`` sets the worker count of holomorph counts (default 1);
+results never depend on it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1)
 
     p_catalog = sub.add_parser("catalog", help="catalog utilities")
     p_catalog.add_argument("action", choices=["list"])
@@ -151,7 +150,7 @@ def _cmd_screen(args) -> int:
 
 def _cmd_verify(args) -> int:
     log = None if args.json else print
-    report = run_verify_suite(args.suite, jobs=args.jobs, log=log)
+    report = run_verify_suite(args.suite, log=log)
     if args.json:
         print(emit_report(report, "json"))
     else:

@@ -155,10 +155,6 @@ class FiniteGroup:
 
     # -- basic queries -----------------------------------------------------------
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
-
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise, which they do exactly
         when G is abelian."""
@@ -269,9 +265,6 @@ class Subgroup:
             if not mask[conj].all():
                 return False
         return True
-
-    def index(self) -> int:
-        return self.parent.order // self.size
 
     def as_group(self, name: str | None = None) -> tuple[FiniteGroup, np.ndarray]:
         """Reindexed copy of the subgroup plus the member list embedding it."""

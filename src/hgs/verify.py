@@ -7,14 +7,14 @@ Suites:
                    catalog groups at orders 4, 6, 8.
 * ``paper-120``  — the order-120 triple agreement: e(S5, S5) = 32 and
                    e(S5, A5 x C2) = 20 along every implemented route.
-* ``paper-720``  — the order-720 closed-form values (92, 92, 72, 0), the
-                   PGL(2,9) values 92 and 72 again by holomorph enumeration,
-                   the SL(2,9) screening failure, and the Aut(A6) tower labels.
+* ``paper-720``  — the order-720 table for G in {S6, PGL(2,9), M10}: the
+                   self-type and product-type formula values, all 18
+                   holomorph counts against the six types N with their row
+                   sums of 224, the SL(2,9) and C720 screening exclusions,
+                   and the Aut(A6) tower labels.
 * ``lemmas``     — the structural property sweep (crossed-homomorphism laws,
                    normalizer identity, duality, exactly-one normalization,
                    socle facts, fixed points of simple-group automorphisms).
-* ``stretch-720``— the remaining order-720 holomorph enumerations
-                   (60, 60, 92, 0, 72, 0 and the two S6-source values).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class _Suite:
             self.log(item.line())
 
 
-def _suite_small(s: _Suite, jobs: int) -> None:
+def _suite_small(s: _Suite) -> None:
     groups = {label: resolve_spec(label) for label in SMALL_CATALOG}
     by_order: dict[int, list[str]] = {}
     for label, G in groups.items():
@@ -146,12 +146,11 @@ def _suite_small(s: _Suite, jobs: int) -> None:
                     f"holomorph route matches oracle for e({gl},{nl})",
                     expected,
                     lambda gl=gl, nl=nl: count_byott(
-                        groups[gl], groups[nl], g_label=gl, n_label=nl,
-                        jobs=jobs).value,
+                        groups[gl], groups[nl], g_label=gl, n_label=nl).value,
                 )
 
 
-def _suite_paper_120(s: _Suite, jobs: int) -> None:
+def _suite_paper_120(s: _Suite) -> None:
     S5 = resolve_spec("S5")
     N = resolve_spec("AxCp(A5,2)")
     s.check("e(S5,S5) by self-type formula", 32,
@@ -159,57 +158,74 @@ def _suite_paper_120(s: _Suite, jobs: int) -> None:
     s.check("e(S5,S5) by symmetric-group census", 32,
             lambda: count_sn(5, "Sn").value)
     s.check("e(S5,S5) by holomorph enumeration", 32,
-            lambda: count_byott(S5, S5, g_label="S5", n_label="S5", jobs=jobs).value)
+            lambda: count_byott(S5, S5, g_label="S5", n_label="S5").value)
     s.check("e(S5,A5xC2) by product-type formula", 20,
             lambda: count_product_type(S5, g_label="S5", n_label="A5xC2").value)
     s.check("e(S5,A5xC2) by symmetric-group census", 20,
             lambda: count_sn(5, "AnxC2").value)
     s.check("e(S5,A5xC2) by holomorph enumeration", 20,
-            lambda: count_byott(S5, N, g_label="S5", n_label="A5xC2", jobs=jobs).value)
+            lambda: count_byott(S5, N, g_label="S5", n_label="A5xC2").value)
     s.check("e(S5,A5xC2) by fixed-point-free pairs", 20,
             lambda: count_fpf_inner_holomorph(S5, N, g_label="S5",
                                               n_label="A5xC2").value)
 
 
-def _suite_paper_720(s: _Suite, jobs: int) -> None:
-    PGL = resolve_spec("PGL(2,9)")
-    M10 = resolve_spec("M10")
-    SL = resolve_spec("SL(2,9)")
-    C720 = resolve_spec("C720")
-    A6xC2 = resolve_spec("AxCp(A6,2)")
+# The order-720 table: G almost simple with socle A6 of index 2, N running
+# over the six types the catalog holds.  Every row sums to 224.
+_E_720 = {
+    ("S6", "S6"): 92, ("S6", "PGL(2,9)"): 0, ("S6", "M10"): 72,
+    ("S6", "A6xC2"): 60, ("S6", "SL(2,9)"): 0, ("S6", "C720"): 0,
+    ("PGL(2,9)", "S6"): 0, ("PGL(2,9)", "PGL(2,9)"): 92, ("PGL(2,9)", "M10"): 60,
+    ("PGL(2,9)", "A6xC2"): 72, ("PGL(2,9)", "SL(2,9)"): 0, ("PGL(2,9)", "C720"): 0,
+    ("M10", "S6"): 72, ("M10", "PGL(2,9)"): 60, ("M10", "M10"): 92,
+    ("M10", "A6xC2"): 0, ("M10", "SL(2,9)"): 0, ("M10", "C720"): 0,
+}
+_G_720 = ("S6", "PGL(2,9)", "M10")
 
-    def self_type_checked(G, label):
-        r = count_self_type(G, g_label=label)
+
+def _group_720(label: str):
+    return resolve_spec("AxCp(A6,2)" if label == "A6xC2" else label)
+
+
+def _suite_paper_720(s: _Suite) -> None:
+    def self_type_checked(g):
+        r = count_self_type(_group_720(g), g_label=g)
         if "CONDITIONAL" in r.notes:
             return f"conditional: {r.value}"
         return r.value
 
-    s.check("e(PGL(2,9),PGL(2,9)) by self-type formula", 92,
-            lambda: self_type_checked(PGL, "PGL(2,9)"))
-    s.check("e(PGL(2,9),PGL(2,9)) by holomorph enumeration", 92,
-            lambda: count_byott(PGL, PGL, g_label="PGL(2,9)", n_label="PGL(2,9)",
-                                jobs=jobs).value)
-    s.check("e(M10,M10) by self-type formula", 92,
-            lambda: self_type_checked(M10, "M10"))
-    s.check("e(PGL(2,9),A6xC2) by product-type formula", 72,
-            lambda: count_product_type(PGL, g_label="PGL(2,9)").value)
-    s.check("e(PGL(2,9),A6xC2) by holomorph enumeration", 72,
-            lambda: count_byott(PGL, A6xC2, g_label="PGL(2,9)", n_label="A6xC2",
-                                jobs=jobs).value)
-    s.check("e(M10,A6xC2) by product-type formula", 0,
-            lambda: count_product_type(M10, g_label="M10").value)
+    for g in _G_720:
+        s.check(f"e({g},{g}) by self-type formula", _E_720[g, g],
+                lambda g=g: self_type_checked(g))
+        s.check(f"e({g},A6xC2) by product-type formula", _E_720[g, "A6xC2"],
+                lambda g=g: count_product_type(_group_720(g), g_label=g).value)
 
-    def screen_sl29():
-        rep = screen_candidate(PGL, SL, "PGL(2,9)", "SL(2,9)")
+    row_sums = dict.fromkeys(_G_720, 0)
+    for (g, n), expected in _E_720.items():
+        def holomorph_count(g=g, n=n):
+            value = count_byott(_group_720(g), _group_720(n),
+                                g_label=g, n_label=n).value
+            row_sums[g] += value
+            return value
+
+        s.check(f"e({g},{n}) by holomorph enumeration", expected, holomorph_count)
+    for g in _G_720:
+        s.check(f"e({g},N) summed over the six types by holomorph enumeration",
+                224, lambda g=g: row_sums[g])
+
+    def screen_sl29(g):
+        G, SL = _group_720(g), _group_720("SL(2,9)")
+        rep = screen_candidate(G, SL, g, "SL(2,9)")
         cond3 = rep.conditions["condition-3"]
-        return (rep.shape_verdict, cond3.status, reverify_report(rep, PGL, SL))
+        return (rep.shape_verdict, cond3.status, reverify_report(rep, G, SL))
 
-    s.check("SL(2,9) fails the exact-commutation lifting condition",
-            ("excluded", "fails", True), screen_sl29)
-    s.check("cyclic C720 is excluded for PGL(2,9)", "excluded",
-            lambda: screen_candidate(PGL, C720, "PGL(2,9)", "C720").shape_verdict)
-    s.check("cyclic C720 is excluded for M10", "excluded",
-            lambda: screen_candidate(M10, C720, "M10", "C720").shape_verdict)
+    sl29_name = "SL(2,9) fails the exact-commutation lifting condition"
+    for g in _G_720:
+        s.check(sl29_name if g == "PGL(2,9)" else f"{sl29_name} for {g}",
+                ("excluded", "fails", True), lambda g=g: screen_sl29(g))
+        s.check(f"cyclic C720 is excluded for {g}", "excluded",
+                lambda g=g: screen_candidate(_group_720(g), _group_720("C720"),
+                                             g, "C720").shape_verdict)
 
     def tower_labels():
         tower = catalog_aut6_tower()
@@ -246,14 +262,11 @@ def _lemma_crossed_sweep(S5, N) -> dict:
             fp = fixed_points(c.f, h)
             if np.array_equal(fp, np.flatnonzero(np.isin(c.g, ZN.members))):
                 counts["fixed_points"] += 1
-            ok = True
-            for k in np.flatnonzero(c.f.images == 0):
-                if not np.array_equal(c.g[S5.mul[k]], N.mul[c.g[k], c.g]):
-                    ok = False
-            for k in np.flatnonzero(h.images == 0):
-                if not np.array_equal(c.g[S5.mul[k]], N.mul[c.g, c.g[k]]):
-                    ok = False
-            if ok:
+            kf = np.flatnonzero(c.f.images == 0)
+            kh = np.flatnonzero(h.images == 0)
+            if (np.array_equal(c.g[S5.mul[kf]], N.mul[c.g[kf][:, None], c.g])
+                    and np.array_equal(c.g[S5.mul[kh]],
+                                       N.mul[c.g, c.g[kh][:, None]])):
                 counts["kernel_laws"] += 1
             _, pre = induce_on_quotient(c, a_factor)
             if np.array_equal(pre.members, socle_g.members):
@@ -261,7 +274,7 @@ def _lemma_crossed_sweep(S5, N) -> dict:
     return counts
 
 
-def _suite_lemmas(s: _Suite, jobs: int) -> None:
+def _suite_lemmas(s: _Suite) -> None:
     S5 = resolve_spec("S5")
     N5 = resolve_spec("AxCp(A5,2)")
 
@@ -352,46 +365,20 @@ def _suite_lemmas(s: _Suite, jobs: int) -> None:
                 outer_solvable)
 
 
-def _suite_stretch(s: _Suite, jobs: int) -> None:
-    PGL = resolve_spec("PGL(2,9)")
-    M10 = resolve_spec("M10")
-    S6 = resolve_spec("S6")
-    A6xC2 = resolve_spec("AxCp(A6,2)")
-    cases = [
-        ("PGL(2,9)", PGL, "M10", M10, 60),
-        ("M10", M10, "PGL(2,9)", PGL, 60),
-        ("M10", M10, "M10", M10, 92),
-        ("M10", M10, "A6xC2", A6xC2, 0),
-        ("M10", M10, "S6", S6, 72),
-        ("PGL(2,9)", PGL, "S6", S6, 0),
-        ("S6", S6, "M10", M10, 72),
-        ("S6", S6, "PGL(2,9)", PGL, 0),
-    ]
-    for gl, G, nl, N, expected in cases:
-        s.check(
-            f"holomorph enumeration e({gl},{nl})", expected,
-            lambda G=G, N=N, gl=gl, nl=nl: count_byott(
-                G, N, g_label=gl, n_label=nl, jobs=jobs).value,
-        )
+_SUITES = {
+    "small": _suite_small,
+    "paper-120": _suite_paper_120,
+    "paper-720": _suite_paper_720,
+    "lemmas": _suite_lemmas,
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
-SUITE_NAMES = ("small", "paper-120", "paper-720", "lemmas", "stretch-720")
-
-
-def run_verify_suite(name: str, *, jobs: int = 1,
+def run_verify_suite(name: str, *,
                      log: Optional[Callable[[str], None]] = None) -> SuiteReport:
     """Run a named suite; each item prints one pass/fail line through ``log``."""
-    s = _Suite(name, log)
-    if name == "small":
-        _suite_small(s, jobs)
-    elif name == "paper-120":
-        _suite_paper_120(s, jobs)
-    elif name == "paper-720":
-        _suite_paper_720(s, jobs)
-    elif name == "lemmas":
-        _suite_lemmas(s, jobs)
-    elif name == "stretch-720":
-        _suite_stretch(s, jobs)
-    else:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    s = _Suite(name, log)
+    _SUITES[name](s)
     return s.report

@@ -1,9 +1,8 @@
 """Acceptance criteria, one test per criterion, printing pass/fail lines.
 
-All six run in the default suite; criteria 1 and 5 share one run of the
-paper-720 suite, which reaches 92 and 72 for PGL(2,9) by formula and by
-the orbit-reduced holomorph route.  Criterion 6 runs the remaining
-order-720 holomorph counts, the stretch-720 suite (about 6 s on one core).
+All five run in the default suite; criteria 1 and 5 share one run of the
+paper-720 suite (about 10 s on one core), which checks the formula values
+and all 18 holomorph counts of the order-720 table.
 """
 
 import pytest
@@ -24,14 +23,30 @@ def paper_720():
     return _run("paper-720")
 
 
+# e(G, N) at order 720: rows G, columns N = S6, PGL(2,9), M10, A6xC2,
+# SL(2,9), C720.
+TABLE_720 = {
+    "S6": (92, 0, 72, 60, 0, 0),
+    "PGL(2,9)": (0, 92, 60, 72, 0, 0),
+    "M10": (72, 60, 92, 0, 0, 0),
+}
+TYPES_720 = ("S6", "PGL(2,9)", "M10", "A6xC2", "SL(2,9)", "C720")
+
+
 def test_criterion_1_formula_paths_order_720(paper_720):
-    """Self-type and product-type formula values at order 720: 92, 92, 72, 0,
-    and 92, 72 for PGL(2,9) again by holomorph enumeration."""
+    """Self-type and product-type formula values at order 720 (92, 92, 92
+    and 60, 72, 0), every cell of the order-720 table by holomorph
+    enumeration, and each row summing to 224."""
     for item in paper_720.items:
         assert item.ok, item.line()
-    named = {i.name: i for i in paper_720.items}
-    assert named["e(PGL(2,9),PGL(2,9)) by holomorph enumeration"].observed == 92
-    assert named["e(PGL(2,9),A6xC2) by holomorph enumeration"].observed == 72
+    named = {i.name: i.observed for i in paper_720.items}
+    for g, row in TABLE_720.items():
+        for n, value in zip(TYPES_720, row):
+            assert named[f"e({g},{n}) by holomorph enumeration"] == value
+        assert named[f"e({g},{g}) by self-type formula"] == 92
+        assert named[f"e({g},A6xC2) by product-type formula"] == row[3]
+        assert named[f"e({g},N) summed over the six types by holomorph "
+                     f"enumeration"] == sum(row) == 224
 
 
 def test_criterion_2_triple_agreement_order_120():
@@ -65,13 +80,8 @@ def test_criterion_5_screening_verdicts(paper_720):
     named = {i.name: i for i in paper_720.items}
     key = "SL(2,9) fails the exact-commutation lifting condition"
     assert named[key].ok
-    assert named["cyclic C720 is excluded for PGL(2,9)"].ok
-    assert named["cyclic C720 is excluded for M10"].ok
+    assert named[f"{key} for S6"].ok
+    assert named[f"{key} for M10"].ok
+    for g in TABLE_720:
+        assert named[f"cyclic C720 is excluded for {g}"].ok
     assert named["M10 outer coset is involution-free"].ok
-
-
-def test_criterion_6_stretch_order_720():
-    """Holomorph enumeration at order 720: 60, 60, 92, 0, 72, 0 (plus S6 rows)."""
-    report = _run("stretch-720")
-    for item in report.items:
-        assert item.ok, item.line()

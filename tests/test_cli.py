@@ -113,7 +113,13 @@ def test_group_error_exits_1(capsys):
 @pytest.mark.parametrize("argv", [
     ["count", "-G", "C4", "-N", "V4", "--method", "byott", "--resume", "run.ckpt"],
     ["verify", "--suite", "small", "--checkpoint-dir", "ckpt"],
+    ["verify", "--suite", "small", "--jobs", "2"],
 ])
 def test_removed_checkpoint_options_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_removed_stretch_suite_is_a_usage_error(capsys):
+    assert main(["verify", "--suite", "stretch-720"]) == 2
+    assert "invalid choice: 'stretch-720'" in capsys.readouterr().err
