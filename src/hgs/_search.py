@@ -22,6 +22,8 @@ m(s * w) = m(s) * m(w) for every effective generator s and every w.  That is
 sufficient.  The set of x with m(x * w) = m(x) * m(w) for all w is closed
 under products, and it contains the effective generators, which generate S
 (``StageData`` raises otherwise); in a finite group that makes it all of S.
+A stack of maps (Aut(G) certifies all its rows at once) is certified block
+by block, so a stack of any height needs about a megabyte of temporaries.
 The crossed relation has the same certificate on the twisted tables
 (``holomorph.crossed_relation_holds``).
 """
@@ -43,7 +45,8 @@ class StageData:
     images once node i is filled.
     """
 
-    __slots__ = ("gens", "nodes", "due", "stage_sizes", "order", "_fill")
+    __slots__ = ("gens", "nodes", "due", "stage_sizes", "order", "_fill",
+                 "gen_index", "gen_rows")
 
     def __init__(self, mul: np.ndarray, gens: Sequence[int]):
         n = mul.shape[0]
@@ -93,6 +96,9 @@ class StageData:
         self.gens = eff_gens
         if len(member_list) != n:
             raise ValueError("generators do not generate the group")
+        # for the certificate: the generators and their rows s * w
+        self.gen_index = np.array(eff_gens, dtype=np.intp)
+        self.gen_rows = mul[self.gen_index]
         # the fill program of each stage past its generator's own node
         self._fill = [[(e, gi, par, tuple(checks))
                        for (e, gi, par), checks in zip(nodes[1:], due[1:])]
@@ -107,17 +113,36 @@ def stage_data(G) -> StageData:
     return G._cache[key]
 
 
+# index entries checked per certificate block: a block's temporaries stay
+# near a megabyte, however many maps are stacked
+CERTIFICATE_BLOCK = 1 << 16
+
+
 def generator_certificate(S, T, images: np.ndarray) -> bool:
     """True when every row of ``images`` is a homomorphism S -> T.
 
     ``images`` is one image sequence or a stack of them (one map per row).
     Each map is checked on m(s * w) = m(s) * m(w) for the effective
     generators s of S and every w, which is sufficient (module docstring).
+    The stack is checked a block of rows at a time, about
+    ``CERTIFICATE_BLOCK`` index entries each (at least one row), and each
+    block is one flat gather from T's table at m(s) * |T| + m(w) for all
+    effective generators at once; the first failing block ends the check.
     """
-    gens = np.asarray(stage_data(S).gens, dtype=np.intp)
-    lhs = images[..., S.mul[gens]]                              # m(s * w)
-    rhs = T.mul[images[..., gens, None], images[..., None, :]]  # m(s) * m(w)
-    return bool(np.array_equal(lhs, rhs))
+    sd = stage_data(S)
+    gens, left = sd.gen_index, sd.gen_rows
+    flat = T.mul.ravel()
+    if images.ndim == 1:
+        blocks = [images]
+    else:
+        rows = max(1, CERTIFICATE_BLOCK // max(left.size, 1))
+        blocks = (images[i:i + rows] for i in range(0, len(images), rows))
+    n = np.intp(T.order)  # the flat index is built as intp: no cast copy
+    for m in blocks:
+        rhs = flat[m[..., gens, None] * n + m[..., None, :]]  # m(s) * m(w)
+        if not (m[..., left] == rhs).all():                   # m(s * w)
+            return False
+    return True
 
 
 def iter_stage_maps(

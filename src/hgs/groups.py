@@ -269,14 +269,14 @@ class Subgroup:
     def as_group(self, name: str | None = None) -> tuple[FiniteGroup, np.ndarray]:
         """Reindexed copy of the subgroup plus the member list embedding it."""
         members = self.members
-        pos = np.full(self.parent.order, -1, dtype=np.int64)
-        pos[members] = np.arange(len(members))
-        table = pos[self.parent.mul[np.ix_(members, members)]]
+        pos = np.full(self.parent.order, -1, dtype=np.int32)
+        pos[members] = np.arange(len(members), dtype=np.int32)
+        table = pos[self.parent.mul[members][:, members]]
         perm_rep = None
         if self.parent.perm_rep is not None:
             perm_rep = PermRep(self.parent.perm_rep.degree,
                                _readonly(self.parent.perm_rep.images[members].copy()))
-        H = FiniteGroup(table.astype(np.int32), name=name, perm_rep=perm_rep,
+        H = FiniteGroup(table, name=name, perm_rep=perm_rep,
                         validate=False, assume_associative=True)
         return H, members.copy()
 
@@ -291,7 +291,9 @@ def _grow_closure(mul: np.ndarray, reached: np.ndarray, gens: list[int], g: int)
     the cosets H g, .., H g^(j-1) are distinct and new, and together with
     H they are closed under g.  So they are multiplied by the old
     generators only, and from there each newly reached member by every
-    generator: no member is expanded twice.
+    generator: no member is expanded twice.  H may also be M<gens> for a
+    marked normal subgroup M that gens leave out: x m = (x m x^-1) x, so
+    right products with M never leave the cosets of M reached.
     """
     powers = []
     p = g
@@ -597,23 +599,28 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     subgroups its classes generate.  Those class closures are found first,
     once each (many classes close to the same subgroup: in C720 the 720
     singleton classes give only 30), and every normal subgroup found is
-    then joined with each of them.  Both are normal, so their join is the
-    product set H K.
+    then joined with each of them.  The join H K grows H by the greedy
+    generators of K (``_grow_closure``), at O(|H K| k) for k of them,
+    rather than forming the |H| |K| products of H K.
     """
     if G.order > table_cap():
         raise CapExceededError(
             f"normal subgroup scan capped at order {table_cap()}")
     if "normal_subgroups" in G._cache:
         return G._cache["normal_subgroups"]
-    closures: dict[bytes, np.ndarray] = {}
+    # each class closure keeps its greedy generators
+    closures: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     # x^k with gcd(k, ord x) = 1 generates <x>, so its class closes to the
     # same subgroup as the class of x: marked once x's class is closed
     known = np.zeros(G.order, dtype=bool)
     for cls in G.conjugacy_classes():
         if cls[0] == 0 or known[cls].any():
             continue
-        closure = _closure_indices(G.mul, cls)
-        closures.setdefault(closure.tobytes(), closure)
+        wanted = np.zeros(G.order, dtype=bool)
+        wanted[cls] = True
+        gens, reached = _greedy_closure(G.mul, wanted)
+        closure = np.flatnonzero(reached)
+        closures.setdefault(closure.tobytes(), (closure, gens))
         x = int(cls[0])
         m = int(G.elt_order[x])
         powers = [0, x]
@@ -628,12 +635,17 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
         base = frontier.pop()
         in_base = np.zeros(G.order, dtype=bool)
         in_base[base] = True
-        for closure in closures.values():
+        for closure, gens in closures.values():
             if in_base[closure].all():
                 continue
-            in_join = np.zeros(G.order, dtype=bool)
-            in_join[G.mul[base[:, None], closure]] = True
-            joined = np.flatnonzero(in_join)
+            # the base H is normal, so H x h = H (x h x^-1) x for h in H: the
+            # join grows from H by the closure's generators alone
+            reached = in_base.copy()
+            grown: list[int] = []
+            for g in gens:
+                if not reached[g]:
+                    _grow_closure(G.mul, reached, grown, g)
+            joined = np.flatnonzero(reached)
             key = joined.tobytes()
             if key not in found:
                 found[key] = joined

@@ -437,7 +437,7 @@ def hom_orbit(images: np.ndarray, aut_g: AutomorphismGroup,
     key not seen before, in the order the moves produce them, and builds
     whole rows for the new keys alone.
     """
-    gens = np.asarray(_search.stage_data(aut_g.base).gens, dtype=np.intp)
+    gens = _search.stage_data(aut_g.base).gen_index
     B, A = aut_g.carrier, aut_n.carrier
     b_gens = np.asarray(B.gens, dtype=np.intp)
     a_gens = np.asarray(A.gens, dtype=np.intp)

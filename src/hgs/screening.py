@@ -347,6 +347,9 @@ def check_inner_unique_in_aut(G: FiniteGroup) -> InnerUniquenessCheck:
     derived = commutator_subgroup(car)
     Q, coset_of = quotient_group(car, derived)
     c2 = FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.int32), name="C2")
+    # isomorphic groups have equal element-order censuses (``fingerprint``
+    # compares them), so a subgroup with another census is not built
+    census = np.bincount(G.elt_order)
     witnesses = []
     ok = True
     seen: set[bytes] = set()
@@ -359,9 +362,8 @@ def check_inner_unique_in_aut(G: FiniteGroup) -> InnerUniquenessCheck:
         if key in seen:
             continue
         seen.add(key)
-        sub = Subgroup(car, members)
-        H, _ = sub.as_group()
-        iso = are_isomorphic(H, G) is not None
+        iso = (np.array_equal(np.bincount(car.elt_order[members]), census)
+               and are_isomorphic(Subgroup(car, members).as_group()[0], G) is not None)
         equals_inner = np.array_equal(members, aut.inner.members)
         witnesses.append({"subgroup_order": int(len(members)),
                           "isomorphic_to_G": iso,

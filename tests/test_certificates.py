@@ -1,17 +1,27 @@
 """The O(n * |gens|) generator certificates against the exhaustive n^2 checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hgs import _search
 from hgs.catalog import resolve_spec
 from hgs.holomorph import build_holomorph, crossed_homomorphisms, crossed_relation_holds
-from hgs.morphisms import enumerate_homomorphisms
+from hgs.morphisms import automorphism_group, enumerate_homomorphisms
 
 
 def _full_hom_check(S, T, img):
     """Reference: img[x * y] == img[x] * img[y] for every pair."""
     return bool(np.array_equal(img[S.mul], T.mul[img][:, img]))
+
+
+def _whole_stack_certificate(S, T, images):
+    """Reference: the generator certificate as one broadcast over the stack."""
+    gens = np.asarray(_search.stage_data(S).gens, dtype=np.intp)
+    lhs = images[..., S.mul[gens]]
+    rhs = T.mul[images[..., gens, None], images[..., None, :]]
+    return bool(np.array_equal(lhs, rhs))
 
 
 def _full_crossed_check(hol, f, g):
@@ -133,3 +143,66 @@ def test_crossed_certificate_agrees_with_full_check(g_label, n_label):
             g[0] = 0
             assert crossed_relation_holds(hol, f, g) == _full_crossed_check(hol, f, g)
     assert emitted > 0 and rejected > 0 and one_gen_rejected > 0
+
+
+@pytest.fixture(scope="module")
+def pgl29_aut_rows():
+    """PGL(2,9) and the 1440 rows of its automorphisms, which span many blocks."""
+    G = resolve_spec("PGL(2,9)")
+    return G, np.array(automorphism_group(G).perms)
+
+
+def _rows_per_block(G):
+    return max(1, _search.CERTIFICATE_BLOCK // (len(_search.stage_data(G).gens) * G.order))
+
+
+def test_blocked_certificate_rejects_a_bad_row_anywhere_in_the_stack(pgl29_aut_rows):
+    G, perms = pgl29_aut_rows
+    per_block = _rows_per_block(G)
+    assert len(perms) > 8 * per_block  # the stack spans many blocks
+    assert _search.generator_certificate(G, G, perms)
+    rng = np.random.default_rng(13)
+    # first, middle and last row, and the rows on either side of a block edge
+    for row in (0, len(perms) // 2, len(perms) - 1, per_block - 1, per_block,
+                5 * per_block - 1, 5 * per_block):
+        bad = perms.copy()
+        bad[row] = _perturbed(perms[row], G.order, rng, 1)[0]
+        assert not _full_hom_check(G, G, bad[row])
+        assert not _search.generator_certificate(G, G, bad), row
+        assert not _whole_stack_certificate(G, G, bad), row
+
+
+def test_single_maps_and_one_row_stacks_agree_with_the_references(pgl29_aut_rows):
+    G, perms = pgl29_aut_rows
+    rng = np.random.default_rng(17)
+    rows = perms[rng.choice(len(perms), 6, replace=False)]
+    maps = list(rows) + [bad for row in rows for bad in _perturbed(row, G.order, rng, 2)]
+    random_map = rng.integers(0, G.order, G.order).astype(np.int32)
+    random_map[0] = 0
+    verdicts = set()
+    for img in maps + [random_map]:
+        verdict = _full_hom_check(G, G, img)
+        assert _search.generator_certificate(G, G, img) == verdict
+        assert _search.generator_certificate(G, G, img[None, :]) == verdict
+        assert _whole_stack_certificate(G, G, img) == verdict
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
+    # a stack is accepted exactly when the reference accepts every row
+    for stack in (rows, np.stack(maps)):
+        assert (_search.generator_certificate(G, G, stack)
+                == _whole_stack_certificate(G, G, stack)
+                == all(_full_hom_check(G, G, img) for img in stack))
+
+
+def test_blocked_certificate_bounds_its_memory(pgl29_aut_rows):
+    # one broadcast over the whole stack traced a 26.7 MiB peak here
+    G, perms = pgl29_aut_rows
+    _search.generator_certificate(G, G, perms[:1])  # caches outside the trace
+    tracemalloc.start()
+    try:
+        ok = _search.generator_certificate(G, G, perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 4 * 2**20

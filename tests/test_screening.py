@@ -1,8 +1,17 @@
+import numpy as np
 import pytest
 
+from hgs import screening
 from hgs.catalog import resolve_spec
-from hgs.groups import GroupError, center
-from hgs.morphisms import are_isomorphic, automorphism_group
+from hgs.groups import (
+    FiniteGroup,
+    GroupError,
+    Subgroup,
+    center,
+    commutator_subgroup,
+    quotient_group,
+)
+from hgs.morphisms import are_isomorphic, automorphism_group, enumerate_homomorphisms
 from hgs.screening import (
     check_inner_unique_in_aut,
     classify_group,
@@ -142,3 +151,87 @@ def test_inner_unique_pgl_and_m10():
 def test_inner_unique_infeasible_for_central_groups():
     check = check_inner_unique_in_aut(resolve_spec("Q8"))
     assert check.status == "infeasible"
+
+
+def _relabel(G, seed):
+    """Copy of G under a seeded renumbering that keeps 0 at 0."""
+    rng = np.random.default_rng(seed)
+    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    back = np.argsort(sigma)
+    return FiniteGroup(sigma[G.mul[np.ix_(back, back)]], name=f"{G.name}~{seed}",
+                       assume_associative=True)
+
+
+# (isomorphic_to_G, equals_inner) per index-2 subgroup of Aut(G), in the
+# check's order, for each order-720 group and a relabelled copy of it
+INNER_PINS = {
+    "PGL(2,9)": [(True, True), (False, False), (False, False)],
+    "PGL(2,9)~1": [(True, True), (False, False), (False, False)],
+    "M10": [(False, False), (True, True), (False, False)],
+    "M10~2": [(False, False), (False, False), (True, True)],
+    "S6": [(True, True), (False, False), (False, False)],
+    "S6~3": [(False, False), (True, True), (False, False)],
+}
+
+
+@pytest.fixture(scope="module")
+def order_720_groups():
+    found = {}
+    for seed, label in enumerate(["PGL(2,9)", "M10", "S6"], start=1):
+        found[label] = resolve_spec(label)
+        found[f"{label}~{seed}"] = _relabel(found[label], seed)
+    return found
+
+
+def _witnesses_building_every_subgroup(G):
+    """Reference: the check's witnesses with every index-2 subgroup built
+    and searched, none skipped by its element-order census."""
+    aut = automorphism_group(G)
+    car = aut.carrier
+    Q, coset_of = quotient_group(car, commutator_subgroup(car))
+    c2 = FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.int32), name="C2")
+    witnesses, seen = [], set()
+    for h in enumerate_homomorphisms(Q, c2):
+        if not h.is_surjective():
+            continue
+        members = np.flatnonzero(np.isin(coset_of, h.kernel().members))
+        if members.tobytes() in seen:
+            continue
+        seen.add(members.tobytes())
+        H, _ = Subgroup(car, members).as_group()
+        witnesses.append({"subgroup_order": int(len(members)),
+                          "isomorphic_to_G": are_isomorphic(H, G) is not None,
+                          "equals_inner": np.array_equal(members, aut.inner.members)})
+    return witnesses
+
+
+def test_inner_unique_results_are_pinned(order_720_groups):
+    for label, G in order_720_groups.items():
+        check = check_inner_unique_in_aut(G)
+        assert check.status == "holds", label
+        assert check.detail == "checked 3 index-2 subgroups of Aut(G)", label
+        assert [(w["isomorphic_to_G"], w["equals_inner"]) for w in check.witnesses] \
+            == INNER_PINS[label], label
+        for w in check.witnesses:
+            assert w["subgroup_order"] == 720
+            assert all(type(v) is bool for k, v in w.items() if k != "subgroup_order")
+
+
+def test_census_skip_never_drops_the_inner_copy(order_720_groups, monkeypatch):
+    searched = []
+
+    def spy(H, G):
+        iso = are_isomorphic(H, G)
+        searched.append(iso is not None)
+        return iso
+
+    monkeypatch.setattr(screening, "are_isomorphic", spy)
+    for label, G in order_720_groups.items():
+        searched.clear()
+        check = check_inner_unique_in_aut(G)
+        inner = [w for w in check.witnesses if w["equals_inner"]]
+        assert len(inner) == 1 and inner[0]["isomorphic_to_G"], label
+        # the inner copy was built and found isomorphic; the other two have
+        # another census and were not built
+        assert searched == [True], label
+        assert check.witnesses == _witnesses_building_every_subgroup(G), label

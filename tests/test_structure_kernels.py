@@ -140,6 +140,29 @@ def _normal_members_by_unique(G, classes):
     return sorted(found.values(), key=lambda m: (len(m), m.tolist()))
 
 
+def _normal_members_by_product_sets(G):
+    """The class-closure scan with each join taken as the product set H K."""
+    closures = {}
+    for cls in G.conjugacy_classes()[1:]:
+        closure = _closure_indices(G.mul, cls)
+        closures.setdefault(closure.tobytes(), closure)
+    trivial = np.array([0], dtype=np.int64)
+    found = {trivial.tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        base = frontier.pop()
+        for closure in closures.values():
+            if np.isin(closure, base).all():
+                continue
+            in_join = np.zeros(G.order, dtype=bool)
+            in_join[G.mul[base[:, None], closure]] = True
+            joined = np.flatnonzero(in_join)
+            if joined.tobytes() not in found:
+                found[joined.tobytes()] = joined
+                frontier.append(joined)
+    return sorted(found.values(), key=lambda m: (len(m), m.tolist()))
+
+
 def _projective_action_by_loop(F, mats):
     q = F.q
     points = [(x, 1) for x in range(q)] + [(1, 0)]
@@ -282,6 +305,18 @@ def test_normal_subgroups_equal_the_unique_closures(catalog_groups):
         ref = _normal_members_by_unique(G, _classes_by_unique(G)[0])
         assert len(got) == len(ref), label
         assert all(np.array_equal(a, b) for a, b in zip(got, ref)), label
+
+
+def test_normal_subgroup_joins_equal_the_product_sets(catalog_groups):
+    # Aut(A6) and C720 included: the product sets are affordable at 1440
+    sizes = set()
+    for label, G in catalog_groups.items():
+        got = [N.members for N in normal_subgroups(G)]
+        ref = _normal_members_by_product_sets(G)
+        assert len(got) == len(ref), label
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), label
+        sizes.add(G.order)
+    assert 1440 in sizes
 
 
 def test_validation_agrees_with_the_per_line_unique(catalog_groups):
