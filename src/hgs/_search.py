@@ -159,12 +159,13 @@ def iter_stage_maps(
     once per search and table.  ``candidates[k]`` lists the allowed images
     of the k-th effective generator, tried in the given order; emission
     order is the lexicographic order of generator-image tuples, so it is
-    deterministic.  With ``bijective`` no value is used twice.
+    deterministic.  With ``bijective`` no value is used twice.  Maps have
+    the tables' dtype, which is the element dtype of the groups.
     """
     if len(candidates) != len(sd.gens) or len(tables) != len(sd.gens):
         raise ValueError("need one candidate list and table per effective generator")
-    if not sd.gens:
-        yield np.zeros(sd.order, dtype=np.int32)
+    if not sd.gens:  # the trivial source: no tables, so its own rows' dtype
+        yield np.zeros(sd.order, dtype=sd.gen_rows.dtype)
         return
     img = [-1] * sd.order
     img[0] = 0
@@ -228,7 +229,7 @@ def _drive(sd, tables, row_lists, candidates, img, used, rows, k) -> Iterator[np
                 break
         if ok:
             if last:
-                yield np.array(img, dtype=np.int32)
+                yield np.array(img, dtype=table.dtype)
             else:
                 yield from _drive(sd, tables, row_lists, candidates, img, used, rows, k + 1)
         if used is not None:

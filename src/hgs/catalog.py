@@ -18,6 +18,7 @@ import numpy as np
 from . import perms as P
 from .fields import GaloisField, gf
 from .groups import (
+    ELEMENT_DTYPE,
     FiniteGroup,
     GroupError,
     PermRep,
@@ -51,7 +52,7 @@ def cyclic(n: int, name: str | None = None) -> FiniteGroup:
         raise SpecError("cyclic group order must be positive")
     idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table.astype(np.int32), name=name or f"C{n}",
+    return FiniteGroup(table.astype(ELEMENT_DTYPE), name=name or f"C{n}",
                        gens=[1] if n > 1 else [], validate=False,
                        assume_associative=True)
 
@@ -59,9 +60,9 @@ def cyclic(n: int, name: str | None = None) -> FiniteGroup:
 def dihedral(n: int) -> FiniteGroup:
     if n < 3:
         raise SpecError("dihedral group needs n >= 3")
-    rot = np.roll(np.arange(n, dtype=np.int32), -1)
-    refl = (-np.arange(n, dtype=np.int64)) % n
-    return from_perm_gens([rot, refl.astype(np.int32)], name=f"D{n}")
+    rot = np.roll(np.arange(n), -1)
+    refl = -np.arange(n) % n
+    return from_perm_gens([rot, refl], name=f"D{n}")
 
 
 def quaternion8() -> FiniteGroup:
@@ -79,7 +80,7 @@ def quaternion8() -> FiniteGroup:
         (2, 3): (1, 1), (3, 2): (1, -1),
         (3, 1): (2, 1), (1, 3): (2, -1),
     }
-    table = np.empty((8, 8), dtype=np.int32)
+    table = np.empty((8, 8), dtype=ELEMENT_DTYPE)
     for x in range(8):
         ax, sx = unit(x)
         for y in range(8):
@@ -92,8 +93,8 @@ def quaternion8() -> FiniteGroup:
 def symmetric(n: int) -> FiniteGroup:
     if not 2 <= n <= 6:
         raise SpecError("symmetric group tables are built for 2 <= n <= 6")
-    cyc = np.roll(np.arange(n, dtype=np.int32), -1)
-    swap = np.arange(n, dtype=np.int32)
+    cyc = np.roll(np.arange(n), -1)
+    swap = np.arange(n)
     swap[[0, 1]] = [1, 0]
     return from_perm_gens([cyc, swap], name=f"S{n}")
 
@@ -141,9 +142,9 @@ def _sl2_elements(F: GaloisField) -> np.ndarray:
 
 def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGroup:
     """Group from its full set of permutations (must already be closed)."""
-    rows = sorted_distinct(np.asarray(perm_rows, dtype=np.int32))
+    rows = sorted_distinct(np.asarray(perm_rows, dtype=ELEMENT_DTYPE))
     degree = rows.shape[1]
-    ident = np.arange(degree, dtype=np.int32)
+    ident = np.arange(degree)
     ident_pos = int(np.flatnonzero((rows == ident).all(axis=1))[0])
     order = [ident_pos] + [i for i in range(len(rows)) if i != ident_pos]
     rows = rows[order]
@@ -162,9 +163,9 @@ def special_linear2(q: int) -> FiniteGroup:
     # matrices are looked up by their entries read as base-q digits
     cols = mats.T
     digits = q ** np.arange(3, -1, -1)
-    index = np.zeros(q ** 4, dtype=np.int32)
+    index = np.zeros(q ** 4, dtype=ELEMENT_DTYPE)
     index[digits @ cols] = np.arange(n)
-    mul = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=ELEMENT_DTYPE)
     for i in range(n):
         mul[i] = index[digits @ np.stack(_mat_mul(F, cols[:, i], cols))]
     expected = q * (q - 1) * (q + 1)
@@ -183,7 +184,7 @@ def _projective_action(F: GaloisField, mats) -> np.ndarray:
     w0 = ad[mu[a, v0], mu[b, v1]]
     w1 = ad[mu[c, v0], mu[d, v1]]
     # [w0:w1] is [w0/w1 : 1] unless w1 = 0; inv[0] is a sentinel, never used
-    return np.where(w1 != 0, mu[w0, F.inv[w1]], q).astype(np.int32)
+    return np.where(w1 != 0, mu[w0, F.inv[w1]], q).astype(ELEMENT_DTYPE)
 
 
 def projective_general_linear2(q: int) -> FiniteGroup:

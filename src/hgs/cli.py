@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 infeasible
 (a size cap was exceeded), 4 internal error (an engine invariant failed,
-which is a bug in hgs).  HGS_MAX_TABLE overrides the Cayley-table cap.
+which is a bug in hgs).  HGS_MAX_TABLE overrides the Cayley-table cap of
+2000, up to 32768: element indices are 16-bit (``groups.ELEMENT_DTYPE``),
+so a table takes 2 bytes per entry, about 1 MB at order 720 and 4 MB for
+a 1440-element Aut carrier.
 ``hgs count --jobs`` sets the worker count of holomorph counts (default 1);
 results never depend on it.
 """
@@ -53,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["formula", "byott", "brute", "fpf"])
     p_count.add_argument("--jobs", type=int, default=1)
     p_count.add_argument("--json", action="store_true")
-    p_count.add_argument("--allow-order-12", action="store_true",
+    p_count.add_argument("--allow-order-9", action="store_true",
                          help="lift the brute-force cap from 8 to 9 (~15 s); "
                               "orders 10-12 do not finish and are refused")
 
@@ -124,7 +127,7 @@ def _cmd_count(args) -> int:
         result = count_fpf_inner_holomorph(G, N, g_label=args.G, n_label=args.N)
     else:  # brute
         brute = count_brute_force(G, {args.N: N}, g_label=args.G,
-                                  allow_order_12=args.allow_order_12)
+                                  allow_order_9=args.allow_order_9)
         value = brute.counts.get(args.N, 0)
         result = CountResult(args.G, args.N, METHOD_BRUTE, value,
                              brute.runtime_ms)

@@ -24,6 +24,7 @@ from itertools import permutations as _itpermutations
 import numpy as np
 
 from .groups import (
+    ELEMENT_DTYPE,
     CapExceededError,
     EngineError,
     FiniteGroup,
@@ -315,7 +316,7 @@ def all_regular_subgroups_of_sym(n: int) -> tuple[np.ndarray, ...]:
 
     def grow(held: dict) -> None:
         if len(held) == n:
-            found.append(_readonly(np.array(sorted(held.values()), dtype=np.int32)))
+            found.append(_readonly(np.array(sorted(held.values()), dtype=ELEMENT_DTYPE)))
             return
         x = next(i for i in range(n) if i not in held)
         for p in by_image[x]:
@@ -339,18 +340,18 @@ class BruteForceResult:
 
 def count_brute_force(G: FiniteGroup, types: dict[str, FiniteGroup] | None = None,
                       *, g_label: str | None = None,
-                      allow_order_12: bool = False) -> BruteForceResult:
+                      allow_order_9: bool = False) -> BruteForceResult:
     """Per-isomorphism-type census of regular subgroups of Perm(G) normalized
     by the left translations of G.
 
-    Capped at order 8 by default.  ``allow_order_12`` lifts the cap to 9,
+    Capped at order 8 by default.  ``allow_order_9`` lifts the cap to 9,
     the oracle's measured reach: order 9 takes about 15 s on one core, and
     order 10 did not finish in 10 minutes (Sym(10) has ~436k semiregular
     candidates, Sym(12) ~48M), so orders 10 to 12 are refused at once.
     Unmatched isomorphism types get a synthetic label.
     """
     n = G.order
-    cap = 9 if allow_order_12 else 8
+    cap = 9 if allow_order_9 else 8
     if n > cap:
         raise CapExceededError(
             f"brute-force oracle capped at order {cap} (got {n})")

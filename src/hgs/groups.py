@@ -35,14 +35,26 @@ DEFAULT_TABLE_CAP = 2000
 CLOSURE_ELEMENT_CAP = 10**6
 PERM_INPUT_DEGREE_CAP = 64
 
+# The one dtype of every array of element indices: tables, inverses,
+# permutation rows, automorphism stacks, homomorphism images.  Indices
+# 0..n-1 fit it up to order MAX_ORDER.  Values that are not element indices
+# (element orders, pair codes, flat table offsets) stay wide, and any
+# product of an index with an order is formed in a wide type first.
+ELEMENT_DTYPE = np.int16
+MAX_ORDER = int(np.iinfo(ELEMENT_DTYPE).max) + 1
+
 
 def table_cap() -> int:
     raw = os.environ.get("HGS_MAX_TABLE", "")
     if raw.strip():
         try:
-            return int(raw)
+            cap = int(raw)
         except ValueError:
             raise GroupError(f"HGS_MAX_TABLE must be an integer, got {raw!r}")
+        if cap > MAX_ORDER:
+            raise GroupError(f"HGS_MAX_TABLE must be at most {MAX_ORDER}, the "
+                             f"most elements that indices can number, got {cap}")
+        return cap
     return DEFAULT_TABLE_CAP
 
 
@@ -56,7 +68,7 @@ class PermRep:
     """Faithful permutation representation: one image row per group element."""
 
     degree: int
-    images: np.ndarray  # (order, degree)
+    images: np.ndarray  # (order, degree), ELEMENT_DTYPE
 
 
 class FiniteGroup:
@@ -77,14 +89,23 @@ class FiniteGroup:
         validate: bool = True,
         assume_associative: bool = False,
     ):
-        mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
+        shape = np.shape(mul)  # read before anything is converted
+        if shape and shape[0] > MAX_ORDER:
+            raise CapExceededError(f"order {shape[0]} is above {MAX_ORDER}, the "
+                                   f"most elements that indices can number")
+        mul = np.asarray(mul)
         n = mul.shape[0]
         if mul.shape != (n, n):
             raise GroupError(f"multiplication table must be square, got {mul.shape}")
         if n == 0:
             raise GroupError("empty group")
+        if mul.dtype != ELEMENT_DTYPE:
+            # a wide entry out of range must not wrap into range
+            if validate and (mul.min() < 0 or mul.max() >= n):
+                raise GroupError("table entries out of range")
+            mul = mul.astype(ELEMENT_DTYPE)
         self.order = n
-        self.mul = _readonly(mul)
+        self.mul = _readonly(np.ascontiguousarray(mul))
         self.name = name
         self.perm_rep = perm_rep
         if validate:
@@ -109,7 +130,7 @@ class FiniteGroup:
         n, mul = self.order, self.mul
         if mul.min() < 0 or mul.max() >= n:
             raise GroupError("table entries out of range")
-        idx = np.arange(n, dtype=np.int32)
+        idx = np.arange(n, dtype=ELEMENT_DTYPE)
         if not np.array_equal(mul[0], idx) or not np.array_equal(mul[:, 0], idx):
             raise GroupError("index 0 is not a two-sided identity")
         # every row and column must be a permutation (cancellation law):
@@ -130,8 +151,8 @@ class FiniteGroup:
 
     def _compute_orders_and_inverses(self) -> tuple[np.ndarray, np.ndarray]:
         n, mul = self.order, self.mul
-        orders = np.ones(n, dtype=np.int32)
-        inv = np.zeros(n, dtype=np.int32)
+        orders = np.ones(n, dtype=np.int64)  # an order, not an index: n may not fit
+        inv = np.zeros(n, dtype=ELEMENT_DTYPE)
         # walk x, x^2, ... for every x at once; z[i] = x[i]^k is not yet 0,
         # and for x of order m the last power before 0, x^(m-1), is x^-1
         x = np.arange(1, n)
@@ -269,8 +290,8 @@ class Subgroup:
     def as_group(self, name: str | None = None) -> tuple[FiniteGroup, np.ndarray]:
         """Reindexed copy of the subgroup plus the member list embedding it."""
         members = self.members
-        pos = np.full(self.parent.order, -1, dtype=np.int32)
-        pos[members] = np.arange(len(members), dtype=np.int32)
+        pos = np.full(self.parent.order, -1, dtype=ELEMENT_DTYPE)
+        pos[members] = np.arange(len(members))
         table = pos[self.parent.mul[members][:, members]]
         perm_rep = None
         if self.parent.perm_rep is not None:
@@ -339,13 +360,24 @@ def _closure_indices(mul: np.ndarray, seed: Iterable[int]) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of nonnegative integers, below 2^32.
+    """One key per row of nonnegative integers below 2^32, ordered as the
+    rows are lexicographically.
 
-    Entries are stored as big-endian unsigned 32-bit words, so the keys'
-    byte order is the rows' lexicographic order.
+    Entries take 16-bit words when they fit (element indices always do),
+    else 32-bit ones.  A row of at most 64 bits becomes one uint64, first
+    entry highest: its words, last entry first, are the key's bytes read
+    little-endian.  NumPy sorts and compares those natively.  A wider row
+    is a void key of big-endian words, whose byte order is the rows' order.
     """
-    rows = np.ascontiguousarray(rows, dtype=">u4")
-    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+    k = rows.shape[1]
+    narrow = rows.dtype.itemsize <= 2 or not rows.size or rows.max() < 1 << 16
+    word = 2 if narrow else 4
+    if k * word <= 8:
+        words = np.zeros((len(rows), 8 // word), dtype=f"<u{word}")
+        words[:, :k] = rows[:, ::-1]
+        return words.view("<u8").ravel()
+    rows = np.ascontiguousarray(rows, dtype=f">u{word}")
+    return rows.view(np.dtype((np.void, k * word))).ravel()
 
 
 def row_sort_order(rows: np.ndarray) -> np.ndarray:
@@ -384,8 +416,11 @@ def perm_table(images: np.ndarray) -> np.ndarray:
     x = h p gives mul[x] = mul[h][mul[p]].  A looked-up row that misses the
     set raises, and every composed row is then in the set too.
     """
-    images = np.ascontiguousarray(images, dtype=np.int32)
     n = len(images)
+    if n > MAX_ORDER:
+        raise CapExceededError(f"{n} permutation rows are more than the "
+                               f"{MAX_ORDER} that indices can number")
+    images = np.ascontiguousarray(images, dtype=ELEMENT_DTYPE)
     if not np.array_equal(images[0], np.arange(images.shape[1])):
         raise GroupError("the identity row must come first")
     base: list[int] = []
@@ -402,7 +437,7 @@ def perm_table(images: np.ndarray) -> np.ndarray:
     on_base = np.ascontiguousarray(images[:, base])
     order = np.argsort(_row_keys(on_base))
     sorted_keys = _row_keys(on_base[order])
-    mul = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=ELEMENT_DTYPE)
     mul[0] = np.arange(n)
     known = np.zeros(n, dtype=bool)
     known[0] = True
@@ -429,7 +464,7 @@ def perm_table(images: np.ndarray) -> np.ndarray:
 
 def from_mul_table(table, *, name: str | None = None, validate: bool = True) -> FiniteGroup:
     """Group from an explicit Cayley table; fully validated when small enough."""
-    return FiniteGroup(np.asarray(table, dtype=np.int32), name=name, validate=validate)
+    return FiniteGroup(table, name=name, validate=validate)
 
 
 def from_perm_gens(
@@ -447,16 +482,19 @@ def from_perm_gens(
     if not gen_perms:
         raise GroupError("need at least one generator permutation")
     degree = len(gen_perms[0])
+    if degree > MAX_ORDER:
+        raise CapExceededError(f"degree {degree} is above {MAX_ORDER}, the "
+                               f"most points that indices can number")
     gens = []
     for i, p in enumerate(gen_perms):
-        p = np.asarray(p, dtype=np.int32)
+        p = np.asarray(p, dtype=np.int64)  # checked wide, so nothing wraps
         if len(p) != degree:
             raise GroupError(f"generator {i} has degree {len(p)}, expected {degree}")
         if not P.is_permutation(p):
             raise GroupError(f"generator {i} is not a bijection")
-        gens.append(p)
+        gens.append(p.astype(ELEMENT_DTYPE))
     cap = element_cap if element_cap is not None else CLOSURE_ELEMENT_CAP
-    identity = P.identity_perm(degree)
+    identity = np.arange(degree, dtype=ELEMENT_DTYPE)
     index_of = {identity.tobytes(): 0}
     elements = [identity]  # also the BFS queue
     pos = 0
@@ -485,7 +523,7 @@ def from_perm_gens(
     return FiniteGroup(
         mul,
         name=name,
-        perm_rep=PermRep(degree, _readonly(images.astype(np.int32))),
+        perm_rep=PermRep(degree, _readonly(images)),
         gens=gen_indices,
         validate=False,
     )
@@ -501,7 +539,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) -
     mul = (A.mul[a1[:, None], a1[None, :]].astype(np.int64) * nB
            + B.mul[b1[:, None], b1[None, :]])
     gens = [int(a * nB) for a in A.gens] + [int(b) for b in B.gens]
-    g = FiniteGroup(mul.astype(np.int32), name=name, gens=gens,
+    g = FiniteGroup(mul.astype(ELEMENT_DTYPE), name=name, gens=gens,
                     validate=False, assume_associative=True)
     return g
 
@@ -674,7 +712,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup,
     m = len(reps)
     reps_arr = np.array(reps, dtype=np.int64)
     table = coset_of[G.mul[np.ix_(reps_arr, reps_arr)]]
-    Q = FiniteGroup(table.astype(np.int32), name=name, validate=False,
+    Q = FiniteGroup(table.astype(ELEMENT_DTYPE), name=name, validate=False,
                     assume_associative=True)
     return Q, _readonly(coset_of)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _search
 from .groups import (
+    ELEMENT_DTYPE,
     EngineError,
     FiniteGroup,
     GroupError,
@@ -100,7 +101,7 @@ class Holomorph:
     def all_pair_perms(self) -> np.ndarray:
         """Permutation image of the whole holomorph (small bases only)."""
         n, m = self.base.order, self.aut.order
-        out = np.empty((n * m, n), dtype=np.int32)
+        out = np.empty((n * m, n), dtype=ELEMENT_DTYPE)
         for e in range(n):
             col = self.base.inv[e]
             out[e * m:(e + 1) * m] = self.base.mul[self.aut.perms, col]
@@ -217,7 +218,7 @@ def derive_h(c: CrossedHom) -> Homomorphism:
                  N.inv[g][:, None]]
     index = hol.aut._index
     images = np.fromiter((index.get(k, -1) for k in map(tuple, keys.tolist())),
-                         dtype=np.int32, count=G.order)
+                         dtype=ELEMENT_DTYPE, count=G.order)
     if (images < 0).any():
         raise EngineError("conj(g(d)).f(d) is not an automorphism of N")
     try:
@@ -254,10 +255,10 @@ def induce_on_quotient(c: CrossedHom, L: Subgroup) -> tuple[CrossedHom, Subgroup
         reps[coset_of] = np.arange(N.order)  # one representative per coset
         # every automorphism of N acting on Q, as an index into Aut(Q)
         on_q = map(automorphism_group(Q).perm_index, coset_of[hol.aut.perms[:, reps]])
-        N._cache[key] = Q, coset_of, np.fromiter(on_q, dtype=np.int32)
+        N._cache[key] = Q, coset_of, np.fromiter(on_q, dtype=ELEMENT_DTYPE)
     Q, coset_of, on_q = N._cache[key]
     f_bar = Homomorphism(G, automorphism_group(Q).carrier, on_q[c.f.images])
-    g_bar = coset_of[c.g].astype(np.int32)
+    g_bar = coset_of[c.g].astype(ELEMENT_DTYPE)
     hol_q = build_holomorph(Q)
     if not crossed_relation_holds(hol_q, f_bar, g_bar):
         raise EngineError("induced map is not a crossed homomorphism")
@@ -280,7 +281,7 @@ class RegularSubgroup:
     iso_label: str | None = None
 
     def __post_init__(self):
-        members = np.asarray(self.members, dtype=np.int32)
+        members = np.asarray(self.members, dtype=ELEMENT_DTYPE)
         members = members[row_sort_order(members)]
         self.members = _readonly(members)
         n = self.base.order
@@ -306,7 +307,7 @@ class RegularSubgroup:
         by_eval = np.empty(n, dtype=np.int64)
         by_eval[self.members[:, 0]] = np.arange(n)
         table = self.members[by_eval]
-        return FiniteGroup(table.astype(np.int32), name=name,
+        return FiniteGroup(table, name=name,
                            validate=n <= 128, assume_associative=n > 128)
 
 
@@ -324,9 +325,9 @@ def normalized_by(D: RegularSubgroup, conjugator_perms: Sequence[np.ndarray]) ->
     """True when every conjugator keeps D's member set fixed setwise."""
     keys = D.member_set()
     for e in conjugator_perms:
-        e = np.asarray(e, dtype=np.int32)
+        e = np.asarray(e, dtype=ELEMENT_DTYPE)  # conj rows key like D's members
         e_inv = np.empty_like(e)
-        e_inv[e] = np.arange(len(e), dtype=np.int32)
+        e_inv[e] = np.arange(len(e))
         conj = e[D.members[:, e_inv]]
         for row in conj:
             if np.ascontiguousarray(row).tobytes() not in keys:
@@ -444,15 +445,15 @@ def hom_orbit(images: np.ndarray, aut_g: AutomorphismGroup,
     # move j sends the row f to conj[j][f[perm[j]]]: first f . b^-1 for each
     # generator b of Aut(G), then c_a . f for each generator a of Aut(N)
     nb, m = len(b_gens), len(b_gens) + len(a_gens)
-    perm = np.empty((m, len(images)), dtype=np.int32)
+    perm = np.empty((m, len(images)), dtype=ELEMENT_DTYPE)
     perm[:nb] = aut_g.perms[B.inv[b_gens]]
     perm[nb:] = np.arange(len(images))
-    conj = np.empty((m, A.order), dtype=np.int32)
+    conj = np.empty((m, A.order), dtype=ELEMENT_DTYPE)
     conj[:nb] = np.arange(A.order)
     conj[nb:] = A.mul[A.mul[a_gens], A.inv[a_gens][:, None]]
     perm_on_gens = perm[:, gens]
     moves = np.arange(m)[:, None, None]
-    frontier = np.asarray(images, dtype=np.int32)[None, :]
+    frontier = np.asarray(images, dtype=ELEMENT_DTYPE)[None, :]
     blocks = [frontier]
     seen = set(_row_keys(frontier[:, gens]).tolist())
     while True:
@@ -596,9 +597,9 @@ def holomorph_equals_translation_normalizers(G: FiniteGroup) -> bool:
     norm_lam = set()
     norm_rho = set()
     for p in permutations(range(n)):
-        arr = np.array(p, dtype=np.int32)
-        inv = np.empty(n, dtype=np.int32)
-        inv[arr] = np.arange(n, dtype=np.int32)
+        arr = np.array(p, dtype=ELEMENT_DTYPE)
+        inv = np.empty(n, dtype=ELEMENT_DTYPE)
+        inv[arr] = np.arange(n)
         if all(np.ascontiguousarray(arr[row[inv]]).tobytes() in lam for row in lam_rows):
             norm_lam.add(arr.tobytes())
         if all(np.ascontiguousarray(arr[row[inv]]).tobytes() in rho for row in rho_rows):

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import _search
 from .groups import (
+    ELEMENT_DTYPE,
     CapExceededError,
     EngineError,
     FiniteGroup,
@@ -36,7 +37,7 @@ class Homomorphism:
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images,
                  *, _checked: bool = False):
-        images = np.ascontiguousarray(np.asarray(images, dtype=np.int32))
+        images = np.ascontiguousarray(np.asarray(images, dtype=ELEMENT_DTYPE))
         if images.shape != (source.order,):
             raise GroupError("image sequence length must equal the source order")
         if images[0] != 0:
@@ -80,7 +81,7 @@ class AutomorphismGroup:
 
     base: FiniteGroup
     carrier: FiniteGroup
-    perms: np.ndarray  # (|Aut|, |base|)
+    perms: np.ndarray  # (|Aut|, |base|), ELEMENT_DTYPE
     inner: Subgroup
     _base_points: tuple[int, ...]
     _index: dict
@@ -171,7 +172,7 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
             coset_reps.append(phi)
     if not coset_reps:
         raise GroupError("automorphism search lost the identity map")
-    perms = inn[:, np.stack(coset_reps)].reshape(-1, G.order).astype(np.int32, copy=False)
+    perms = inn[:, np.stack(coset_reps)].reshape(-1, G.order)
     # the identity is the least permutation, so it sorts first
     perms = perms[row_sort_order(perms)]
     if not np.array_equal(perms[0], np.arange(G.order)):

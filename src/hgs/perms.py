@@ -18,7 +18,7 @@ class PermParseError(ValueError):
 
 
 def identity_perm(degree: int) -> np.ndarray:
-    return np.arange(degree, dtype=np.int32)
+    return np.arange(degree)
 
 
 def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -204,7 +204,7 @@ def screen_candidate(G: FiniteGroup, N: FiniteGroup,
     )
 
     autA = automorphism_group(A_grp)
-    fp_counts = (autA.perms == np.arange(A_grp.order, dtype=np.int32)).sum(axis=1)
+    fp_counts = (autA.perms == np.arange(A_grp.order)).sum(axis=1)
     hits = np.flatnonzero(fp_counts == p)
     conditions["condition-2"] = ConditionVerdict(
         "holds" if len(hits) else "fails",
@@ -346,7 +346,7 @@ def check_inner_unique_in_aut(G: FiniteGroup) -> InnerUniquenessCheck:
             "the abelianization-kernel search")
     derived = commutator_subgroup(car)
     Q, coset_of = quotient_group(car, derived)
-    c2 = FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.int32), name="C2")
+    c2 = FiniteGroup([[0, 1], [1, 0]], name="C2")
     # isomorphic groups have equal element-order censuses (``fingerprint``
     # compares them), so a subgroup with another census is not built
     census = np.bincount(G.elt_order)

@@ -333,7 +333,7 @@ def _suite_lemmas(s: _Suite) -> None:
 
         def min_fixed_points(A=A):
             aut = automorphism_group(A)
-            fp = (aut.perms == np.arange(A.order, dtype=np.int32)).sum(axis=1)
+            fp = (aut.perms == np.arange(A.order)).sum(axis=1)
             return int(fp.min())
 
         s.check(f"every automorphism of {label} fixes a nonidentity element",

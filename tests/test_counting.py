@@ -15,7 +15,7 @@ from hgs.counting import (
     sn_involution_census,
 )
 from hgs.cli import main
-from hgs.groups import CapExceededError, GroupError
+from hgs.groups import ELEMENT_DTYPE, CapExceededError, GroupError
 from hgs.perms import is_permutation, perm_order
 
 
@@ -100,7 +100,9 @@ def test_regular_subgroup_counts_of_sym_n():
 
 
 # sha256 prefixes over the concatenated member bytes, as the previous
-# (worklist) enumerator produced them: same arrays, same order
+# (worklist) enumerator produced them: same arrays, same order.  The bytes
+# are those of 32-bit entries, the width the digests were taken at, so the
+# pins do not move with the element dtype
 SYM_N_DIGESTS = {4: "fce28686cecf3d16", 6: "8c9585a760fd4e90", 8: "fc6df56ff236e1a1"}
 
 # element-order census -> (type, (n-1)!/|Aut(type)|); the census tells
@@ -119,7 +121,8 @@ SYM_N_TYPES = {
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_sym_n_regular_subgroups_are_pinned(n):
     subs = all_regular_subgroups_of_sym(n)
-    digest = hashlib.sha256(b"".join(m.tobytes() for m in subs)).hexdigest()
+    assert all(m.dtype == ELEMENT_DTYPE for m in subs)
+    digest = hashlib.sha256(b"".join(m.astype("<i4").tobytes() for m in subs)).hexdigest()
     assert digest[:16] == SYM_N_DIGESTS[n]
 
 
@@ -163,13 +166,13 @@ def test_brute_force_respects_cap():
         count_brute_force(resolve_spec("C16"))
 
 
-def test_order_12_flag_still_caps_order_16():
+def test_order_9_flag_still_caps_order_16():
     # the flag reaches order 9; order 10 is refused before any search starts
     for spec in ("C16", "C10"):
         with pytest.raises(CapExceededError, match="capped at order 9"):
-            count_brute_force(resolve_spec(spec), allow_order_12=True)
+            count_brute_force(resolve_spec(spec), allow_order_9=True)
         assert main(["count", "-G", spec, "-N", spec, "--method", "brute",
-                     "--allow-order-12"]) == 3
+                     "--allow-order-9"]) == 3
 
 
 def test_brute_force_agrees_with_byott_order_six(small_catalog):

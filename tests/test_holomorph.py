@@ -131,15 +131,18 @@ def test_trivial_f_crossed_homs_are_hom_enumeration(g_label, n_label):
 
 
 def _crossed_sequence_digest(G, N):
-    """sha256 over every emitted (f, g, bijective), all f's, both modes."""
+    """sha256 over every emitted (f, g, bijective), all f's, both modes.
+
+    Index arrays are hashed as 32-bit entries, the width the pins were
+    taken at, so the pins do not move with the element dtype."""
     hol = build_holomorph(N)
     h = hashlib.sha256()
     count = 0
     for bijective_only in (False, True):
         for f in enumerate_homomorphisms(G, hol.aut.carrier):
             for c in crossed_homomorphisms(hol, f, bijective_only=bijective_only):
-                h.update(c.f.images.tobytes())
-                h.update(c.g.tobytes())
+                h.update(c.f.images.astype("<i4").tobytes())
+                h.update(c.g.astype("<i4").tobytes())
                 h.update(bytes([c.bijective]))
                 count += 1
             h.update(b"|")

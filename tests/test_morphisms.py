@@ -214,7 +214,7 @@ def test_inn_reduced_aut_equals_exhaustive_search(spec):
 def test_aut_perms_pinned_at_order_720(spec, digest):
     # every f: G -> Aut(N) holds carrier indices, so Hom emission order and
     # the orbit representatives depend on them; pinned from the exhaustive
-    # search that preceded the Inn(G) reduction
+    # search that preceded the Inn(G) reduction, hashed as 32-bit entries
     aut = automorphism_group(resolve_spec(spec))
     assert aut.order == 1440
-    assert hashlib.sha256(np.ascontiguousarray(aut.perms).tobytes()).hexdigest() == digest
+    assert hashlib.sha256(aut.perms.astype("<i4").tobytes()).hexdigest() == digest

@@ -13,7 +13,7 @@ import pytest
 
 from hgs import _search, holomorph
 from hgs.catalog import resolve_spec
-from hgs.groups import EngineError
+from hgs.groups import ELEMENT_DTYPE, EngineError
 from hgs.holomorph import (
     bijective_pair_count,
     build_holomorph,
@@ -285,7 +285,7 @@ def _orbit_rows_and_list_match_tuple_keys(G, N, monkeypatch):
     got = hom_orbits(G, aut_g, aut_n)
     for rep, size in got:
         rows = hom_orbit(rep.images, aut_g, aut_n)
-        assert rows.dtype == np.int32
+        assert rows.dtype == ELEMENT_DTYPE
         assert np.array_equal(rows, tuple_keyed_hom_orbit(rep.images, aut_g, aut_n))
         assert len(rows) == size
     with monkeypatch.context() as m:

@@ -12,7 +12,7 @@ import pytest
 
 from hgs import _search
 from hgs.catalog import resolve_spec
-from hgs.groups import EngineError, row_sort_order
+from hgs.groups import ELEMENT_DTYPE, EngineError, row_sort_order
 from hgs.holomorph import (
     CrossedHom,
     _crossed_candidates,
@@ -260,7 +260,7 @@ def test_derive_h_equals_the_per_element_loop(g_label, n_label):
     for f in enumerate_homomorphisms(G, hol.aut.carrier):
         for c in crossed_homomorphisms(hol, f):
             h = derive_h(c)
-            assert h.images.dtype == np.int32
+            assert h.images.dtype == ELEMENT_DTYPE
             assert np.array_equal(h.images, _reference_derive_h(c))
             checked += 1
             if checked >= 400:
