@@ -19,6 +19,7 @@ from . import perms as P
 from .fields import GaloisField, gf
 from .groups import (
     ELEMENT_DTYPE,
+    PERM_INPUT_DEGREE_CAP,
     FiniteGroup,
     GroupError,
     PermRep,
@@ -112,17 +113,6 @@ def alternating(n: int) -> FiniteGroup:
 # -- matrix groups over small fields --------------------------------------------
 
 
-def _mat_mul(F: GaloisField, m1, m2):
-    """Product of 2x2 matrices (a, b, c, d); the entries may be arrays."""
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    mu, ad = F.mul, F.add
-    return (
-        ad[mu[a1, a2], mu[b1, c2]], ad[mu[a1, b2], mu[b1, d2]],
-        ad[mu[c1, a2], mu[d1, c2]], ad[mu[c1, b2], mu[d1, d2]],
-    )
-
-
 def _det(F: GaloisField, m):
     a, b, c, d = m
     return F.add[F.mul[a, d], F.neg[F.mul[b, c]]]
@@ -154,24 +144,26 @@ def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGr
 
 
 def special_linear2(q: int) -> FiniteGroup:
-    """SL(2, q) as an abstract Cayley table over matrix indices."""
+    """SL(2, q) as an abstract Cayley table over matrix indices.
+
+    The matrices, identity first and the rest in lexicographic order, act
+    on the q^2 vectors (x, y) of GF(q)^2, vector x q + y; that action is
+    faithful, so its permutations multiply as the matrices do.
+    """
     F = gf(q)
     mats = _sl2_elements(F)
     is_ident = (mats == (1, 0, 0, 1)).all(axis=1)
     mats = np.concatenate([mats[is_ident], mats[~is_ident]])  # the rest stay sorted
     n = len(mats)
-    # matrices are looked up by their entries read as base-q digits
-    cols = mats.T
-    digits = q ** np.arange(3, -1, -1)
-    index = np.zeros(q ** 4, dtype=ELEMENT_DTYPE)
-    index[digits @ cols] = np.arange(n)
-    mul = np.empty((n, n), dtype=ELEMENT_DTYPE)
-    for i in range(n):
-        mul[i] = index[digits @ np.stack(_mat_mul(F, cols[:, i], cols))]
     expected = q * (q - 1) * (q + 1)
     if n != expected:
         raise GroupError(f"SL(2,{q}) came out with order {n}, expected {expected}")
-    return FiniteGroup(mul, name=f"SL(2,{q})", validate=False, assume_associative=True)
+    mu, ad = F.mul, F.add
+    a, b, c, d = (col[:, None] for col in mats.T)
+    x, y = np.divmod(np.arange(q * q), q)
+    images = ad[mu[a, x], mu[b, y]] * q + ad[mu[c, x], mu[d, y]]
+    return FiniteGroup(perm_table(images), name=f"SL(2,{q})", validate=False,
+                       assume_associative=True)
 
 
 def _projective_action(F: GaloisField, mats) -> np.ndarray:
@@ -287,8 +279,9 @@ def load_group_file(path: str | Path) -> FiniteGroup:
     except ValueError:
         raise SpecError(f"{path}: line {no}: bad size {parts[1]!r}")
     if parts[0] == "perm":
-        if size > 64:
-            raise SpecError(f"{path}: line {no}: permutation degree capped at 64")
+        if size > PERM_INPUT_DEGREE_CAP:
+            raise SpecError(f"{path}: line {no}: permutation degree capped at "
+                            f"{PERM_INPUT_DEGREE_CAP}")
         gens = []
         for no, ln in content[1:]:
             try:

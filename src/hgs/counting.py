@@ -196,6 +196,13 @@ def count_fpf_inner_holomorph(G: FiniteGroup, N: FiniteGroup, *,
     #{h: N -> G with kernel the simple factor and h(eps) outside the socle},
     then scales by 2 e1 e2 / |Aut(N)|.  Requires centerless almost simple G
     and N of matching socle x C_p shape.
+
+    Each count is searched on a factor of N alone.  A map with kernel C_p
+    is an injective map A -> G composed with the projection, and a map
+    with kernel A is an injective map C_p -> G.  The image of C_p has prime
+    order, so it lies inside the prime-index socle or meets it only in 1:
+    one generator's image decides which, and an image outside the socle is
+    not the identity, so that map is injective.
     """
     t0 = time.perf_counter()
     cls_g = _almost_simple_data(G)
@@ -205,18 +212,12 @@ def count_fpf_inner_holomorph(G: FiniteGroup, N: FiniteGroup, *,
         raise GroupError("fpf route needs N of shape (simple A) x C_p")
     if are_isomorphic(cls_n.socle_group, cls_g.socle_group) is None:
         raise GroupError("the simple factor of N must match the socle of G")
-    a_factor = cls_n.socle
-    c_factor = cls_n.cyclic_factor
-    eps = int(c_factor.members[1])
+    C, _ = cls_n.cyclic_factor.as_group()
+    eps = C.gens[0]
     socle_mask = cls_g.socle.member_mask()
 
-    e1 = 0
-    for f in enumerate_homomorphisms(N, G, kernel_filter=c_factor):
-        e1 += 1
-    e2 = 0
-    for h in enumerate_homomorphisms(N, G, kernel_filter=a_factor):
-        if not socle_mask[h(eps)]:
-            e2 += 1
+    e1 = sum(f.is_injective() for f in enumerate_homomorphisms(cls_n.socle_group, G))
+    e2 = sum(not socle_mask[h(eps)] for h in enumerate_homomorphisms(C, G))
 
     aut_n = automorphism_group(N).order
     aut_a = automorphism_group(cls_n.socle_group).order
@@ -360,7 +361,7 @@ def count_brute_force(G: FiniteGroup, types: dict[str, FiniteGroup] | None = Non
     lam = lambda_perms(G, G.gens)
     normalized: list[RegularSubgroup] = []
     for members in subs:
-        D = RegularSubgroup(G, members, ambient="perm")
+        D = RegularSubgroup(G, members)
         if normalized_by(D, lam):
             normalized.append(D)
     counts: dict[str, int] = {}

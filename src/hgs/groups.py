@@ -32,7 +32,6 @@ class CapExceededError(GroupError):
 
 
 DEFAULT_TABLE_CAP = 2000
-CLOSURE_ELEMENT_CAP = 10**6
 PERM_INPUT_DEGREE_CAP = 64
 
 # The one dtype of every array of element indices: tables, inverses,
@@ -292,7 +291,7 @@ class Subgroup:
         members = self.members
         pos = np.full(self.parent.order, -1, dtype=ELEMENT_DTYPE)
         pos[members] = np.arange(len(members))
-        table = pos[self.parent.mul[members][:, members]]
+        table = pos[self.parent.mul[np.ix_(members, members)]]
         perm_rep = None
         if self.parent.perm_rep is not None:
             perm_rep = PermRep(self.parent.perm_rep.degree,
@@ -471,13 +470,13 @@ def from_perm_gens(
     gen_perms: Sequence[np.ndarray],
     *,
     name: str | None = None,
-    element_cap: int | None = None,
 ) -> FiniteGroup:
     """Group generated by permutations, closed by breadth-first multiplication.
 
     Elements are indexed in BFS discovery order from the identity, so index 0
     is automatically the identity; the generators become the stored
-    generating set.
+    generating set.  The closure stops as soon as it would pass the table
+    cap.
     """
     if not gen_perms:
         raise GroupError("need at least one generator permutation")
@@ -493,7 +492,7 @@ def from_perm_gens(
         if not P.is_permutation(p):
             raise GroupError(f"generator {i} is not a bijection")
         gens.append(p.astype(ELEMENT_DTYPE))
-    cap = element_cap if element_cap is not None else CLOSURE_ELEMENT_CAP
+    cap = table_cap()
     identity = np.arange(degree, dtype=ELEMENT_DTYPE)
     index_of = {identity.tobytes(): 0}
     elements = [identity]  # also the BFS queue
@@ -507,13 +506,9 @@ def from_perm_gens(
             if key not in index_of:
                 if len(elements) >= cap:
                     raise CapExceededError(
-                        f"closure exceeded the {cap}-element cap")
+                        f"closure has more than {cap} elements, the table cap")
                 index_of[key] = len(elements)
                 elements.append(y)
-    n = len(elements)
-    if n > table_cap():
-        raise CapExceededError(
-            f"closure has {n} elements, above the table cap {table_cap()}")
     images = np.stack(elements)
     mul = perm_table(images)
     gen_indices = [index_of[g.tobytes()] for g in gens]

@@ -277,7 +277,6 @@ class RegularSubgroup:
 
     base: FiniteGroup          # the set X acted on, with its own group law
     members: np.ndarray        # (|X|, |X|) permutation rows, sorted canonically
-    ambient: str               # "perm" or "holomorph"
     iso_label: str | None = None
 
     def __post_init__(self):
@@ -363,7 +362,7 @@ def dual_regular_subgroup(D: RegularSubgroup) -> RegularSubgroup:
     by_eval[members[:, 0]] = np.arange(n)
     DX = members[by_eval]        # DX[x] = the member with DX[x][0] == x
     dual_members = DX[:, members[:, 0]].T.copy()
-    dual = RegularSubgroup(D.base, dual_members, ambient="perm")
+    dual = RegularSubgroup(D.base, dual_members)
     if not is_subgroup_of_perms(dual.members):
         raise EngineError("centralizer transport did not produce a subgroup")
     for d in members:
@@ -571,8 +570,8 @@ def regular_subgroups_in_holomorph(
     subgroups = close_under_aut(hol, found) if collect_subgroups else []
     if collect_subgroups and len(subgroups) != pair_count // aut_g.order:
         raise EngineError("collected subgroup count disagrees with the pair count")
-    samples = [RegularSubgroup(N, hol.pair_perm(np.divmod(codes, hol.aut.order)),
-                               ambient="holomorph") for codes in subgroups]
+    samples = [RegularSubgroup(N, hol.pair_perm(np.divmod(codes, hol.aut.order)))
+               for codes in subgroups]
     return RegularSubgroupCount(pair_count, pair_count // aut_g.order, samples,
                                 sum(size for _, size in orbits), len(reps))
 

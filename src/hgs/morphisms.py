@@ -207,24 +207,9 @@ def _hom_candidates(S: FiniteGroup, T: FiniteGroup) -> list[list[int]]:
     return out
 
 
-def enumerate_homomorphisms(
-    S: FiniteGroup,
-    T: FiniteGroup,
-    *,
-    kernel_filter: Optional[Subgroup] = None,
-) -> Iterator[Homomorphism]:
-    """Every homomorphism S -> T exactly once, in a deterministic order.
-
-    An optional filter keeps only maps with the given kernel; it is applied
-    after verification.
-    """
-    if kernel_filter is not None and kernel_filter.parent is not S:
-        raise GroupError("kernel_filter must be a subgroup of the source")
+def enumerate_homomorphisms(S: FiniteGroup, T: FiniteGroup) -> Iterator[Homomorphism]:
+    """Every homomorphism S -> T exactly once, in a deterministic order."""
     for img in _search.iter_hom_images(S, T, _hom_candidates(S, T)):
-        if kernel_filter is not None:
-            ker = np.flatnonzero(img == 0)
-            if not np.array_equal(ker, kernel_filter.members):
-                continue
         yield Homomorphism(S, T, img, _checked=True)
 
 

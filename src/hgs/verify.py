@@ -8,10 +8,11 @@ Suites:
 * ``paper-120``  — the order-120 triple agreement: e(S5, S5) = 32 and
                    e(S5, A5 x C2) = 20 along every implemented route.
 * ``paper-720``  — the order-720 table for G in {S6, PGL(2,9), M10}: the
-                   self-type and product-type formula values, all 18
-                   holomorph counts against the six types N with their row
-                   sums of 224, the SL(2,9) and C720 screening exclusions,
-                   and the Aut(A6) tower labels.
+                   self-type and product-type formula values, the A6 x C2
+                   column by fixed-point-free pairs, all 18 holomorph
+                   counts against the six types N with their row sums of
+                   224, the SL(2,9) and C720 screening exclusions, and the
+                   Aut(A6) tower labels.
 * ``lemmas``     — the structural property sweep (crossed-homomorphism laws,
                    normalizer identity, duality, exactly-one normalization,
                    socle facts, fixed points of simple-group automorphisms).
@@ -199,6 +200,10 @@ def _suite_paper_720(s: _Suite) -> None:
                 lambda g=g: self_type_checked(g))
         s.check(f"e({g},A6xC2) by product-type formula", _E_720[g, "A6xC2"],
                 lambda g=g: count_product_type(_group_720(g), g_label=g).value)
+        s.check(f"e({g},A6xC2) by fixed-point-free pairs", _E_720[g, "A6xC2"],
+                lambda g=g: count_fpf_inner_holomorph(
+                    _group_720(g), _group_720("A6xC2"), g_label=g,
+                    n_label="A6xC2").value)
 
     row_sums = dict.fromkeys(_G_720, 0)
     for (g, n), expected in _E_720.items():

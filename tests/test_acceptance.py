@@ -35,8 +35,9 @@ TYPES_720 = ("S6", "PGL(2,9)", "M10", "A6xC2", "SL(2,9)", "C720")
 
 def test_criterion_1_formula_paths_order_720(paper_720):
     """Self-type and product-type formula values at order 720 (92, 92, 92
-    and 60, 72, 0), every cell of the order-720 table by holomorph
-    enumeration, and each row summing to 224."""
+    and 60, 72, 0), the A6xC2 column again by fixed-point-free pairs, every
+    cell of the order-720 table by holomorph enumeration, and each row
+    summing to 224."""
     for item in paper_720.items:
         assert item.ok, item.line()
     named = {i.name: i.observed for i in paper_720.items}
@@ -45,6 +46,7 @@ def test_criterion_1_formula_paths_order_720(paper_720):
             assert named[f"e({g},{n}) by holomorph enumeration"] == value
         assert named[f"e({g},{g}) by self-type formula"] == 92
         assert named[f"e({g},A6xC2) by product-type formula"] == row[3]
+        assert named[f"e({g},A6xC2) by fixed-point-free pairs"] == row[3]
         assert named[f"e({g},N) summed over the six types by holomorph "
                      f"enumeration"] == sum(row) == 224
 

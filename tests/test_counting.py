@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from hgs.catalog import resolve_spec
@@ -16,7 +17,9 @@ from hgs.counting import (
 )
 from hgs.cli import main
 from hgs.groups import ELEMENT_DTYPE, CapExceededError, GroupError
+from hgs.morphisms import enumerate_homomorphisms
 from hgs.perms import is_permutation, perm_order
+from hgs.screening import classify_group
 
 
 def test_sn_involution_census_matches_brute_enumeration():
@@ -82,6 +85,34 @@ def test_fpf_route_s5(S5, A5xC2):
     r = count_fpf_inner_holomorph(S5, A5xC2)
     assert r.value == 20
     assert "e1=120" in r.notes and "e2=10" in r.notes
+
+
+def _fpf_factors_by_kernel_filter(G, N):
+    """e1 and e2 from the whole of Hom(N, G), each map kept by its kernel
+    after the search: the cyclic factor for e1, the simple factor with the
+    cyclic generator sent outside the socle for e2."""
+    cls_g, cls_n = classify_group(G), classify_group(N)
+    c_members, a_members = cls_n.cyclic_factor.members, cls_n.socle.members
+    eps = int(c_members[1])
+    socle_mask = cls_g.socle.member_mask()
+    e1 = e2 = 0
+    for h in enumerate_homomorphisms(N, G):
+        ker = np.flatnonzero(h.images == 0)
+        if np.array_equal(ker, c_members):
+            e1 += 1
+        elif np.array_equal(ker, a_members) and not socle_mask[h(eps)]:
+            e2 += 1
+    return e1, e2
+
+
+@pytest.mark.parametrize("g, n, e1, e2", [
+    ("S5", "AxCp(A5,2)", 120, 10),
+    ("PGL(2,9)", "AxCp(A6,2)", 1440, 36),
+], ids=["S5", "PGL(2,9)"])
+def test_fpf_factors_equal_the_kernel_filtered_hom_search(g, n, e1, e2):
+    G, N = resolve_spec(g), resolve_spec(n)
+    assert _fpf_factors_by_kernel_filter(G, N) == (e1, e2)
+    assert count_fpf_inner_holomorph(G, N).notes == f"e1={e1} e2={e2}"
 
 
 def test_fpf_rejects_wrong_type_shape(S5):

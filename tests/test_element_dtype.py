@@ -49,8 +49,7 @@ def _element_arrays(G: FiniteGroup) -> dict:
     arrays["crossed g"] = next(crossed_homomorphisms(hol, trivial)).g
     rho = (np.arange(G.order), np.zeros(G.order, dtype=np.int64))  # pairs (x, 1)
     arrays["pair_perm"] = hol.pair_perm(rho)
-    arrays["RegularSubgroup"] = RegularSubgroup(G, hol.pair_perm(rho),
-                                                ambient="holomorph").members
+    arrays["RegularSubgroup"] = RegularSubgroup(G, hol.pair_perm(rho)).members
     return arrays
 
 

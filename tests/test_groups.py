@@ -63,11 +63,12 @@ def test_a5_closure_from_cycle_generators():
     assert center(G).size == 1
 
 
-def test_closure_cap_enforced():
+def test_closure_cap_enforced(monkeypatch):
+    monkeypatch.setenv("HGS_MAX_TABLE", "10")
     a = P.parse_cycles("(0 1 2 3 4)", 5)
     b = P.parse_cycles("(2 3 4)", 5)
     with pytest.raises(CapExceededError):
-        from_perm_gens([a, b], element_cap=10)
+        from_perm_gens([a, b])
 
 
 def test_rejects_non_bijective_generator():

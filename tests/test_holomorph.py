@@ -285,7 +285,7 @@ def test_regular_subgroup_members_are_regular():
 def test_dual_of_lambda_is_rho():
     G = resolve_spec("S3")
     from hgs.holomorph import RegularSubgroup
-    lam = RegularSubgroup(G, lambda_perms(G), ambient="perm")
+    lam = RegularSubgroup(G, lambda_perms(G))
     dual = dual_regular_subgroup(lam)
     assert dual.member_set() == {row.tobytes() for row in rho_perms(G)}
 
@@ -293,7 +293,7 @@ def test_dual_of_lambda_is_rho():
 def test_double_dual_and_abelian_self_dual():
     G = resolve_spec("C6")
     from hgs.holomorph import RegularSubgroup
-    lam = RegularSubgroup(G, lambda_perms(G), ambient="perm")
+    lam = RegularSubgroup(G, lambda_perms(G))
     dual = dual_regular_subgroup(lam)
     assert dual.key() == lam.key()  # abelian: self-dual
     assert dual_regular_subgroup(dual).key() == lam.key()
@@ -302,7 +302,7 @@ def test_double_dual_and_abelian_self_dual():
 def test_normalized_by_lambda_self():
     G = resolve_spec("S3")
     from hgs.holomorph import RegularSubgroup
-    lam = RegularSubgroup(G, lambda_perms(G), ambient="perm")
+    lam = RegularSubgroup(G, lambda_perms(G))
     assert normalized_by(lam, lambda_perms(G, G.gens))
 
 

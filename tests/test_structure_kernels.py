@@ -14,7 +14,6 @@ import pytest
 from hgs.catalog import (
     _det,
     _gl2_elements,
-    _mat_mul,
     _projective_action,
     catalog_aut6_tower,
     from_perm_set,
@@ -188,12 +187,21 @@ def _gl2_elements_by_loop(F):
     return out
 
 
+def _mat_mul_by_entries(F, m1, m2):
+    """The product of two 2x2 matrices (a, b, c, d), entry by entry."""
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    mu, ad = F.mul, F.add
+    return (int(ad[mu[a1, a2], mu[b1, c2]]), int(ad[mu[a1, b2], mu[b1, d2]]),
+            int(ad[mu[c1, a2], mu[d1, c2]]), int(ad[mu[c1, b2], mu[d1, d2]]))
+
+
 def _sl2_table_by_loop(F):
     mats = [m for m in _gl2_elements_by_loop(F) if _det(F, m) == 1]
     mats.remove((1, 0, 0, 1))
     mats = [(1, 0, 0, 1)] + sorted(mats)
     index = {m: i for i, m in enumerate(mats)}
-    return np.array([[index[tuple(int(e) for e in _mat_mul(F, m1, m2))] for m2 in mats]
+    return np.array([[index[_mat_mul_by_entries(F, m1, m2)] for m2 in mats]
                      for m1 in mats])
 
 
