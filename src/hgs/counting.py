@@ -38,7 +38,12 @@ from .holomorph import (
     normalized_by,
     regular_subgroups_in_holomorph,
 )
-from .morphisms import are_isomorphic, automorphism_group, enumerate_homomorphisms
+from .morphisms import (
+    are_isomorphic,
+    automorphism_group,
+    count_injective_homomorphisms,
+    enumerate_homomorphisms,
+)
 from .screening import check_inner_unique_in_aut, classify_group
 
 METHOD_FORMULA_SELF = "formula-self-type"
@@ -198,8 +203,10 @@ def count_fpf_inner_holomorph(G: FiniteGroup, N: FiniteGroup, *,
     and N of matching socle x C_p shape.
 
     Each count is searched on a factor of N alone.  A map with kernel C_p
-    is an injective map A -> G composed with the projection, and a map
-    with kernel A is an injective map C_p -> G.  The image of C_p has prime
+    is an injective map A -> G composed with the projection, counted one
+    image class of A's first generator at a time
+    (``count_injective_homomorphisms``), and a map with kernel A is an
+    injective map C_p -> G.  The image of C_p has prime
     order, so it lies inside the prime-index socle or meets it only in 1:
     one generator's image decides which, and an image outside the socle is
     not the identity, so that map is injective.
@@ -216,7 +223,7 @@ def count_fpf_inner_holomorph(G: FiniteGroup, N: FiniteGroup, *,
     eps = C.gens[0]
     socle_mask = cls_g.socle.member_mask()
 
-    e1 = sum(f.is_injective() for f in enumerate_homomorphisms(cls_n.socle_group, G))
+    e1 = count_injective_homomorphisms(cls_n.socle_group, G)
     e2 = sum(not socle_mask[h(eps)] for h in enumerate_homomorphisms(C, G))
 
     aut_n = automorphism_group(N).order

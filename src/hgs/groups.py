@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +41,10 @@ PERM_INPUT_DEGREE_CAP = 64
 # product of an index with an order is formed in a wide type first.
 ELEMENT_DTYPE = np.int16
 MAX_ORDER = int(np.iinfo(ELEMENT_DTYPE).max) + 1
+
+# the element orders that the power walk of ``_compute_orders_and_inverses``
+# finds step by step; larger ones are found by square-and-multiply
+ORDER_WALK_LIMIT = 32
 
 
 def table_cap() -> int:
@@ -149,15 +153,29 @@ class FiniteGroup:
                     raise GroupError(f"associativity fails with left factor {a}")
 
     def _compute_orders_and_inverses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Element orders and inverses, over the whole element array at once.
+
+        First a walk x, x^2, .. for every x together, up to the power
+        ``ORDER_WALK_LIMIT``: z[i] = x[i]^k is not yet 0, and for x of order
+        m the last power before 0, x^(m-1), is x^-1.  The elements
+        still left (C720 has hundreds, of orders up to 720) are finished by
+        square-and-multiply with exponents from n = |G|: for each prime
+        power p^a exactly dividing n, y = x^(n/p^a) has order the p-part of
+        ord(x), which is p^c for the fewest c raisings of y to the p that
+        reach 1; the order is the product of those parts, and the inverse
+        is x^(n-1).  Both are what the walk would give, because x^n = 1 in
+        a group of order n.  A table that is not a group may have no such
+        n: a y that is not 1 after a raisings, an order the walk should
+        have reached, or an inverse that is not one, raise, as the walk
+        does once it passes n.
+        """
         n, mul = self.order, self.mul
         orders = np.ones(n, dtype=np.int64)  # an order, not an index: n may not fit
         inv = np.zeros(n, dtype=ELEMENT_DTYPE)
-        # walk x, x^2, ... for every x at once; z[i] = x[i]^k is not yet 0,
-        # and for x of order m the last power before 0, x^(m-1), is x^-1
         x = np.arange(1, n)
         z = x
         k = 1
-        while len(x):
+        while len(x) and k < ORDER_WALK_LIMIT:
             if k >= n:  # an element of a group of order n has x^n = 1
                 raise GroupError("element has no finite order")
             last = z
@@ -167,6 +185,20 @@ class FiniteGroup:
             orders[x[done]] = k
             inv[x[done]] = last[done]
             x, z = x[~done], z[~done]
+        if len(x):
+            order = np.ones(len(x), dtype=np.int64)
+            for p, a in _prime_powers(n):
+                y = _powers(mul, x, n // p ** a)
+                for _ in range(a):
+                    order[y != 0] *= p
+                    y = _powers(mul, y, p)
+                if y.any():
+                    raise GroupError("element has no finite order")
+            x_inv = _powers(mul, x, n - 1)
+            if (order <= ORDER_WALK_LIMIT).any() or mul[x_inv, x].any():
+                raise GroupError("element has no finite order")
+            orders[x] = order
+            inv[x] = x_inv
         return orders, inv
 
     def _greedy_generators(self) -> list[int]:
@@ -188,25 +220,14 @@ class FiniteGroup:
         """Classes as sorted index arrays; class 0 is the identity class.
 
         Conjugation by the generators generates conjugation by G, so the
-        class of x is its orbit under the k maps x -> g x g^-1, one row each.
-        Every element's label starts as itself and is pulled down along those
-        rows, with pointer jumping (least = least[least]) in between, until
-        every row maps each label to itself: each label is then its class's
-        least member, at O(n k) per round.  Classes are numbered by that
+        class of x is its orbit under conjugation by them
+        (``conjugation_orbit_least``).  Classes are numbered by their least
         member.
         """
         if "classes" in self._cache:
             return self._cache["classes"]
-        n, mul = self.order, self.mul
-        g = np.asarray(self.gens, dtype=np.intp)
-        conj = mul[mul[g], self.inv[g][:, None]]
-        least = np.arange(n)
-        while True:
-            for row in conj:
-                least = np.minimum(least, least[row])
-            least = least[least]
-            if (least[conj] == least).all():  # constant on every class
-                break
+        n = self.order
+        least = conjugation_orbit_least(self, self.gens)
         is_least = least == np.arange(n)
         cls_id = (np.cumsum(is_least, dtype=np.int64) - 1)[least]
         by_class = np.argsort(cls_id, kind="stable")
@@ -247,20 +268,23 @@ class Subgroup:
     generator is its least member not yet reached, and the set is a
     subgroup exactly when the closure of these generators is the set.
     That costs O(|S| k) for k generators rather than the |S|^2 products
-    of S.
+    of S.  Callers that have just built the set as a closure pass
+    ``_checked=True`` and skip that check.
     """
 
     parent: FiniteGroup
     members: np.ndarray  # sorted int64
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked: bool):
         members = sorted_distinct(np.asarray(self.members, dtype=np.int64))
         object.__setattr__(self, "members", _readonly(members))
         if len(members) == 0 or members[0] != 0:
             raise GroupError("subgroup must contain the identity")
-        mask = self.member_mask()
-        if not np.array_equal(_greedy_closure(self.parent.mul, mask)[1], mask):
-            raise GroupError("subgroup members are not closed under multiplication")
+        if not _checked:
+            mask = self.member_mask()
+            if not np.array_equal(_greedy_closure(self.parent.mul, mask)[1], mask):
+                raise GroupError("subgroup members are not closed under multiplication")
         if self.parent.order % len(members) != 0:
             raise GroupError("subgroup size does not divide the group order")
 
@@ -301,7 +325,57 @@ class Subgroup:
         return H, members.copy()
 
 
+def conjugation_orbit_least(G: FiniteGroup, by: Sequence[int]) -> np.ndarray:
+    """least[x]: the least member of the orbit of x under conjugation by
+    the subgroup that the elements ``by`` generate.
+
+    That orbit is the orbit under the k maps x -> g x g^-1, g in ``by``,
+    one row each.  Every element's label starts as itself and is pulled
+    down along those rows, with pointer jumping (least = least[least]) in
+    between, until every row maps each label to itself: each label is then
+    its orbit's least member, at O(n k) per round.
+    """
+    g = np.asarray(by, dtype=np.intp)
+    conj = G.mul[G.mul[g], G.inv[g][:, None]]
+    least = np.arange(G.order)
+    while True:
+        for row in conj:
+            least = np.minimum(least, least[row])
+        least = least[least]
+        if (least[conj] == least).all():  # constant on every orbit
+            return least
+
+
 # -- construction ------------------------------------------------------------
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, a) for each prime power p^a exactly dividing n."""
+    out = []
+    p = 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        if a:
+            out.append((p, a))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _powers(mul: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
+    """x^e for every entry of x, by square-and-multiply on the table."""
+    result = np.zeros(len(x), dtype=mul.dtype)
+    while e:
+        if e & 1:
+            result = mul[result, x]
+        e >>= 1
+        if e:
+            x = mul[x, x]
+    return result
 
 
 def _grow_closure(mul: np.ndarray, reached: np.ndarray, gens: list[int], g: int) -> None:
@@ -318,6 +392,8 @@ def _grow_closure(mul: np.ndarray, reached: np.ndarray, gens: list[int], g: int)
     powers = []
     p = g
     while not reached[p]:
+        if len(powers) == len(mul):  # a table that is not a group
+            raise GroupError("element has no finite order")
         powers.append(p)
         p = int(mul[p, g])
     by = np.asarray(gens, dtype=np.intp)
@@ -411,9 +487,19 @@ def perm_table(images: np.ndarray) -> np.ndarray:
     identity row must come first.  Rows are told apart by their images on
     a base, a set of points chosen greedily until those images differ.
     Only the rows of a greedy generating set are looked up, in one sorted
-    search each; every other row is composed from known ones, since
-    x = h p gives mul[x] = mul[h][mul[p]].  A looked-up row that misses the
-    set raises, and every composed row is then in the set too.
+    search each: each generator is the first row not yet reached.  A
+    looked-up row that misses the set raises, and every composed row is
+    then in the set too.
+
+    Every other row is composed from known ones, since x = h p gives
+    mul[x] = mul[h][mul[p]] for a generator h.  After each lookup the rows
+    reached from the new generator are filled one breadth-first level at
+    a time: per level and generator, the level's rows p give their new
+    products x = h p in one gather, and all of those rows in one more
+    (``_compose_rows``).  Left multiplication by h is a bijection, so one
+    generator meets each new x once, and a row already reached is not
+    filled again.  The row of x is the same whichever parent p reaches it,
+    so the table does not depend on the fill order.
     """
     n = len(images)
     if n > MAX_ORDER:
@@ -440,25 +526,42 @@ def perm_table(images: np.ndarray) -> np.ndarray:
     mul[0] = np.arange(n)
     known = np.zeros(n, dtype=bool)
     known[0] = True
-    queue = [0]
     gens: list[int] = []
-    while len(queue) < n:
+    while not known.all():
         g = int(np.argmin(known))  # the first row not yet reached
         composed = images[g][on_base]
         mul[g] = order[np.minimum(np.searchsorted(sorted_keys, _row_keys(composed)), n - 1)]
         if not np.array_equal(on_base[mul[g]], composed):
             raise GroupError("permutation rows are not closed under composition")
         known[g] = True
-        queue.append(g)
         gens.append(g)
-        for p in queue:  # grows while it is walked
+        # the words w g reach every element of the group the gens generate
+        level = np.array([g], dtype=np.intp)
+        while len(level):
+            reached = []
             for h in gens:
-                x = mul[h, p]
-                if not known[x]:
-                    known[x] = True
-                    mul[x] = mul[h][mul[p]]
-                    queue.append(x)
+                x = mul[h, level]
+                new = ~known[x]
+                x, parents = x[new], level[new]
+                known[x] = True
+                _compose_rows(mul, h, x, parents)
+                reached.append(x)
+            level = np.concatenate(reached).astype(np.intp)
     return mul
+
+
+def _compose_rows(mul: np.ndarray, h: int, xs: np.ndarray, parents: np.ndarray) -> None:
+    """mul[x] = mul[h][mul[p]] for each x = h p and its parent p.
+
+    Rows are gathered a block at a time, about ``_search.CERTIFICATE_BLOCK``
+    index entries each: numpy widens an int16 index block to intp, so the
+    temporaries stay near half a megabyte however many rows a level holds.
+    """
+    rows = max(1, _search.CERTIFICATE_BLOCK // len(mul))
+    left = mul[h]
+    for i in range(0, len(xs), rows):
+        # np.take gathers about twice as fast as the subscript left[...]
+        mul[xs[i:i + rows]] = np.take(left, mul[parents[i:i + rows]])
 
 
 def from_mul_table(table, *, name: str | None = None, validate: bool = True) -> FiniteGroup:
@@ -542,7 +645,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) -
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the seed elements."""
     members = _closure_indices(G.mul, list(seed) + [0])
-    return Subgroup(G, members)
+    return Subgroup(G, members, _checked=True)
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -583,7 +686,7 @@ def center(G: FiniteGroup) -> Subgroup:
     comparing row and column on the generator columns only."""
     g = np.asarray(G.gens, dtype=np.intp)
     central = np.flatnonzero(np.all(G.mul[:, g] == G.mul[g].T, axis=1))
-    return Subgroup(G, central)
+    return Subgroup(G, central, _checked=True)
 
 
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:
@@ -683,7 +786,8 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
             if key not in found:
                 found[key] = joined
                 frontier.append(joined)
-    subs = [Subgroup(G, m) for m in sorted(found.values(), key=lambda m: (len(m), m.tolist()))]
+    subs = [Subgroup(G, m, _checked=True)
+            for m in sorted(found.values(), key=lambda m: (len(m), m.tolist()))]
     if not all(s.is_normal() for s in subs):
         raise EngineError("a union of conjugacy classes closed to a non-normal subgroup")
     G._cache["normal_subgroups"] = subs

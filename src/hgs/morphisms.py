@@ -16,11 +16,13 @@ from .groups import (
     GroupError,
     Subgroup,
     center,
+    conjugation_orbit_least,
     fingerprint,
     perm_table,
     row_sort_order,
     sorted_distinct,
     table_cap,
+    _greedy_closure,
     _readonly,
 )
 
@@ -124,6 +126,12 @@ def _iso_candidates(G: FiniteGroup, H: FiniteGroup) -> Optional[list[list[int]]]
     return out
 
 
+def _first_per_label(candidates: list[int], labels: np.ndarray) -> list[int]:
+    """The first candidate of each label, in the candidates' order."""
+    first = np.unique(labels[candidates], return_index=True)[1]
+    return [candidates[i] for i in sorted(first)]
+
+
 def class_cut(T: FiniteGroup, candidates: list[list[int]]) -> list[list[int]]:
     """Keep, for the first generator, the first candidate of each class of T.
 
@@ -135,8 +143,29 @@ def class_cut(T: FiniteGroup, candidates: list[list[int]]) -> list[list[int]]:
     """
     if not candidates:  # the trivial source has no generators
         return candidates
-    first = np.unique(T.class_index()[candidates[0]], return_index=True)[1]
-    return [[candidates[0][i] for i in sorted(first)]] + candidates[1:]
+    return [_first_per_label(candidates[0], T.class_index())] + candidates[1:]
+
+
+def _inn_branches(G: FiniteGroup, candidates: list[list[int]]) -> list[list[list[int]]]:
+    """One automorphism search branch per kept first-generator image r.
+
+    Branch r fixes g1 -> r and keeps, for the second generator, the first
+    candidate in each orbit of the centralizer C_G(r) acting by
+    conjugation.  Conjugation by z in C_G(r) fixes r, so it moves a map
+    with g1 -> r, g2 -> s to one with g1 -> r, g2 -> z s z^-1 in the same
+    Inn(G)-coset: each coset that meets g1 -> r still meets the branch.
+    The second list is a union of classes of G, so it holds the whole
+    orbit of each of its candidates.  With one generator there is nothing
+    to cut.
+    """
+    if len(candidates) < 2:
+        return [candidates]
+    branches = []
+    for r in candidates[0]:
+        centralizer_gens, _ = _greedy_closure(G.mul, G.mul[r] == G.mul[:, r])
+        least = conjugation_orbit_least(G, centralizer_gens)
+        branches.append([[r], _first_per_label(candidates[1], least), *candidates[2:]])
+    return branches
 
 
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
@@ -145,13 +174,20 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     Inn(G) is built directly by conjugation.  Every automorphism psi sends
     the first effective generator g1 into the conjugacy class of some class
     representative r, say psi(g1) = h r h^-1; then c_h^-1 . psi sends g1 to
-    r.  So one staged search with g1 restricted to one representative per
-    class finds a map in every coset Inn(G) . psi, and each coset not yet
-    covered is added whole.  For abelian G the classes are singletons and
-    this is the plain search.
+    r.  Among the maps with g1 -> r, conjugation by the centralizer C_G(r)
+    moves the second generator's image within its C_G(r)-orbit and stays
+    in the coset.  So one staged search per kept r, with g2 restricted to
+    one candidate per C_G(r)-orbit (``_inn_branches``), finds a map in
+    every coset Inn(G) . psi; each coset not yet covered is added whole.
+    When two generators generate G, each coset is met once per branch: a
+    map that also fixes g2's image differs by conjugation with a central
+    element, which is the same map.  For abelian G the classes and orbits
+    are singletons and this is the plain search.
 
-    Carrier order: identity first, the rest by image-sequence order.  All
-    rows pass the generator certificate before the carrier is built.
+    Carrier order: identity first, the rest by image-sequence order, which
+    depends on the set of automorphisms alone and not on which coset
+    representatives the search met.  All rows pass the generator
+    certificate before the carrier is built.
     """
     if "aut" in G._cache:
         return G._cache["aut"]
@@ -165,11 +201,12 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     candidates = class_cut(G, _iso_candidates(G, G))
     coset_reps = []
     covered: set[tuple[int, ...]] = set()
-    for phi in _search.iter_hom_images(G, G, candidates, bijective=True):
-        if tuple(phi[gen_idx].tolist()) not in covered:
-            # the coset Inn(G) . phi, on the generators
-            covered.update(map(tuple, inn[:, phi[gen_idx]].tolist()))
-            coset_reps.append(phi)
+    for branch in _inn_branches(G, candidates):
+        for phi in _search.iter_hom_images(G, G, branch, bijective=True):
+            if tuple(phi[gen_idx].tolist()) not in covered:
+                # the coset Inn(G) . phi, on the generators
+                covered.update(map(tuple, inn[:, phi[gen_idx]].tolist()))
+                coset_reps.append(phi)
     if not coset_reps:
         raise GroupError("automorphism search lost the identity map")
     perms = inn[:, np.stack(coset_reps)].reshape(-1, G.order)
@@ -211,6 +248,25 @@ def enumerate_homomorphisms(S: FiniteGroup, T: FiniteGroup) -> Iterator[Homomorp
     """Every homomorphism S -> T exactly once, in a deterministic order."""
     for img in _search.iter_hom_images(S, T, _hom_candidates(S, T)):
         yield Homomorphism(S, T, img, _checked=True)
+
+
+def count_injective_homomorphisms(S: FiniteGroup, T: FiniteGroup) -> int:
+    """The number of injective homomorphisms S -> T.
+
+    The search keeps no value twice, so it meets only injective maps, and
+    it tries one first-generator image r per conjugacy class of T
+    (``class_cut``).  Post-composition with conjugation by h is a
+    bijection from the maps with g1 -> r onto those with g1 -> h r h^-1,
+    and it keeps injectivity, so each map found stands for the size of
+    the class of r.
+    """
+    gens = _search.stage_data(S).gens
+    if not gens:  # the trivial source: its one map is injective
+        return 1
+    sizes = T.class_sizes_by_element()
+    candidates = class_cut(T, _hom_candidates(S, T))
+    return sum(int(sizes[img[gens[0]]])
+               for img in _search.iter_hom_images(S, T, candidates, bijective=True))
 
 
 def fixed_points(phi: Homomorphism, psi: Homomorphism) -> np.ndarray:

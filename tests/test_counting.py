@@ -107,8 +107,10 @@ def _fpf_factors_by_kernel_filter(G, N):
 
 @pytest.mark.parametrize("g, n, e1, e2", [
     ("S5", "AxCp(A5,2)", 120, 10),
+    ("S6", "AxCp(A6,2)", 1440, 30),
     ("PGL(2,9)", "AxCp(A6,2)", 1440, 36),
-], ids=["S5", "PGL(2,9)"])
+    ("M10", "AxCp(A6,2)", 1440, 0),
+], ids=["S5", "S6", "PGL(2,9)", "M10"])
 def test_fpf_factors_equal_the_kernel_filtered_hom_search(g, n, e1, e2):
     G, N = resolve_spec(g), resolve_spec(n)
     assert _fpf_factors_by_kernel_filter(G, N) == (e1, e2)

@@ -7,20 +7,23 @@ from hgs import _search
 from hgs.catalog import cyclic, resolve_spec
 from hgs.groups import (
     CapExceededError,
+    FiniteGroup,
     GroupError,
     direct_product,
     from_mul_table,
-    perm_table,
 )
 from hgs.morphisms import (
     Homomorphism,
     _iso_candidates,
     are_isomorphic,
     automorphism_group,
+    count_injective_homomorphisms,
     enumerate_homomorphisms,
     fixed_points,
     is_fixed_point_free,
 )
+
+from test_structure_kernels import _perm_table_by_rows
 
 
 def test_homomorphism_rejects_non_multiplicative(S5):
@@ -191,9 +194,43 @@ def test_inn_reduced_aut_equals_exhaustive_search(spec):
     aut = automorphism_group(G)
     perms, index, inner = _exhaustive_aut(G)
     assert np.array_equal(aut.perms, perms)
-    assert np.array_equal(aut.carrier.mul, perm_table(perms))
+    assert np.array_equal(aut.carrier.mul, _perm_table_by_rows(perms))
     assert aut.inner.members.tolist() == inner
     assert aut._index == index
+
+
+@pytest.mark.parametrize("s, t", [
+    ("C1", "S3"), ("C2", "V4"), ("C4", "D4"), ("V4", "S4"), ("S3", "S4"),
+    ("Q8", "SL(2,3)"), ("C6", "AxCp(A5,2)"), ("A4", "S5"), ("A5", "S5"),
+])
+def test_injective_count_equals_the_filtered_hom_search(s, t):
+    S, T = resolve_spec(s), resolve_spec(t)
+    want = sum(f.is_injective() for f in enumerate_homomorphisms(S, T))
+    assert count_injective_homomorphisms(S, T) == want
+
+
+@pytest.mark.parametrize("spec, out_order", [
+    ("A5", 2), ("S5", 1), ("A6", 4), ("S6", 2), ("PGL(2,9)", 2), ("M10", 2),
+])
+def test_aut_search_emits_one_map_per_outer_class(spec, out_order, monkeypatch):
+    # each branch fixes g1 -> r and one g2 image per C_G(r)-orbit, so two
+    # maps of one branch in one Inn(G)-coset differ by conjugation with an
+    # element that centralizes both images; in these groups only 1 does,
+    # so the search emits one map per coset
+    G = resolve_spec(spec)
+    G = FiniteGroup(G.mul, gens=G.gens, validate=False)  # nothing cached
+    emitted = []
+    search = _search.iter_hom_images
+
+    def counted(*args, **kwargs):
+        for img in search(*args, **kwargs):
+            emitted.append(img)
+            yield img
+
+    monkeypatch.setattr(_search, "iter_hom_images", counted)
+    aut = automorphism_group(G)
+    assert aut.out_order() == out_order
+    assert len(emitted) == out_order
 
 
 @pytest.mark.parametrize("spec,digest", [

@@ -2,11 +2,14 @@
 
 Each reference below is an older form of a kernel: a per-element loop (one
 ``np.unique`` per row, column, element or closure round, or one Python step
-per element or point), or a whole-table pass where the kernel now works from
-the generators alone.  The kernels must give the same arrays, in the same
-order, and raise the same errors, on every catalog group up to order 720, on
-Aut(A6) where the reference is cheap enough, and on relabelled copies.
+per element, point or table row), or a whole-table pass where the kernel now
+works from the generators alone.  The kernels must give the same arrays, in
+the same order, and raise the same errors, on every catalog group up to
+order 720, on Aut(A6) where the reference is cheap enough, on the order-1440
+Aut carriers of the order-720 groups, and on relabelled copies.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,19 +26,24 @@ from hgs.catalog import (
 from hgs.fields import gf
 from hgs.groups import (
     ELEMENT_DTYPE,
+    MAX_ORDER,
+    ORDER_WALK_LIMIT,
+    CapExceededError,
     FiniteGroup,
     GroupError,
     Subgroup,
     _closure_indices,
+    _row_keys,
     center,
     commutator_subgroup,
     fingerprint,
     from_mul_table,
     normal_subgroups,
+    perm_table,
     sorted_distinct,
     subgroup_closure,
 )
-from hgs.morphisms import Homomorphism
+from hgs.morphisms import Homomorphism, automorphism_group
 from hgs.perms import is_permutation
 
 SPECS = ["C4", "V4", "C6", "S3", "C8", "C4xC2", "C2xC2xC2", "D4", "Q8",
@@ -85,14 +93,65 @@ def _validation_message(mul):
 
 
 def _orders_by_walk(mul):
+    """Each element's order and inverse by the unbounded walk x, x^2, ..:
+    the last power before 1 is the inverse."""
     orders = np.zeros(len(mul), dtype=np.int32)
+    inverses = np.zeros(len(mul), dtype=np.int32)
     for x in range(len(mul)):
-        z, k = x, 1
+        last, z, k = 0, x, 1
         while z != 0:
-            z = int(mul[z, x])
+            last, z = z, int(mul[z, x])
             k += 1
-        orders[x] = k
-    return orders
+        orders[x], inverses[x] = k, last
+    return orders, inverses
+
+
+def _perm_table_by_rows(images):
+    """perm_table with every composed row filled one at a time from a queue."""
+    n = len(images)
+    if n > MAX_ORDER:
+        raise CapExceededError(f"{n} permutation rows are more than the "
+                               f"{MAX_ORDER} that indices can number")
+    images = np.ascontiguousarray(images, dtype=ELEMENT_DTYPE)
+    if not np.array_equal(images[0], np.arange(images.shape[1])):
+        raise GroupError("the identity row must come first")
+    base: list[int] = []
+    seen = 0
+    for p in range(images.shape[1]):
+        if seen == n:
+            break
+        distinct = len(sorted_distinct(images[:, base + [p]]))
+        if distinct > seen:
+            base.append(p)
+            seen = distinct
+    if seen != n:
+        raise GroupError("permutation rows are not distinct")
+    on_base = np.ascontiguousarray(images[:, base])
+    order = np.argsort(_row_keys(on_base))
+    sorted_keys = _row_keys(on_base[order])
+    mul = np.empty((n, n), dtype=ELEMENT_DTYPE)
+    mul[0] = np.arange(n)
+    known = np.zeros(n, dtype=bool)
+    known[0] = True
+    queue = [0]
+    gens: list[int] = []
+    while len(queue) < n:
+        g = int(np.argmin(known))  # the first row not yet reached
+        composed = images[g][on_base]
+        mul[g] = order[np.minimum(np.searchsorted(sorted_keys, _row_keys(composed)), n - 1)]
+        if not np.array_equal(on_base[mul[g]], composed):
+            raise GroupError("permutation rows are not closed under composition")
+        known[g] = True
+        queue.append(g)
+        gens.append(g)
+        for p in queue:  # grows while it is walked
+            for h in gens:
+                x = mul[h, p]
+                if not known[x]:
+                    known[x] = True
+                    mul[x] = mul[h][mul[p]]
+                    queue.append(x)
+    return mul
 
 
 def _classes_by_unique(G):
@@ -275,8 +334,48 @@ def _kernel_validation_message(mul):
 
 def test_element_orders_equal_the_per_element_walk(catalog_groups):
     for label, G in catalog_groups.items():
-        assert np.array_equal(G.elt_order, _orders_by_walk(G.mul)), label
+        orders, inverses = _orders_by_walk(G.mul)
+        assert np.array_equal(G.elt_order, orders), label
+        assert np.array_equal(G.inv, inverses), label
         assert G.elt_order.dtype == np.int64  # an order, not an index: n may not fit
+    # C720 has an element of every order dividing 720, most past the walk
+    assert catalog_groups["C720"].elt_order.max() > ORDER_WALK_LIMIT
+
+
+def test_a_prime_order_past_the_walk_limit_equals_the_unbounded_walk():
+    G = resolve_spec("C997")  # one prime order, far past the walk
+    orders, inverses = _orders_by_walk(G.mul)
+    assert orders.max() == 997 > ORDER_WALK_LIMIT
+    assert np.array_equal(G.elt_order, orders)
+    assert np.array_equal(G.inv, inverses)
+
+
+def test_perm_table_equals_the_per_row_fill(catalog_groups):
+    tested = 0
+    for label, G in catalog_groups.items():
+        if G.perm_rep is not None:
+            got = perm_table(G.perm_rep.images)
+            assert got.dtype == ELEMENT_DTYPE
+            assert np.array_equal(got, _perm_table_by_rows(G.perm_rep.images)), label
+            tested += 1
+    assert tested >= 6  # S3, D4, S5, A6, S6 and PGL(2,9)
+    for spec in ("A6", "S6", "PGL(2,9)", "M10"):
+        perms = automorphism_group(resolve_spec(spec)).perms
+        assert np.array_equal(perm_table(perms), _perm_table_by_rows(perms)), spec
+
+
+def test_perm_table_peak_is_the_table_and_a_little_more():
+    # the gathers go a block of rows at a time: one unblocked BFS level of
+    # hundreds of rows would widen to intp and pass the bound many times over
+    perms = automorphism_group(resolve_spec("PGL(2,9)")).perms
+    table_bytes = len(perms) ** 2 * np.dtype(ELEMENT_DTYPE).itemsize  # 4.1 MB
+    tracemalloc.start()
+    try:
+        perm_table(perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table_bytes + 2 * 2 ** 20
 
 
 def test_conjugacy_classes_equal_the_per_element_unique(catalog_groups):
@@ -494,3 +593,41 @@ def test_element_without_finite_order_raises():
     # 1 -> 1*1 = 2 -> 2*1 = 1 -> ... never reaches the identity
     with pytest.raises(GroupError, match="element has no finite order"):
         from_mul_table(TWISTED_C3, validate=False)
+
+
+@pytest.mark.parametrize("entry, value", [((1, 1), 1), ((2, 1), 1)],
+                         ids=["1*1=1", "2*1=1"])
+def test_element_without_finite_order_past_the_walk_limit_raises(entry, value):
+    # C40 with one entry changed: the powers of 1 never reach the identity,
+    # and 40 > ORDER_WALK_LIMIT leaves 1 to the square-and-multiply stage.
+    # With 1*1 = 1 no power of 1 is ever 1; with 2*1 = 1 the squares still
+    # run as in C40, and the stepwise powers 1, 2, 1, .. are met when the
+    # greedy generators close <1>
+    n = 40
+    table = (np.arange(n)[:, None] + np.arange(n)) % n
+    table[entry] = value
+    assert n > ORDER_WALK_LIMIT
+    with pytest.raises(GroupError, match="element has no finite order"):
+        from_mul_table(table, validate=False)
+
+
+# -- closures built as subgroups skip the membership check ------------------------
+
+
+def test_built_subgroups_equal_the_verifying_constructor(catalog_groups):
+    rng = np.random.default_rng(13)
+    for label, G in catalog_groups.items():
+        built = [center(G), subgroup_closure(G, rng.integers(0, G.order, 2).tolist()),
+                 *normal_subgroups(G)]
+        for H in built:
+            assert np.array_equal(Subgroup(G, H.members).members, H.members), label
+
+
+def test_an_unclosed_set_still_raises(catalog_groups):
+    for label, G in catalog_groups.items():
+        if G.order < 4:
+            continue
+        x = int(np.argmax(G.elt_order))  # {1, x} is closed only when x^2 = 1
+        if G.elt_order[x] > 2:
+            with pytest.raises(GroupError, match="not closed"):
+                Subgroup(G, [0, x])
