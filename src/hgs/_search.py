@@ -2,29 +2,32 @@
 
 The engine searches for maps m: S -> T with m(1) = 1 and
 
-    m(s * w) = T_k[m(s)][m(w)]        for the k-th effective generator s,
+    m(s * w) = T_k[m(s)][m(w)]        for the k-th generator s of S,
 
 where T_k is a product table on T supplied per generator.  Homomorphisms
 use T's own table for every k; crossed homomorphisms for f use the twisted
-table T_k[a][b] = a * f(s)(b).  The engine fixes images for one generator at
+table T_k[a][b] = a * f(s)(b).  The generators are ``S.gens``, which are
+effective (``FiniteGroup``).  The engine fixes images for one generator at
 a time.  After each assignment it extends the candidate map along the
 left-factorization word tree of the subgroup generated so far
 (element = gen * parent).  Each generator-against-element product that the
 tree does not cover is checked right after the node that gives the second
 of its two elements an image (elements of earlier stages have theirs from
 the start), so a bad branch dies on its first decidable violated product,
-usually long before the stage is filled.  Table rows become Python lists
-the first time a generator image selects them, once per search.
+usually long before the stage is filled.  The tree is kept only as that
+fill program (``StageData``), built when a search first runs on S.  Table
+rows become Python lists the first time a generator image selects them,
+once per search.
 
 Callers certify every total assignment before emitting it, in O(n * |gens|)
 rather than n^2 steps: ``generator_certificate`` checks
-m(s * w) = m(s) * m(w) for every effective generator s and every w.  That is
+m(s * w) = m(s) * m(w) for every generator s and every w.  That is
 sufficient.  The set of x with m(x * w) = m(x) * m(w) for all w is closed
-under products, and it contains the effective generators, which generate S
-(``StageData`` raises otherwise); in a finite group that makes it all of S.
-A stack of maps (Aut(G) certifies all its rows at once) is certified block
-by block, so a stack of any height needs about a megabyte of temporaries.
-The crossed relation has the same certificate on the twisted tables
+under products, and it contains the generators, which generate S (checked
+when S is built); in a finite group that makes it all of S.  A stack of
+maps (Aut(G) certifies all its rows at once) is certified block by block,
+so a stack of any height needs about a megabyte of temporaries.  The
+crossed relation has the same certificate on the twisted tables
 (``holomorph.crossed_relation_holds``).
 """
 
@@ -36,33 +39,29 @@ import numpy as np
 
 
 class StageData:
-    """Word-tree stages for a fixed group and effective generator chain.
+    """The fill program of the word tree, one stage per generator.
 
-    ``nodes[k]`` lists (element, gi, parent) with element = gens[gi] * parent
-    for the elements first reached at stage k; ``nodes[k][0]`` is gens[k]
-    itself.  ``due[k][i]`` lists the checks (gi, w, gens[gi] * w), for the
-    products that the tree does not cover, whose two elements both have
-    images once node i is filled.
+    Stage k gives gens[k] its image, runs the checks ``first[k]`` and then
+    the steps of ``fill[k]``, in the tree's breadth-first order.  A check
+    (gi, w, gens[gi] * w) is a product that the tree does not cover; a
+    step (e, gi, par, checks) gives e = gens[gi] * par its image and then
+    runs the checks whose two elements both have images from that step on.
+    ``first[k]`` holds the checks decidable as soon as gens[k] has one.
     """
 
-    __slots__ = ("gens", "nodes", "due", "stage_sizes", "order", "_fill",
-                 "gen_index", "gen_rows")
+    __slots__ = ("gens", "order", "dtype", "first", "fill")
 
     def __init__(self, mul: np.ndarray, gens: Sequence[int]):
-        n = mul.shape[0]
-        self.order = n
+        self.order = n = len(mul)
+        self.dtype = mul.dtype
+        self.gens = [int(g) for g in gens]
+        self.first, self.fill = [], []
         member_list: list[int] = [0]
         member_set = {0}
-        eff_gens: list[int] = []
         gen_rows: list[list[int]] = []
-        self.nodes: list[list[tuple[int, int, int]]] = []
-        self.due: list[list[list[tuple[int, int, int]]]] = []
-        self.stage_sizes: list[int] = []
-        for g in gens:
+        for k, g in enumerate(self.gens):
             if g in member_set:
-                continue  # redundant generator: its image is forced anyway
-            k = len(eff_gens)
-            eff_gens.append(int(g))
+                raise ValueError("a generator lies in the subgroup of the earlier ones")
             gen_rows.append(mul[g].tolist())
             prev_count = len(member_list)
             nodes: list[tuple[int, int, int]] = []
@@ -90,23 +89,15 @@ class StageData:
                         continue
                     u = row[w]
                     due[max(node_of.get(w, 0), node_of.get(u, 0))].append((gi, w, u))
-            self.nodes.append(nodes)
-            self.due.append(due)
-            self.stage_sizes.append(len(member_list))
-        self.gens = eff_gens
+            self.first.append(tuple(due[0]))
+            self.fill.append([(e, gi, par, tuple(checks))
+                              for (e, gi, par), checks in zip(nodes[1:], due[1:])])
         if len(member_list) != n:
             raise ValueError("generators do not generate the group")
-        # for the certificate: the generators and their rows s * w
-        self.gen_index = np.array(eff_gens, dtype=np.intp)
-        self.gen_rows = mul[self.gen_index]
-        # the fill program of each stage past its generator's own node
-        self._fill = [[(e, gi, par, tuple(checks))
-                       for (e, gi, par), checks in zip(nodes[1:], due[1:])]
-                      for nodes, due in zip(self.nodes, self.due)]
 
 
 def stage_data(G) -> StageData:
-    """StageData for a FiniteGroup, cached on the group."""
+    """StageData for a FiniteGroup and its generators, cached on the group."""
     key = "stage_data"
     if key not in G._cache:
         G._cache[key] = StageData(G.mul, G.gens)
@@ -122,15 +113,15 @@ def generator_certificate(S, T, images: np.ndarray) -> bool:
     """True when every row of ``images`` is a homomorphism S -> T.
 
     ``images`` is one image sequence or a stack of them (one map per row).
-    Each map is checked on m(s * w) = m(s) * m(w) for the effective
-    generators s of S and every w, which is sufficient (module docstring).
-    The stack is checked a block of rows at a time, about
-    ``CERTIFICATE_BLOCK`` index entries each (at least one row), and each
-    block is one flat gather from T's table at m(s) * |T| + m(w) for all
-    effective generators at once; the first failing block ends the check.
+    Each map is checked on m(s * w) = m(s) * m(w) for the generators s of
+    S and every w, which is sufficient (module docstring).  The stack is
+    checked a block of rows at a time, about ``CERTIFICATE_BLOCK`` index
+    entries each (at least one row), and each block is one flat gather
+    from T's table at m(s) * |T| + m(w) for all generators at once; the
+    first failing block ends the check.
     """
-    sd = stage_data(S)
-    gens, left = sd.gen_index, sd.gen_rows
+    gens = np.asarray(S.gens, dtype=np.intp)
+    left = S.mul[gens]
     flat = T.mul.ravel()
     if images.ndim == 1:
         blocks = [images]
@@ -139,8 +130,10 @@ def generator_certificate(S, T, images: np.ndarray) -> bool:
         blocks = (images[i:i + rows] for i in range(0, len(images), rows))
     n = np.intp(T.order)  # the flat index is built as intp: no cast copy
     for m in blocks:
-        rhs = flat[m[..., gens, None] * n + m[..., None, :]]  # m(s) * m(w)
-        if not (m[..., left] == rhs).all():                   # m(s * w)
+        # m(s) * |T| + m(w), kept C-ordered by m.take, so that flat.take
+        # (faster than flat[...]) gathers from it without a copy
+        index = m.take(gens, axis=-1)[..., None] * n + m[..., None, :]
+        if not (m[..., left] == flat.take(index)).all():  # m(s * w) = m(s) * m(w)
             return False
     return True
 
@@ -164,8 +157,8 @@ def iter_stage_maps(
     """
     if len(candidates) != len(sd.gens) or len(tables) != len(sd.gens):
         raise ValueError("need one candidate list and table per effective generator")
-    if not sd.gens:  # the trivial source: no tables, so its own rows' dtype
-        yield np.zeros(sd.order, dtype=sd.gen_rows.dtype)
+    if not sd.gens:  # the trivial source: no tables, so its own table's dtype
+        yield np.zeros(sd.order, dtype=sd.dtype)
         return
     img = [-1] * sd.order
     img[0] = 0
@@ -188,8 +181,8 @@ def _drive(sd, tables, row_lists, candidates, img, used, rows, k) -> Iterator[np
     rejected branch leaves stale entries in ``img`` rather than -1; only
     the ``used`` marks are undone.
     """
-    fill = sd._fill[k]
-    first_due = sd.due[k][0]
+    fill = sd.fill[k]
+    first_due = sd.first[k]
     gen_elt = sd.gens[k]
     table = tables[k]
     row_list = row_lists[k]

@@ -77,9 +77,10 @@ class PermRep:
 class FiniteGroup:
     """Finite group as an n x n index table with identity at index 0.
 
-    Instances are immutable after construction; all derived data (element
-    orders, conjugacy classes, the search word tree over the generating set)
-    is either computed up front or cached on first use.
+    ``gens`` are effective generators of the group: none lies in the
+    subgroup of the earlier ones.  They are the given ones less those, or
+    greedy ones (``_greedy_closure``).  Instances are immutable; derived
+    data (orders, classes, the search word tree) is cached on first use.
     """
 
     def __init__(
@@ -117,15 +118,8 @@ class FiniteGroup:
         self.inv = _readonly(inv)
         self.elt_order = _readonly(orders)
         self._cache: dict = {}
-        if gens is None:
-            gens = self._greedy_generators()
-        else:
-            # given generators must generate: the search word tree shows it
-            try:
-                self._cache["stage_data"] = _search.StageData(mul, gens)
-            except ValueError:
-                raise GroupError("stored generators do not generate the group") from None
-        self.gens = [int(g) for g in gens]
+        self.gens = (self._greedy_generators() if gens is None
+                     else _effective_generators(self.mul, gens))
 
     # -- construction internals ------------------------------------------------
 
@@ -407,6 +401,22 @@ def _grow_closure(mul: np.ndarray, reached: np.ndarray, gens: list[int], g: int)
         by = np.asarray(gens, dtype=np.intp)
 
 
+def _effective_generators(mul: np.ndarray, given: Sequence[int]) -> list[int]:
+    """The given generators in order, less each one that the earlier ones
+    generate; raises unless they generate the group."""
+    reached = np.zeros(len(mul), dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    for g in map(int, given):
+        if not 0 <= g < len(mul):
+            raise GroupError(f"generator index {g} out of range")
+        if not reached[g]:
+            _grow_closure(mul, reached, gens, g)
+    if not reached.all():
+        raise GroupError("stored generators do not generate the group")
+    return gens
+
+
 def _greedy_closure(mul: np.ndarray, wanted: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Greedy generators of the subgroup generated by the marked elements,
     and the mask of its members.
@@ -577,9 +587,8 @@ def from_perm_gens(
     """Group generated by permutations, closed by breadth-first multiplication.
 
     Elements are indexed in BFS discovery order from the identity, so index 0
-    is automatically the identity; the generators become the stored
-    generating set.  The closure stops as soon as it would pass the table
-    cap.
+    is automatically the identity; the generators, less redundant ones, are
+    ``gens``.  The closure stops as soon as it would pass the table cap.
     """
     if not gen_perms:
         raise GroupError("need at least one generator permutation")
@@ -613,16 +622,11 @@ def from_perm_gens(
                 index_of[key] = len(elements)
                 elements.append(y)
     images = np.stack(elements)
-    mul = perm_table(images)
-    gen_indices = [index_of[g.tobytes()] for g in gens]
-    # drop duplicate/identity generators but keep the given order
-    seen: set[int] = set()
-    gen_indices = [g for g in gen_indices if g != 0 and not (g in seen or seen.add(g))]
     return FiniteGroup(
-        mul,
+        perm_table(images),
         name=name,
         perm_rep=PermRep(degree, _readonly(images)),
-        gens=gen_indices,
+        gens=[index_of[g.tobytes()] for g in gens],
         validate=False,
     )
 
@@ -696,21 +700,26 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     return Subgroup(G, hits)
 
 
-def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    """[G, G], generated by the commutators x s x^-1 s^-1 with s a generator.
+def _derived_subgroup(G: FiniteGroup, members: np.ndarray,
+                      gens: Sequence[int]) -> Subgroup:
+    """[H, H] for H = <gens> with the given members, as the closure of the
+    commutators x s x^-1 s^-1, x in H and s a generator.
 
-    Those generate a normal subgroup, since
+    Those generate a normal subgroup of H, since
     y [x, s] y^-1 = [yx, s] [y, s]^-1, and it holds [a, b] for every pair of
-    generators, whose normal closure is [G, G].
+    generators, whose normal closure is [H, H].
     """
-    if "derived" in G._cache:
-        return G._cache["derived"]
-    x = np.arange(G.order)[:, None]
-    s = np.array(G.gens, dtype=np.int64)
+    x = np.asarray(members)[:, None]
+    s = np.array(gens, dtype=np.int64)
     comm = G.mul[G.mul[x, s], G.mul[G.inv[x], G.inv[s]]]
-    result = subgroup_closure(G, comm.ravel())
-    G._cache["derived"] = result
-    return result
+    return subgroup_closure(G, comm.ravel())
+
+
+def commutator_subgroup(G: FiniteGroup) -> Subgroup:
+    """[G, G], from the commutators of G with its generators."""
+    if "derived" not in G._cache:
+        G._cache["derived"] = _derived_subgroup(G, np.arange(G.order), G.gens)
+    return G._cache["derived"]
 
 
 def is_perfect(G: FiniteGroup) -> bool:
@@ -718,14 +727,13 @@ def is_perfect(G: FiniteGroup) -> bool:
 
 
 def is_solvable(G: FiniteGroup) -> bool:
-    H = G
-    while True:
-        D = commutator_subgroup(H)
-        if D.size == 1:
-            return True
-        if D.size == H.order:
-            return False
-        H, _ = D.as_group()
+    """Whether the derived series, kept as subgroups of G, reaches 1."""
+    D, size = commutator_subgroup(G), G.order
+    while 1 < D.size < size:
+        size = D.size
+        gens, _ = _greedy_closure(G.mul, D.member_mask())
+        D = _derived_subgroup(G, D.members, gens)
+    return D.size == 1
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:

@@ -148,7 +148,7 @@ def crossed_relation_holds(hol: Holomorph, f: Homomorphism, g: np.ndarray) -> bo
     """
     G = f.source
     N = hol.base
-    for s in _search.stage_data(G).gens:
+    for s in G.gens:
         twisted = hol.aut.perms[int(f.images[s])][g]
         if not np.array_equal(g[G.mul[s]], N.mul[g[s], twisted]):
             return False
@@ -159,9 +159,8 @@ def _crossed_candidates(hol: Holomorph, f: Homomorphism,
                         bijective_only: bool) -> list[list[int]]:
     """Per-generator g-image candidates, pruned by holomorph pair order."""
     G = f.source
-    sd = _search.stage_data(G)
     out = []
-    for s in sd.gens:
+    for s in G.gens:
         target_order = int(G.elt_order[s])
         orders = hol.pair_orders(int(f.images[s]))
         if bijective_only:
@@ -193,13 +192,13 @@ def crossed_homomorphisms(
     N = hol.base
     if f.target is not hol.aut.carrier:
         raise GroupError("f must land in the automorphism carrier of the holomorph")
-    sd = _search.stage_data(G)
     nG, nN = G.order, N.order
-    tables = [N.mul[:, hol.aut.perms[int(f.images[s])]] for s in sd.gens]
+    tables = [N.mul[:, hol.aut.perms[int(f.images[s])]] for s in G.gens]
     candidates = _crossed_candidates(hol, f, bijective_only)
     if first_images is not None and candidates:
         candidates[0] = [x for x in candidates[0] if first_images[x]]
-    for g in _search.iter_stage_maps(sd, tables, candidates, bijective=bijective_only):
+    for g in _search.iter_stage_maps(_search.stage_data(G), tables, candidates,
+                                     bijective=bijective_only):
         if crossed_relation_holds(hol, f, g):
             bij = nG == nN and is_permutation(g)
             if not bijective_only or bij:
@@ -391,7 +390,7 @@ def centralizer_orbits(hol: Holomorph, f: Homomorphism) -> tuple[int, np.ndarray
     f(s) for every effective generator s of G.
     """
     A = hol.aut.carrier
-    imgs = f.images[_search.stage_data(f.source).gens]
+    imgs = f.images[f.source.gens]
     cent = np.flatnonzero((A.mul[:, imgs] == A.mul[imgs].T).all(axis=1))
     least = hol.aut.perms[cent].min(axis=0)
     return len(cent), np.bincount(least, minlength=hol.base.order)
@@ -411,7 +410,7 @@ def bijective_pair_count(hol: Holomorph, f: Homomorphism,
     acts freely on these maps (alpha . g = g with g onto N forces alpha = 1),
     so the total is a multiple of |C|.
     """
-    s1 = (_search.stage_data(f.source).gens or [0])[0]  # the trivial group has none
+    s1 = (f.source.gens or [0])[0]  # the trivial group has none
     cent_order, weight = centralizer_orbits(hol, f)
     m = np.int64(hol.aut.order)
     count = 0
@@ -437,7 +436,7 @@ def hom_orbit(images: np.ndarray, aut_g: AutomorphismGroup,
     key not seen before, in the order the moves produce them, and builds
     whole rows for the new keys alone.
     """
-    gens = _search.stage_data(aut_g.base).gen_index
+    gens = np.asarray(aut_g.base.gens, dtype=np.intp)
     B, A = aut_g.carrier, aut_n.carrier
     b_gens = np.asarray(B.gens, dtype=np.intp)
     a_gens = np.asarray(A.gens, dtype=np.intp)
@@ -481,17 +480,19 @@ def hom_orbits(G: FiniteGroup, aut_g: AutomorphismGroup,
     bijectively onto those of its image.  The orbits are closed under
     conjugation by Aut(N), so one Hom search with the first generator's
     image cut to one element per class (``morphisms.class_cut``) meets
-    every orbit; each emitted f not yet covered has its orbit closed and
-    marked covered.
+    every orbit.  Each f it finds is skipped if its generator images are
+    covered, else certified, and its orbit is closed and marked covered.
     """
     carrier = aut_n.carrier
-    gens = _search.stage_data(G).gens
+    gens = G.gens
     group_order = aut_g.order * aut_n.order
     covered: set[tuple[int, ...]] = set()
     orbits = []
-    for img in _search.iter_hom_images(G, carrier,
-                                       class_cut(carrier, _hom_candidates(G, carrier))):
-        if tuple(img[gens].tolist()) in covered:
+    candidates = class_cut(carrier, _hom_candidates(G, carrier))
+    for img in _search.iter_stage_maps(_search.stage_data(G), [carrier.mul] * len(gens),
+                                       candidates):
+        if (tuple(img[gens].tolist()) in covered
+                or not _search.generator_certificate(G, carrier, img)):
             continue
         orbit = hom_orbit(img, aut_g, aut_n)
         if group_order % len(orbit):

@@ -118,7 +118,7 @@ def _iso_candidates(G: FiniteGroup, H: FiniteGroup) -> Optional[list[list[int]]]
         bins.setdefault((int(H.elt_order[x]), int(sizes_h[x])), []).append(x)
     sizes = G.class_sizes_by_element()
     out = []
-    for g in _search.stage_data(G).gens:
+    for g in G.gens:
         key = (int(G.elt_order[g]), int(sizes[g]))
         if key not in bins:
             return None
@@ -194,7 +194,7 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     if G.order > table_cap():
         raise CapExceededError(
             f"automorphism search capped at order {table_cap()}")
-    gen_idx = list(_search.stage_data(G).gens)
+    gen_idx = G.gens
     # row h: x -> h x h^-1, one row per inner automorphism
     inn = G.mul[G.mul, G.inv[:, None]]
     inn = inn[np.unique(inn[:, gen_idx], axis=0, return_index=True)[1]]
@@ -233,10 +233,9 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
 
 
 def _hom_candidates(S: FiniteGroup, T: FiniteGroup) -> list[list[int]]:
-    sd = _search.stage_data(S)
     by_divisor: dict[int, list[int]] = {}
     out = []
-    for g in sd.gens:
+    for g in S.gens:
         m = int(S.elt_order[g])
         if m not in by_divisor:
             by_divisor[m] = [t for t in range(T.order) if m % int(T.elt_order[t]) == 0]
@@ -260,7 +259,7 @@ def count_injective_homomorphisms(S: FiniteGroup, T: FiniteGroup) -> int:
     and it keeps injectivity, so each map found stands for the size of
     the class of r.
     """
-    gens = _search.stage_data(S).gens
+    gens = S.gens
     if not gens:  # the trivial source: its one map is injective
         return 1
     sizes = T.class_sizes_by_element()

@@ -29,6 +29,7 @@ from .groups import (
     is_solvable,
     normal_subgroups,
     quotient_group,
+    _greedy_closure,
 )
 from .morphisms import are_isomorphic, automorphism_group, enumerate_homomorphisms
 
@@ -110,13 +111,10 @@ def _classify(G: FiniteGroup) -> StructureClass:
 
 
 def _subgroup_centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Elements of G commuting with every member of H."""
-    mask = np.ones(G.order, dtype=bool)
-    Hgrp, members = H.as_group()
-    for g in Hgrp.gens:
-        x = int(members[g])
-        mask &= G.mul[x, :] == G.mul[:, x]
-    return Subgroup(G, np.flatnonzero(mask))
+    """Elements of G commuting with every member of H: with its greedy
+    generators, as ``center`` does with G's."""
+    g = np.asarray(_greedy_closure(G.mul, H.member_mask())[0], dtype=np.intp)
+    return Subgroup(G, np.flatnonzero((G.mul[g] == G.mul[:, g].T).all(axis=0)))
 
 
 # -- screening reports ----------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgs import perms as P
+from hgs import catalog, perms as P
 from hgs._search import stage_data
 from hgs.catalog import resolve_spec
 from hgs.morphisms import automorphism_group
@@ -199,13 +199,18 @@ def test_cyclic_group_census_properties(n):
 
 def test_stage_data_word_tree_reaches_everything(S5):
     sd = stage_data(S5)
-    assert sd.stage_sizes[-1] == S5.order
-    # every non-identity element is reached once, as gen * parent
-    reached = [e for nodes in sd.nodes for e, _, _ in nodes]
-    assert sorted(reached) == list(range(1, S5.order))
-    for nodes in sd.nodes:
-        for e, gi, par in nodes:
+    assert sd.gens == S5.gens and len(sd.fill) == len(sd.first) == len(sd.gens)
+    # every non-identity element is reached once: each stage's generator,
+    # then its fill steps, each as gen * parent for a parent filled earlier
+    reached = {0}
+    for k, fill in enumerate(sd.fill):
+        assert sd.gens[k] not in reached
+        reached.add(sd.gens[k])
+        for e, gi, par, _ in fill:
+            assert gi <= k and par in reached and e not in reached
             assert S5.mul[sd.gens[gi], par] == e
+            reached.add(e)
+    assert sorted(reached) == list(range(S5.order))
 
 
 def test_explicit_non_generating_gens_rejected():
@@ -217,6 +222,45 @@ def test_explicit_non_generating_gens_rejected():
     with pytest.raises(GroupError, match="do not generate"):
         FiniteGroup(S3.mul, gens=[], validate=False)
     assert FiniteGroup(S3.mul, gens=[three_cycle, swap], validate=False).order == 6
+    with pytest.raises(GroupError, match="out of range"):
+        FiniteGroup(S3.mul, gens=[three_cycle, swap, 6], validate=False)
+
+
+def test_redundant_given_generators_are_dropped():
+    S3 = resolve_spec("S3")
+    three_cycle = int(np.flatnonzero(S3.elt_order == 3)[0])
+    swap = int(np.flatnonzero(S3.elt_order == 2)[0])
+    given = [three_cycle, int(S3.inv[three_cycle]), 0, swap, int(S3.mul[swap, three_cycle])]
+    G = FiniteGroup(S3.mul, gens=given, validate=False)
+    assert G.gens == [three_cycle, swap]
+    cyc = P.parse_cycles("(0 1 2 3)", 4)
+    H = from_perm_gens([cyc, cyc[cyc], P.parse_cycles("(0 2)", 4)])
+    assert len(H.gens) == 2 and H.order == 8
+    assert stage_data(H).gens == H.gens
+
+
+def _relabelled(G, seed):
+    """Copy of G under a seeded renumbering that keeps 0 at 0, with the
+    images of G's generators as its given generators."""
+    rng = np.random.default_rng(seed)
+    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    back = np.argsort(sigma)
+    gens = [int(sigma[g]) for g in G.gens]
+    H = FiniteGroup(sigma[G.mul[np.ix_(back, back)]], assume_associative=True, gens=gens)
+    assert H.gens == gens
+    return H
+
+
+def test_given_generators_build_no_word_tree_until_a_search():
+    A5 = catalog.alternating(5)
+    groups = [A5, catalog.cyclic(12), direct_product(catalog.symmetric(3), catalog.cyclic(4)),
+              _relabelled(A5, 7)]
+    for G in groups:
+        assert "stage_data" not in G._cache
+    for G in groups:
+        automorphism_group(G)
+        assert stage_data(G) is G._cache["stage_data"]
+        assert stage_data(G).gens == G.gens
 
 
 def test_perm_table_matches_reference_composition():

@@ -34,8 +34,10 @@ from hgs.morphisms import (
 from test_morphisms import AUT_GRID
 
 
-def _reference_checks(mul, gens):
-    """Per stage, the (gi, w, gens[gi] * w) products the word tree leaves out."""
+def _reference_tree(mul, gens):
+    """Per stage, the word-tree nodes (element, gi, parent) with
+    element = gens[gi] * parent, in breadth-first order, and the
+    (gi, w, gens[gi] * w) products the tree leaves out."""
     member_list, member_set = [0], {0}
     eff_gens, gen_rows, out = [], [], []
     for g in gens:
@@ -45,7 +47,7 @@ def _reference_checks(mul, gens):
         eff_gens.append(int(g))
         gen_rows.append(mul[g].tolist())
         prev_count = len(member_list)
-        tree_edge = set()
+        nodes, tree_edge = [], set()
         pos = 0
         while pos < len(member_list):
             x = member_list[pos]
@@ -55,6 +57,7 @@ def _reference_checks(mul, gens):
                 if y not in member_set:
                     member_set.add(y)
                     member_list.append(y)
+                    nodes.append((y, gi, x))
                     tree_edge.add((gi, x))
         checks = []
         new_members = member_list[prev_count:]
@@ -63,28 +66,29 @@ def _reference_checks(mul, gens):
             for w in targets:
                 if (gi, w) not in tree_edge:
                     checks.append((gi, w, gen_rows[gi][w]))
-        out.append(checks)
+        out.append((nodes, checks))
     return out
 
 
 def _reference_stage_maps(S, tables, candidates, *, bijective=False):
     """The fill-then-check engine: fill a whole stage, then run its checks."""
-    sd = _search.stage_data(S)
-    all_checks = _reference_checks(S.mul, S.gens)
+    gens = S.gens
+    tree = _reference_tree(S.mul, gens)
     tables = [t.tolist() for t in tables]
-    if not sd.gens:
-        yield np.zeros(sd.order, dtype=np.int32)
+    if not gens:
+        yield np.zeros(S.order, dtype=np.int32)
         return
-    img = [-1] * sd.order
+    img = [-1] * S.order
     img[0] = 0
     used = None
     if bijective:
         used = bytearray(len(tables[0]))
         used[0] = 1
-    rows = [None] * len(sd.gens)
+    rows = [None] * len(gens)
 
     def drive(k):
-        gen_elt = sd.gens[k]
+        gen_elt = gens[k]
+        nodes, checks = tree[k]
         for x in candidates[k]:
             if used is not None and used[x]:
                 continue
@@ -94,7 +98,7 @@ def _reference_stage_maps(S, tables, candidates, *, bijective=False):
                 used[x] = 1
             trail = [gen_elt]
             ok = True
-            for e, gi, par in sd.nodes[k]:
+            for e, gi, par in nodes:
                 if e == gen_elt:
                     continue
                 v = rows[gi][img[par]]
@@ -106,12 +110,12 @@ def _reference_stage_maps(S, tables, candidates, *, bijective=False):
                 img[e] = v
                 trail.append(e)
             if ok:
-                for gi, w, u in all_checks[k]:
+                for gi, w, u in checks:
                     if img[u] != rows[gi][img[w]]:
                         ok = False
                         break
             if ok:
-                if k + 1 == len(sd.gens):
+                if k + 1 == len(gens):
                     yield np.array(img, dtype=np.int32)
                 else:
                     yield from drive(k + 1)
@@ -124,7 +128,7 @@ def _reference_stage_maps(S, tables, candidates, *, bijective=False):
 
 
 def _reference_hom_images(S, T, candidates, *, bijective=False):
-    tables = [T.mul] * len(_search.stage_data(S).gens)
+    tables = [T.mul] * len(S.gens)
     for img in _reference_stage_maps(S, tables, candidates, bijective=bijective):
         if _search.generator_certificate(S, T, img):
             yield img
@@ -133,7 +137,7 @@ def _reference_hom_images(S, T, candidates, *, bijective=False):
 def _reference_crossed(hol, f, bijective_only):
     G, N = f.source, hol.base
     tables = [N.mul[:, hol.aut.perms[int(f.images[s])]]
-              for s in _search.stage_data(G).gens]
+              for s in G.gens]
     candidates = _crossed_candidates(hol, f, bijective_only)
     for g in _reference_stage_maps(G, tables, candidates, bijective=bijective_only):
         if crossed_relation_holds(hol, f, g):
@@ -157,12 +161,14 @@ SCHEDULE_GROUPS = ["C1", "C12", "D4", "Q8", "C2xC2xC2", "S4", "SL(2,3)", "S5",
 def test_each_check_is_scheduled_once_after_both_of_its_nodes(spec):
     G = resolve_spec(spec)
     sd = _search.stage_data(G)
-    reference = _reference_checks(G.mul, G.gens)
-    assert len(sd.due) == len(sd.nodes) == len(reference)
+    reference = _reference_tree(G.mul, G.gens)
+    assert len(sd.first) == len(sd.fill) == len(reference)
     earlier: set[int] = {0}
-    for k, (nodes, due) in enumerate(zip(sd.nodes, sd.due)):
-        assert nodes[0] == (sd.gens[k], k, 0)
-        assert len(due) == len(nodes)
+    for k, (first, fill) in enumerate(zip(sd.first, sd.fill)):
+        # node 0 is the stage's generator, with the checks ``first``
+        nodes = [(sd.gens[k], k, 0)] + [(e, gi, par) for e, gi, par, _ in fill]
+        due = [first] + [checks for _, _, _, checks in fill]
+        assert nodes == reference[k][0]
         node_of = {e: i for i, (e, _, _) in enumerate(nodes)}
         scheduled = []
         for i, checks in enumerate(due):
@@ -173,7 +179,7 @@ def test_each_check_is_scheduled_once_after_both_of_its_nodes(spec):
                 # due no later than needed: the later of the two nodes
                 assert i == max(node_of.get(w, 0), node_of.get(u, 0))
                 scheduled.append((gi, w, u))
-        assert sorted(scheduled) == sorted(reference[k])
+        assert sorted(scheduled) == sorted(reference[k][1])
         assert len(set(scheduled)) == len(scheduled)
         earlier.update(node_of)
 
