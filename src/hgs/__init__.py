@@ -5,7 +5,17 @@ automorphism groups, homomorphism enumeration), the holomorph engine for
 regular-subgroup enumeration through crossed homomorphisms, structure
 screening for almost simple groups with prime-index socle, and four
 independent counting routes cross-checked by named verification suites.
+
+Every hgs process runs one thread.  hgs makes no BLAS call, so importing
+the package sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has already
+set it; the only parallelism is the process pool of ``hgs count --jobs``.
 """
+
+import os
+
+# hgs makes no BLAS call (tests/test_no_blas_calls.py), so the thread pool
+# that OpenBLAS starts on ``import numpy`` would only cost start-up time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .groups import (
     CapExceededError,

@@ -7,6 +7,7 @@ from hgs._search import stage_data
 from hgs.catalog import resolve_spec
 from hgs.morphisms import automorphism_group
 from hgs.groups import (
+    ELEMENT_DTYPE,
     CapExceededError,
     FiniteGroup,
     GroupError,
@@ -171,6 +172,22 @@ def test_commutator_and_solvability(S5, A5):
     assert not is_perfect(S5)
     assert not is_solvable(S5)
     assert is_solvable(resolve_spec("D4"))
+
+
+@pytest.mark.parametrize("label", ["S5", "PGL(2,9)", "Aut(A6)"])
+def test_as_group_table_equals_the_ix_gather(label):
+    # A5 < S5, A6 < PGL(2,9) (its 360 rows end in a short block of the
+    # gather) and an index-2 subgroup of Aut(A6) (one of S6, PGL(2,9), M10)
+    G = resolve_spec(label)
+    sub = next(s for s in normal_subgroups(G) if 2 * s.size == G.order)
+    H, members = sub.as_group()
+    assert np.array_equal(members, sub.members)
+    pos = np.full(G.order, -1, dtype=ELEMENT_DTYPE)
+    pos[members] = np.arange(len(members))
+    reference = pos[G.mul[np.ix_(members, members)]]
+    assert H.mul.dtype == reference.dtype
+    assert np.array_equal(H.mul, reference)
+    assert H.mul.flags.c_contiguous
 
 
 def test_subgroup_validation_rejects_non_closed(S5):

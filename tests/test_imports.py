@@ -1,5 +1,5 @@
 """Every module-level import in the package is used by its module, and a
-counting run does not pull in numpy.ma."""
+counting run does not pull in numpy.ma and runs on one OS thread."""
 
 import ast
 import os
@@ -34,6 +34,7 @@ def test_no_unused_module_level_imports():
 
 
 NO_MASKED_ARRAYS = """
+import os
 import sys
 from hgs import counting
 from hgs.catalog import resolve_spec
@@ -44,16 +45,35 @@ assert counting.count_fpf_inner_holomorph(S5, resolve_spec("AxCp(A5,2)")).value 
 assert counting.count_brute_force(resolve_spec("C4")).counts == \
     {"order4-type0": 1, "order4-type1": 1}
 print("numpy.ma" in sys.modules)
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+if os.path.isdir("/proc/self/task"):
+    print(len(os.listdir("/proc/self/task")))
 """
+
+
+def _count_run(openblas_threads: str | None) -> list[str]:
+    src = Path(hgs.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    return run.stdout.split()
 
 
 def test_counting_runs_do_not_import_numpy_ma():
     # NumPy's plain np.unique and np.intersect1d import numpy.ma on first
-    # use (about 14 ms); groups.sorted_distinct and member masks replace them
-    src = Path(hgs.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout.split() == ["False"]
+    # use (about 14 ms); groups.sorted_distinct and member masks replace them.
+    # hgs makes no BLAS call, so importing it leaves OpenBLAS one thread and
+    # the counting process runs on that one thread alone
+    out = _count_run(None)
+    assert out[:2] == ["False", "1"]
+    if os.path.isdir("/proc/self/task"):
+        assert out[2:] == ["1"]
+
+
+def test_a_callers_openblas_thread_count_is_kept():
+    assert _count_run("3")[:2] == ["False", "3"]
