@@ -6,9 +6,9 @@ regular-subgroup enumeration through crossed homomorphisms, structure
 screening for almost simple groups with prime-index socle, and four
 independent counting routes cross-checked by named verification suites.
 
-Every hgs process runs one thread.  hgs makes no BLAS call, so importing
+hgs runs one process and one thread.  hgs makes no BLAS call, so importing
 the package sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has already
-set it; the only parallelism is the process pool of ``hgs count --jobs``.
+set it, and no count starts a worker process.
 """
 
 import os

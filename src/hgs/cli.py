@@ -6,8 +6,8 @@ which is a bug in hgs).  HGS_MAX_TABLE overrides the Cayley-table cap of
 2000, up to 32768: element indices are 16-bit (``groups.ELEMENT_DTYPE``),
 so a table takes 2 bytes per entry, about 1 MB at order 720 and 4 MB for
 a 1440-element Aut carrier.
-``hgs count --jobs`` sets the worker count of holomorph counts (default 1);
-results never depend on it.
+hgs runs one process and one thread: every count runs in the process that
+parses the command line.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("-N", required=True, metavar="SPEC")
     p_count.add_argument("--method", required=True,
                          choices=["formula", "byott", "brute", "fpf"])
-    p_count.add_argument("--jobs", type=int, default=1)
     p_count.add_argument("--json", action="store_true")
     p_count.add_argument("--allow-order-9", action="store_true",
                          help="lift the brute-force cap from 8 to 9 (~15 s); "
@@ -121,8 +120,7 @@ def _cmd_count(args) -> int:
                       "use --method byott", file=sys.stderr)
                 return EXIT_USAGE
     elif args.method == "byott":
-        result = count_byott(G, N, g_label=args.G, n_label=args.N,
-                             jobs=args.jobs)
+        result = count_byott(G, N, g_label=args.G, n_label=args.N)
     elif args.method == "fpf":
         result = count_fpf_inner_holomorph(G, N, g_label=args.G, n_label=args.N)
     else:  # brute

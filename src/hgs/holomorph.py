@@ -525,7 +525,6 @@ def regular_subgroups_in_holomorph(
     G: FiniteGroup,
     *,
     collect_subgroups: bool = False,
-    jobs: int = 1,
     log=None,
 ) -> RegularSubgroupCount:
     """Count (and optionally collect) regular subgroups of Hol(N) isomorphic to G.
@@ -536,34 +535,23 @@ def regular_subgroups_in_holomorph(
     search: (g, f) -> (a . g . b^-1, c_a . f . b^-1) sends the subgroup of
     (g, f) to its conjugate by (1, a), so the subgroups of the emitted maps
     meet every Aut(N)-class, and ``close_under_aut`` must reach exactly
-    pair count / |Aut(G)| of them.  With
-    ``jobs > 1`` the per-orbit counts come from a worker pool of at most one
-    worker per orbit, merged back in orbit order, so totals do not depend on
-    ``jobs``.  ``log`` receives (orbit index, orbit count, running pair
-    count) after each orbit.
+    pair count / |Aut(G)| of them.  The orbits are searched one after
+    another in the calling process and thread.  ``log`` receives (orbit
+    index, orbit count, running pair count) after each orbit.
     """
     if N.order != G.order:
         raise GroupError("regular subgroups need |N| = |G|")
-    if jobs > 1 and collect_subgroups:
-        raise GroupError("subgroup collection runs are serial; drop jobs")
     hol = build_holomorph(N)
     aut_g = automorphism_group(G)
     orbits = hom_orbits(G, aut_g, hol.aut)
-    reps = [f for f, _ in orbits]
 
     found: dict[bytes, np.ndarray] = {}
-    workers = min(jobs, len(reps))
-    if workers > 1:
-        from .parallel import parallel_crossed_counts
-        counts = parallel_crossed_counts(hol, reps, jobs=workers)
-    else:
-        sink = found if collect_subgroups else None
-        counts = enumerate(bijective_pair_count(hol, f, sink) for f in reps)
+    sink = found if collect_subgroups else None
     pair_count = 0
-    for oi, count in counts:
-        pair_count += orbits[oi][1] * count
+    for oi, (f, size) in enumerate(orbits):
+        pair_count += size * bijective_pair_count(hol, f, sink)
         if log:
-            log(oi, len(reps), pair_count)
+            log(oi, len(orbits), pair_count)
 
     if pair_count % aut_g.order != 0:
         raise EngineError(
@@ -574,7 +562,7 @@ def regular_subgroups_in_holomorph(
     samples = [RegularSubgroup(N, hol.pair_perm(np.divmod(codes, hol.aut.order)))
                for codes in subgroups]
     return RegularSubgroupCount(pair_count, pair_count // aut_g.order, samples,
-                                sum(size for _, size in orbits), len(reps))
+                                sum(size for _, size in orbits), len(orbits))
 
 
 # -- normalizer identity (desk-scale literal check) -----------------------------

@@ -1,12 +1,16 @@
-"""Deterministic worker pool for the holomorph run's orbit loop.
+"""Deterministic worker pool over a holomorph run's orbit representatives.
 
-Work is partitioned over the orbit representatives of a holomorph run;
-results are merged back in orbit order, so totals are identical for any
+Nothing in hgs imports this module: every holomorph count runs its orbit
+loop in the calling process.  It stays only because the benchmark's tracing
+harness (``benchmarks/tracing.py``) imports it and wraps
+``parallel_crossed_counts``.  The benchmark change that replaces the
+``byott-120-jobs2`` workload drops that import, and the change after it
+deletes this module and ``count_byott``'s ``jobs`` keyword.
+
+Results are merged back in orbit order, so totals are identical for any
 worker count.  Workers reuse the parent's Hol(N) and representative list,
 handed over once through the pool initializer, and run the same per-f
-counter as a serial run.  The pool never has more workers than orbits: the
-holomorph run passes min(jobs, orbit count) and stays serial when that is
-one or less.
+counter as a serial run.
 """
 
 from __future__ import annotations

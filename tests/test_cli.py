@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hgs
 from hgs import cli
 from hgs.cli import main
 from hgs.groups import EngineError
@@ -114,6 +119,7 @@ def test_group_error_exits_1(capsys):
     ["count", "-G", "C4", "-N", "V4", "--method", "byott", "--resume", "run.ckpt"],
     ["verify", "--suite", "small", "--checkpoint-dir", "ckpt"],
     ["verify", "--suite", "small", "--jobs", "2"],
+    ["count", "-G", "S5", "-N", "S5", "--method", "byott", "--jobs", "2"],
 ])
 def test_removed_checkpoint_options_are_usage_errors(argv, capsys):
     assert main(argv) == 2
@@ -123,3 +129,13 @@ def test_removed_checkpoint_options_are_usage_errors(argv, capsys):
 def test_removed_stretch_suite_is_a_usage_error(capsys):
     assert main(["verify", "--suite", "stretch-720"]) == 2
     assert "invalid choice: 'stretch-720'" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(hgs.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "hgs", "catalog", "list"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert "M10" in run.stdout.split()

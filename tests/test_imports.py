@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its module, and a
-counting run does not pull in numpy.ma and runs on one OS thread."""
+counting run does not pull in numpy.ma or multiprocessing and runs on one
+OS thread."""
 
 import ast
 import os
@@ -41,11 +42,13 @@ from hgs.catalog import resolve_spec
 S5 = resolve_spec("S5")
 resolve_spec("PGL(2,9)")
 assert counting.count_byott(S5, S5).value == 32
+assert counting.count_byott(S5, S5, jobs=2).value == 32
 assert counting.count_fpf_inner_holomorph(S5, resolve_spec("AxCp(A5,2)")).value == 20
 assert counting.count_brute_force(resolve_spec("C4")).counts == \
     {"order4-type0": 1, "order4-type1": 1}
 print("numpy.ma" in sys.modules)
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
+print("multiprocessing" in sys.modules)
 if os.path.isdir("/proc/self/task"):
     print(len(os.listdir("/proc/self/task")))
 """
@@ -68,11 +71,12 @@ def test_counting_runs_do_not_import_numpy_ma():
     # NumPy's plain np.unique and np.intersect1d import numpy.ma on first
     # use (about 14 ms); groups.sorted_distinct and member masks replace them.
     # hgs makes no BLAS call, so importing it leaves OpenBLAS one thread and
-    # the counting process runs on that one thread alone
+    # the counting process runs on that one thread alone; a count given
+    # jobs=2 still starts no worker process
     out = _count_run(None)
-    assert out[:2] == ["False", "1"]
+    assert out[:3] == ["False", "1", "False"]
     if os.path.isdir("/proc/self/task"):
-        assert out[2:] == ["1"]
+        assert out[3:] == ["1"]
 
 
 def test_a_callers_openblas_thread_count_is_kept():

@@ -13,6 +13,7 @@ import pytest
 
 from hgs import _search, holomorph
 from hgs.catalog import resolve_spec
+from hgs.counting import count_byott
 from hgs.groups import ELEMENT_DTYPE, EngineError
 from hgs.holomorph import (
     bijective_pair_count,
@@ -168,15 +169,22 @@ def test_orbits_cover_hom_exactly_at_order_120():
 
 
 def test_orbit_list_and_totals_do_not_depend_on_jobs():
+    # count_byott keeps a jobs keyword that has no effect
+    logs = {}
     for gl, nl in [("D4", "Q8"), ("S5", "AxCp(A5,2)")]:
         G, N = resolve_spec(gl), resolve_spec(nl)
         runs = []
         for jobs in (1, 2):
             logged = []
-            run = regular_subgroups_in_holomorph(N, G, jobs=jobs,
-                                                 log=lambda *a: logged.append(a))
-            runs.append((run, logged))
+            result = count_byott(G, N, jobs=jobs, log=lambda *a: logged.append(a))
+            runs.append((result.value, result.notes, logged))
         assert runs[0] == runs[1]
+        logs[gl] = runs[0][2]
+    # (orbit index, orbit count, running pair count) after each orbit
+    assert [oi for oi, _, _ in logs["D4"]] == list(range(9))
+    assert {total for _, total, _ in logs["D4"]} == {9}
+    totals = [0] + [pairs for _, _, pairs in logs["D4"]]
+    assert sum(b > a for a, b in zip(totals, totals[1:])) == 2  # orbits with pairs
 
 
 def test_collecting_and_counting_runs_search_the_same_orbits():
