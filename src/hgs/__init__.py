@@ -44,7 +44,6 @@ from .morphisms import (
     automorphism_group,
     enumerate_homomorphisms,
     fixed_points,
-    is_fixed_point_free,
 )
 from .holomorph import (
     CrossedHom,

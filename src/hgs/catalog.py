@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import perms as P
-from .fields import GaloisField, gf
+from .fields import FieldError, GaloisField, gf
 from .groups import (
     ELEMENT_DTYPE,
     PERM_INPUT_DEGREE_CAP,
@@ -54,8 +54,7 @@ def cyclic(n: int, name: str | None = None) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table.astype(ELEMENT_DTYPE), name=name or f"C{n}",
-                       gens=[1] if n > 1 else [], validate=False,
-                       assume_associative=True)
+                       gens=[1] if n > 1 else [], validate=False)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -139,8 +138,7 @@ def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGr
     order = [ident_pos] + [i for i in range(len(rows)) if i != ident_pos]
     rows = rows[order]
     return FiniteGroup(perm_table(rows), name=name,
-                       perm_rep=PermRep(degree, _readonly(rows)),
-                       validate=False, assume_associative=True)
+                       perm_rep=PermRep(degree, _readonly(rows)), validate=False)
 
 
 def special_linear2(q: int) -> FiniteGroup:
@@ -162,8 +160,7 @@ def special_linear2(q: int) -> FiniteGroup:
     a, b, c, d = (col[:, None] for col in mats.T)
     x, y = np.divmod(np.arange(q * q), q)
     images = ad[mu[a, x], mu[b, y]] * q + ad[mu[c, x], mu[d, y]]
-    return FiniteGroup(perm_table(images), name=f"SL(2,{q})", validate=False,
-                       assume_associative=True)
+    return FiniteGroup(perm_table(images), name=f"SL(2,{q})", validate=False)
 
 
 def _projective_action(F: GaloisField, mats) -> np.ndarray:
@@ -265,7 +262,10 @@ def catalog_aut6_tower() -> dict[str, FiniteGroup]:
 def load_group_file(path: str | Path) -> FiniteGroup:
     """Text format: 'perm <degree>' + one generator per line, or 'table <n>' + rows."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"{path}: cannot read the file: {exc}")
     content = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
     content = [(no, ln) for no, ln in content if ln and not ln.startswith("#")]
     if not content:
@@ -278,6 +278,8 @@ def load_group_file(path: str | Path) -> FiniteGroup:
         size = int(parts[1])
     except ValueError:
         raise SpecError(f"{path}: line {no}: bad size {parts[1]!r}")
+    if size < 1:
+        raise SpecError(f"{path}: line {no}: size must be at least 1, got {size}")
     if parts[0] == "perm":
         if size > PERM_INPUT_DEGREE_CAP:
             raise SpecError(f"{path}: line {no}: permutation degree capped at "
@@ -350,28 +352,31 @@ def _spec_quaternion(m):
     return quaternion8()
 
 
-@_atom(r"SL\(2,\s*(\d+)\)")
-def _spec_sl2(m):
+def _matrix_field_order(m) -> int:
+    """The q of a matrix spec, checked to name a cataloged field."""
     q = int(m.group(1))
     if q > 11:
         raise SpecError("matrix groups are cataloged for q <= 11")
-    return special_linear2(q)
+    try:
+        gf(q)
+    except FieldError as exc:
+        raise SpecError(f"no field GF({q}): {exc}")
+    return q
+
+
+@_atom(r"SL\(2,\s*(\d+)\)")
+def _spec_sl2(m):
+    return special_linear2(_matrix_field_order(m))
 
 
 @_atom(r"PSL\(2,\s*(\d+)\)")
 def _spec_psl2(m):
-    q = int(m.group(1))
-    if q > 11:
-        raise SpecError("matrix groups are cataloged for q <= 11")
-    return projective_special_linear2(q)
+    return projective_special_linear2(_matrix_field_order(m))
 
 
 @_atom(r"PGL\(2,\s*(\d+)\)")
 def _spec_pgl2(m):
-    q = int(m.group(1))
-    if q > 11:
-        raise SpecError("matrix groups are cataloged for q <= 11")
-    return projective_general_linear2(q)
+    return projective_general_linear2(_matrix_field_order(m))
 
 
 @_atom(r"M10")

@@ -13,6 +13,7 @@ parses the command line.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .catalog import SpecError, catalog_list, resolve_spec
@@ -76,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_info(args) -> int:
     G = resolve_spec(args.G)
     cls = classify_group(G)
-    import json as _json
-
     import numpy as np
     orders, counts = np.unique(G.elt_order, return_counts=True)
     census = {int(k): int(v) for k, v in zip(orders, counts)}
@@ -91,7 +90,7 @@ def _cmd_info(args) -> int:
         "element_order_census": census,
     }
     if args.json:
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -153,7 +152,7 @@ def _cmd_verify(args) -> int:
     log = None if args.json else print
     report = run_verify_suite(args.suite, log=log)
     if args.json:
-        print(emit_report(report, "json"))
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.summary())
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED

@@ -1,8 +1,10 @@
-"""Small finite fields GF(p^k), k <= 3, with exhaustively checkable tables.
+"""Small finite fields with exhaustively checkable tables: GF(p) for every
+prime p, and GF(4), GF(8) and GF(9), the prime powers that the catalog's
+matrix groups use (q <= 11).
 
 Elements are dense indices 0..q-1 encoding coefficient tuples little-endian
-in base p (index = c0 + c1*p + c2*p^2).  The reducing modulus per (p, k) is
-pinned below so element encodings are stable across runs.
+in base p (index = c0 + c1*p + c2*p^2).  The reducing moduli of GF(4), GF(8)
+and GF(9) are pinned below so element encodings are stable across runs.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),        # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
     (3, 2): (1, 0, 1),        # x^2 + 1
-    (3, 3): (1, 2, 0, 1),     # x^3 + 2x + 1
-    (5, 2): (2, 0, 1),        # x^2 + 2
-    (7, 2): (1, 0, 1),        # x^2 + 1
-    (2, 1): (0, 1),
 }
 
 
@@ -48,13 +46,6 @@ class GaloisField:
     mul: np.ndarray   # (q, q)
     neg: np.ndarray   # (q,)
     inv: np.ndarray   # (q,), inv[0] = 0 as a sentinel
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(x % self.p)
-            x //= self.p
-        return tuple(out)
 
 
 def _poly_mul_mod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
@@ -80,7 +71,7 @@ _FIELD_CACHE: dict[int, GaloisField] = {}
 
 
 def gf(q: int) -> GaloisField:
-    """The field with q elements; q must be p^k with k <= 3."""
+    """The field with q elements; q must be a prime, 4, 8 or 9."""
     if q in _FIELD_CACHE:
         return _FIELD_CACHE[q]
     p, k = None, None

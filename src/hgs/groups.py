@@ -321,8 +321,7 @@ class Subgroup:
         if self.parent.perm_rep is not None:
             perm_rep = PermRep(self.parent.perm_rep.degree,
                                _readonly(self.parent.perm_rep.images[members].copy()))
-        H = FiniteGroup(table, name=name, perm_rep=perm_rep,
-                        validate=False, assume_associative=True)
+        H = FiniteGroup(table, name=name, perm_rep=perm_rep, validate=False)
         return H, members.copy()
 
 
@@ -648,23 +647,14 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) -
     mul = (A.mul[a1[:, None], a1[None, :]].astype(np.int64) * nB
            + B.mul[b1[:, None], b1[None, :]])
     gens = [int(a * nB) for a in A.gens] + [int(b) for b in B.gens]
-    g = FiniteGroup(mul.astype(ELEMENT_DTYPE), name=name, gens=gens,
-                    validate=False, assume_associative=True)
-    return g
+    return FiniteGroup(mul.astype(ELEMENT_DTYPE), name=name, gens=gens,
+                       validate=False)
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the seed elements."""
     members = _closure_indices(G.mul, list(seed) + [0])
     return Subgroup(G, members, _checked=True)
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, np.array([0], dtype=np.int64))
-
-
-def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, np.arange(G.order, dtype=np.int64))
 
 
 # -- element censuses and classical subgroups ---------------------------------
@@ -826,8 +816,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup,
     m = len(reps)
     reps_arr = np.array(reps, dtype=np.int64)
     table = coset_of[G.mul[np.ix_(reps_arr, reps_arr)]]
-    Q = FiniteGroup(table.astype(ELEMENT_DTYPE), name=name, validate=False,
-                    assume_associative=True)
+    Q = FiniteGroup(table.astype(ELEMENT_DTYPE), name=name, validate=False)
     return Q, _readonly(coset_of)
 
 

@@ -56,11 +56,6 @@ class Holomorph:
         return (int(self.base.mul[e1, self.aut.perms[a1, e2]]),
                 int(self.aut.carrier.mul[a1, a2]))
 
-    def pair_inv(self, p: tuple[int, int]) -> tuple[int, int]:
-        e, a = p
-        ai = int(self.aut.carrier.inv[a])
-        return (int(self.aut.perms[ai, self.base.inv[e]]), ai)
-
     def pair_orders(self, a: int) -> np.ndarray:
         """Order of the pair (x, a) for every x in the base, cached per a.
 
@@ -305,8 +300,7 @@ class RegularSubgroup:
         by_eval = np.empty(n, dtype=np.int64)
         by_eval[self.members[:, 0]] = np.arange(n)
         table = self.members[by_eval]
-        return FiniteGroup(table, name=name,
-                           validate=n <= 128, assume_associative=n > 128)
+        return FiniteGroup(table, name=name, validate=n <= 128)
 
 
 def is_subgroup_of_perms(members: np.ndarray) -> bool:

@@ -65,9 +65,6 @@ class Homomorphism:
     def is_surjective(self) -> bool:
         return len(sorted_distinct(self.images)) == self.target.order
 
-    def is_bijective(self) -> bool:
-        return self.source.order == self.target.order and self.is_injective()
-
     def __repr__(self) -> str:
         return (f"<Homomorphism {self.source.name or '?'} -> "
                 f"{self.target.name or '?'}>")
@@ -96,15 +93,9 @@ class AutomorphismGroup:
         except KeyError:
             raise GroupError("permutation is not an automorphism of the base group")
 
-    def action_hom(self, aut_index: int) -> Homomorphism:
-        return Homomorphism(self.base, self.base, self.perms[aut_index], _checked=True)
-
     @property
     def order(self) -> int:
         return self.carrier.order
-
-    def out_order(self) -> int:
-        return self.carrier.order // self.inner.size
 
 
 def _iso_candidates(G: FiniteGroup, H: FiniteGroup) -> Optional[list[list[int]]]:
@@ -221,7 +212,7 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
         raise GroupError("automorphism action is not faithful on generators")
     carrier = FiniteGroup(perm_table(perms),
                           name=f"Aut({G.name})" if G.name else "Aut",
-                          validate=False, assume_associative=True)
+                          validate=False)
     inner_idx = sorted(index[k] for k in map(tuple, inn[:, gen_idx].tolist()))
     inner = Subgroup(carrier, np.array(inner_idx, dtype=np.int64))
     z = center(G).size
@@ -273,10 +264,6 @@ def fixed_points(phi: Homomorphism, psi: Homomorphism) -> np.ndarray:
     if phi.source is not psi.source or phi.target is not psi.target:
         raise GroupError("fixed points need a shared source and target")
     return np.flatnonzero(phi.images == psi.images)
-
-
-def is_fixed_point_free(phi: Homomorphism, psi: Homomorphism) -> bool:
-    return len(fixed_points(phi, psi)) == 1
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:

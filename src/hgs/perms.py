@@ -21,17 +21,6 @@ def identity_perm(degree: int) -> np.ndarray:
     return np.arange(degree)
 
 
-def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(p . q)(i) = p(q(i)): q is applied first."""
-    return p[q]
-
-
-def invert(p: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p), dtype=p.dtype)
-    return inv
-
-
 def is_identity(p: np.ndarray) -> bool:
     return bool(np.all(p == np.arange(len(p))))
 
@@ -51,27 +40,6 @@ def perm_order(p: np.ndarray) -> int:
         q = p[q]
         order += 1
     return order
-
-
-def fixed_point_count(p: np.ndarray) -> int:
-    return int(np.count_nonzero(p == np.arange(len(p))))
-
-
-def cycle_type(p: np.ndarray) -> tuple[int, ...]:
-    """Cycle lengths in descending order, including fixed points."""
-    seen = np.zeros(len(p), dtype=bool)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        n = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = int(p[j])
-            n += 1
-        lengths.append(n)
-    return tuple(sorted(lengths, reverse=True))
 
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9][0-9\s,]*)?\)")

@@ -77,6 +77,25 @@ def test_bad_spec_exits_2(capsys):
     assert main(["info", "-G", "NOPE"]) == 2
 
 
+# what the test writes to g.txt, or None when it writes no file
+@pytest.mark.parametrize("spec, content", [
+    ("PGL(2,6)", None),
+    ("SL(2,1)", None),
+    ("PSL(2,0)", None),
+    ("file:{tmp}/missing.txt", None),
+    ("file:{tmp}", None),  # a directory
+    ("file:{tmp}/g.txt", b"\xff\xfe perm 3\n"),
+    ("file:{tmp}/g.txt", b"perm 0\n()\n"),
+    ("file:{tmp}/g.txt", b"perm -3\n()\n"),
+], ids=["PGL(2,6)", "SL(2,1)", "PSL(2,0)", "missing-file", "directory",
+        "undecodable-file", "degree-0", "degree-negative"])
+def test_malformed_spec_or_group_file_exits_2(spec, content, tmp_path, capsys):
+    if content is not None:
+        (tmp_path / "g.txt").write_bytes(content)
+    assert main(["info", "-G", spec.format(tmp=tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("spec error:")
+
+
 def test_infeasible_exits_3(capsys):
     rc = main(["count", "-G", "C16", "-N", "C16", "--method", "brute"])
     assert rc == 3

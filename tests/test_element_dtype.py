@@ -42,7 +42,7 @@ def _element_arrays(G: FiniteGroup) -> dict:
     arrays["aut.carrier.mul"] = aut.carrier.mul
     trivial = Homomorphism(G, aut.carrier, np.zeros(G.order, dtype=np.int64))
     arrays["Homomorphism.images"] = trivial.images
-    arrays["action_hom.images"] = aut.action_hom(1).images
+    arrays["automorphism images"] = Homomorphism(G, G, aut.perms[1]).images
     arrays["searched images"] = next(_search.iter_hom_images(
         G, aut.carrier, [[0]] * len(_search.stage_data(G).gens)))
     arrays["hom_orbit"] = hom_orbit(trivial.images, aut, aut)

@@ -1,15 +1,25 @@
-"""Every module-level function and class in the package, and every
-non-dunder method of those classes, is used somewhere.
+"""Nothing in the package exists only for its tests.
 
-A module-level name counts as used when the package, the tests or the demos
-mention it outside its own definition: as a name, an attribute, an imported
-name or a string (``monkeypatch.setattr`` and ``getattr`` name functions by
-string).  A method counts as used only when it is mentioned as an attribute
-(``x.name``) or a string: a bare name does not count, since local variables
-share method names (``pairs``, ``index``).  A method's own body does not
-count either, since a cached method may name itself as its cache key.
-Module-level functions registered by a decorator, such as catalog's
-``@_atom`` specs, are reached through the registry and are exempt.
+Every module-level function and class in the package, and every non-dunder
+method of those classes, is reached from a path that users run: the package
+itself, the demos or the benchmarks.  The tests are not callers, and neither
+are the re-exports in ``hgs/__init__.py``.  The one exception is
+``TEST_ORACLES``: small definitions that tests use as independent checks on
+live code.  Each names the live definition it checks.
+
+A module-level name counts as used in its own module when the module
+mentions it outside its own definition: as a name, an attribute, an imported
+name or a string (``getattr`` names functions by string).  In any other file
+a bare name does not count, since it may be a local of the same name
+(``counting`` has its own ``compose``): only an import, an attribute or a
+string does.  A method counts as used only when it is mentioned as an
+attribute (``x.name``) or a string, since local variables share method names
+(``pairs``, ``index``).  A method's own body does not count either, since a
+cached method may name itself as its cache key.  Module-level functions
+registered by a decorator, such as catalog's ``@_atom`` specs, are reached
+through the registry and are exempt.
+
+The files are only parsed, never imported.
 """
 
 import ast
@@ -20,32 +30,49 @@ import hgs
 PACKAGE = Path(hgs.__file__).parent
 ROOT = PACKAGE.parent.parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
-USERS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+CALLERS = ([p for p in SOURCES if p.name != "__init__.py"]
+           + sorted((ROOT / "demos").glob("*.py"))
+           + sorted((ROOT / "benchmarks").glob("*.py")))
+
+# definition -> (the live definition it checks, how)
+TEST_ORACLES = {
+    "holomorph.py:Holomorph.pair_mul": (
+        "holomorph.py:Holomorph.pair_orders",
+        "multiplies pairs one at a time against pair_orders and pair_perm"),
+    "perms.py:perm_order": (
+        "counting.py:all_regular_subgroups_of_sym",
+        "takes the oracle's element-order census in test_counting"),
+    "perms.py:format_cycles": (
+        "perms.py:parse_cycles",
+        "round-trips the group-file cycle parser"),
+    "fields.py:field_axioms_hold": (
+        "fields.py:gf",
+        "checks the pinned field tables exhaustively"),
+}
 
 
-def _mentions(node: ast.AST) -> tuple[set[str], set[str]]:
-    """(every name mentioned, the names mentioned as attributes or strings)."""
-    names, attributes = set(), set()
+def _mentions(node: ast.AST) -> tuple[set[str], set[str], set[str]]:
+    """(bare names, imported names, names mentioned as attributes or strings)."""
+    names, imports, attributes = set(), set(), set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             names.add(n.id)
         elif isinstance(n, ast.alias):
-            names.add(n.name.split(".")[-1])
+            imports.add(n.name.split(".")[-1])
         elif isinstance(n, ast.Attribute):
             attributes.add(n.attr)
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             attributes.add(n.value)
-    return names | attributes, attributes
+    return names, imports, attributes
 
 
-def _mentions_outside_itself(stmt: ast.stmt) -> tuple[set[str], set[str]]:
+def _mentions_outside_itself(stmt: ast.stmt) -> tuple[set[str], set[str], set[str]]:
     """What a statement mentions; a definition's own name does not count
     inside its own body, nor a method's inside the method's body."""
     if isinstance(stmt, ast.ClassDef):
         parts = [*map(_mentions_outside_itself, stmt.body),
                  *map(_mentions, stmt.bases + stmt.decorator_list)]
-        found = (set().union(*(p[0] for p in parts)),
-                 set().union(*(p[1] for p in parts)))
+        found = tuple(set().union(*(p[i] for p in parts)) for i in range(3))
     else:
         found = _mentions(stmt)
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -54,14 +81,13 @@ def _mentions_outside_itself(stmt: ast.stmt) -> tuple[set[str], set[str]]:
     return found
 
 
-def _used_names() -> tuple[set[str], set[str]]:
-    used, used_as_attribute = set(), set()
-    for path in USERS:
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            names, attributes = _mentions_outside_itself(stmt)
-            used |= names
-            used_as_attribute |= attributes
-    return used, used_as_attribute
+def _mentions_by_file() -> dict[str, tuple[set[str], set[str], set[str]]]:
+    found = {}
+    for path in CALLERS:
+        parts = [_mentions_outside_itself(stmt)
+                 for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+        found[path.name] = tuple(set().union(*(p[i] for p in parts)) for i in range(3))
+    return found
 
 
 def _definitions() -> list[tuple[str, str]]:
@@ -79,11 +105,23 @@ def _definitions() -> list[tuple[str, str]]:
     return defs
 
 
+def _is_used(module: str, name: str, mentions) -> bool:
+    if "." in name:
+        method = name.rpartition(".")[2]
+        return any(method in attributes for _, _, attributes in mentions.values())
+    own_names = mentions.get(module, (set(),) * 3)[0]
+    return name in own_names or any(name in imports or name in attributes
+                                    for _, imports, attributes in mentions.values())
+
+
 def test_every_module_level_definition_is_used():
     defs = _definitions()
     assert len(defs) >= 100
-    used, used_as_attribute = _used_names()
-    unused = [f"{mod}:{name}" for mod, name in defs
-              if name.rpartition(".")[2]
-              not in (used_as_attribute if "." in name else used)]
-    assert unused == []
+    mentions = _mentions_by_file()
+    unreached = sorted(f"{mod}:{name}" for mod, name in defs
+                       if not _is_used(mod, name, mentions))
+    test_only = [d for d in unreached if d not in TEST_ORACLES]
+    assert test_only == [], f"only tests reach {test_only}"
+    assert unreached == sorted(TEST_ORACLES), "a test oracle gained a caller"
+    checked = {live for live, _ in TEST_ORACLES.values()}
+    assert checked <= {f"{mod}:{name}" for mod, name in defs} - set(unreached)
