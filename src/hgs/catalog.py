@@ -48,12 +48,12 @@ _RESOLVE_CACHE: dict[str, FiniteGroup] = {}
 # -- elementary tables ---------------------------------------------------------
 
 
-def cyclic(n: int, name: str | None = None) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise SpecError("cyclic group order must be positive")
     idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table.astype(ELEMENT_DTYPE), name=name or f"C{n}",
+    return FiniteGroup(table.astype(ELEMENT_DTYPE), name=f"C{n}",
                        gens=[1] if n > 1 else [], validate=False)
 
 
@@ -130,7 +130,7 @@ def _sl2_elements(F: GaloisField) -> np.ndarray:
 
 
 def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGroup:
-    """Group from its full set of permutations (must already be closed)."""
+    """Group from its full set of permutations; GroupError unless closed."""
     rows = sorted_distinct(np.asarray(perm_rows, dtype=ELEMENT_DTYPE))
     degree = rows.shape[1]
     ident = np.arange(degree)

@@ -39,8 +39,6 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class GaloisField:
-    p: int
-    k: int
     q: int
     add: np.ndarray   # (q, q)
     mul: np.ndarray   # (q, q)
@@ -129,7 +127,7 @@ def gf(q: int) -> GaloisField:
             inv[x] = hits[0]
     for a in (add, mul, neg, inv):
         a.setflags(write=False)
-    field = GaloisField(p, k, q, add, mul, neg, inv)
+    field = GaloisField(q, add, mul, neg, inv)
     _FIELD_CACHE[q] = field
     return field
 

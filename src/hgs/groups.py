@@ -496,74 +496,105 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def perm_table(images: np.ndarray) -> np.ndarray:
-    """Cayley table of a set of permutation rows closed under composition.
+class RowIndex:
+    """Distinct rows of element indices, each found again by its whole row.
 
-    ``mul[i, j]`` is the index of the row ``images[i][images[j]]``; the
-    identity row must come first.  Rows are told apart by their images on
-    a base, a set of points chosen greedily until those images differ.
-    Only the rows of a greedy generating set are looked up, in one sorted
-    search each: each generator is the first row not yet reached.  A
-    looked-up row that misses the set raises, and every composed row is
-    then in the set too.
-
-    Every other row is composed from known ones, since x = h p gives
-    mul[x] = mul[h][mul[p]] for a generator h.  After each lookup the rows
-    reached from the new generator are filled one breadth-first level at
-    a time: per level and generator, the level's rows p give their new
-    products x = h p in one gather, and all of those rows in one more
-    (``_compose_rows``).  Left multiplication by h is a bijection, so one
-    generator meets each new x once, and a row already reached is not
-    filled again.  The row of x is the same whichever parent p reaches it,
-    so the table does not depend on the fill order.
+    Rows are told apart by their entries on a base, columns chosen greedily
+    until those entries differ, and sorted by those entries.  ``find`` looks
+    a row up in one sorted search on its base entries and keeps the match
+    only when the whole row is equal.
     """
-    n = len(images)
-    if n > MAX_ORDER:
-        raise CapExceededError(f"{n} permutation rows are more than the "
-                               f"{MAX_ORDER} that indices can number")
-    images = np.ascontiguousarray(images, dtype=ELEMENT_DTYPE)
-    if not np.array_equal(images[0], np.arange(images.shape[1])):
-        raise GroupError("the identity row must come first")
-    base: list[int] = []
-    seen = 0
-    for p in range(images.shape[1]):
-        if seen == n:
-            break
-        distinct = len(sorted_distinct(images[:, base + [p]]))
-        if distinct > seen:
-            base.append(p)
-            seen = distinct
-    if seen != n:
-        raise GroupError("permutation rows are not distinct")
-    on_base = np.ascontiguousarray(images[:, base])
-    order = np.argsort(_row_keys(on_base))
-    sorted_keys = _row_keys(on_base[order])
-    mul = np.empty((n, n), dtype=ELEMENT_DTYPE)
-    mul[0] = np.arange(n)
-    known = np.zeros(n, dtype=bool)
-    known[0] = True
-    gens: list[int] = []
-    while not known.all():
-        g = int(np.argmin(known))  # the first row not yet reached
-        composed = images[g][on_base]
-        mul[g] = order[np.minimum(np.searchsorted(sorted_keys, _row_keys(composed)), n - 1)]
-        if not np.array_equal(on_base[mul[g]], composed):
-            raise GroupError("permutation rows are not closed under composition")
-        known[g] = True
-        gens.append(g)
-        # the words w g reach every element of the group the gens generate
-        level = np.array([g], dtype=np.intp)
-        while len(level):
-            reached = []
-            for h in gens:
-                x = mul[h, level]
-                new = ~known[x]
-                x, parents = x[new], level[new]
-                known[x] = True
-                _compose_rows(mul, h, x, parents)
-                reached.append(x)
-            level = np.concatenate(reached).astype(np.intp)
-    return mul
+
+    def __init__(self, rows: np.ndarray):
+        n = len(rows)
+        if n > MAX_ORDER:
+            raise CapExceededError(f"{n} rows are more than the "
+                                   f"{MAX_ORDER} that indices can number")
+        self.rows = np.ascontiguousarray(rows, dtype=ELEMENT_DTYPE)
+        base: list[int] = []
+        seen = 0
+        for p in range(self.rows.shape[1]):
+            if seen == n:
+                break
+            distinct = len(sorted_distinct(self.rows[:, base + [p]]))
+            if distinct > seen:
+                base.append(p)
+                seen = distinct
+        if seen != n:
+            raise GroupError("rows are not distinct")
+        self._base = base
+        on_base = self.rows[:, base]
+        self._order = np.argsort(_row_keys(on_base))
+        self._keys = _row_keys(on_base[self._order])
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The position of every row of ``rows`` (its last axis) among the
+        indexed rows, or -1 where none of them equals it.  Rows go a block
+        of about ``_search.CERTIFICATE_BLOCK`` entries at a time."""
+        rows = np.asarray(rows)
+        flat = rows.reshape(-1, rows.shape[-1])
+        found = np.empty(len(flat), dtype=np.intp)
+        step = max(1, _search.CERTIFICATE_BLOCK // flat.shape[1])
+        last = len(self._keys) - 1
+        for i in range(0, len(flat), step):
+            block = flat[i:i + step]
+            keys = _row_keys(block[:, self._base])
+            at = self._order[np.minimum(np.searchsorted(self._keys, keys), last)]
+            at[(self.rows[at] != block).any(axis=1)] = -1
+            found[i:i + step] = at
+        return found.reshape(rows.shape[:-1])
+
+    def table(self) -> np.ndarray:
+        """Cayley table of the rows, permutations with the identity first:
+        ``mul[i, j]`` is the position of the row ``rows[i][rows[j]]``.
+
+        Only generator rows are looked up, each composed with every row and
+        found whole: each generator is the first row not yet reached.  A
+        product that is no row raises GroupError.  Every other row is filled
+        from known ones, x = h p giving mul[x] = mul[h][mul[p]] for a
+        generator h, one breadth-first level at a time: per level and
+        generator, one gather finds the new products x and one more fills
+        their rows (``_compose_rows``).  Left multiplication by h is a
+        bijection, so h meets each new x once; the row of x is the same
+        whichever parent reaches it, so the fill order does not matter.
+        A returned table thus shows the rows closed under composition.
+        """
+        images, n = self.rows, len(self.rows)
+        if not np.array_equal(images[0], np.arange(images.shape[1])):
+            raise GroupError("the identity row must come first")
+        step = max(1, _search.CERTIFICATE_BLOCK // images.shape[1])
+        mul = np.empty((n, n), dtype=ELEMENT_DTYPE)
+        mul[0] = np.arange(n)
+        known = np.zeros(n, dtype=bool)
+        known[0] = True
+        gens: list[int] = []
+        while not known.all():
+            g = int(np.argmin(known))  # the first row not yet reached
+            for i in range(0, n, step):  # np.take gathers faster than a subscript
+                mul[g, i:i + step] = self.find(np.take(images[g], images[i:i + step]))
+            if (mul[g] < 0).any():
+                raise GroupError("permutation rows are not closed under composition")
+            known[g] = True
+            gens.append(g)
+            # the words w g reach every element of the group the gens generate
+            level = np.array([g], dtype=np.intp)
+            while len(level):
+                reached = []
+                for h in gens:
+                    x = mul[h, level]
+                    new = ~known[x]
+                    x, parents = x[new], level[new]
+                    known[x] = True
+                    _compose_rows(mul, h, x, parents)
+                    reached.append(x)
+                level = np.concatenate(reached).astype(np.intp)
+        return mul
+
+
+def perm_table(images: np.ndarray) -> np.ndarray:
+    """Cayley table of distinct permutation rows, identity first, by
+    ``RowIndex.table``: GroupError unless they are closed under composition."""
+    return RowIndex(images).table()
 
 
 def _compose_rows(mul: np.ndarray, h: int, xs: np.ndarray, parents: np.ndarray) -> None:
@@ -580,9 +611,9 @@ def _compose_rows(mul: np.ndarray, h: int, xs: np.ndarray, parents: np.ndarray) 
         mul[xs[i:i + rows]] = np.take(left, mul[parents[i:i + rows]])
 
 
-def from_mul_table(table, *, name: str | None = None, validate: bool = True) -> FiniteGroup:
+def from_mul_table(table, *, name: str | None = None) -> FiniteGroup:
     """Group from an explicit Cayley table; fully validated when small enough."""
-    return FiniteGroup(table, name=name, validate=validate)
+    return FiniteGroup(table, name=name)
 
 
 def from_perm_gens(

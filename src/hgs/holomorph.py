@@ -86,8 +86,8 @@ class Holomorph:
     def lambda_pair(self, eta: int) -> tuple[int, int]:
         """Left translation by eta as a holomorph pair."""
         base = self.base
-        conj_key = base.mul[base.mul[eta, np.arange(base.order)], base.inv[eta]]
-        return (int(base.inv[eta]), self.aut.perm_index(conj_key))
+        conj = base.mul[base.mul[eta], base.inv[eta]]
+        return (int(base.inv[eta]), self.aut.perm_index(conj))
 
     def rho_pair(self, eta: int) -> tuple[int, int]:
         """Right translation by eta^-1 as a holomorph pair."""
@@ -205,14 +205,11 @@ def derive_h(c: CrossedHom) -> Homomorphism:
     hol = c.hol
     G = c.source
     N = hol.base
-    base_pts = np.array(hol.aut._base_points, dtype=np.intp)
-    g = c.g.astype(np.intp)
-    # row d: conj(g(d)) . f(d) on the base points, the carrier's index key
-    keys = N.mul[N.mul[g[:, None], hol.aut.perms[c.f.images[:, None], base_pts]],
-                 N.inv[g][:, None]]
-    index = hol.aut._index
-    images = np.fromiter((index.get(k, -1) for k in map(tuple, keys.tolist())),
-                         dtype=ELEMENT_DTYPE, count=G.order)
+    n, flat, g = np.intp(N.order), N.mul.ravel(), c.g[:, None]
+    # row d: x -> g(d) f(d)(x) g(d)^-1, gathered from the flat table at
+    # intp indices, which cannot wrap
+    twisted = flat.take(g * n + hol.aut.perms[c.f.images])
+    images = hol.aut.index.find(flat.take(twisted * n + N.inv[g])).astype(ELEMENT_DTYPE)
     if (images < 0).any():
         raise EngineError("conj(g(d)).f(d) is not an automorphism of N")
     try:
@@ -248,8 +245,10 @@ def induce_on_quotient(c: CrossedHom, L: Subgroup) -> tuple[CrossedHom, Subgroup
         reps = np.empty(Q.order, dtype=np.int64)
         reps[coset_of] = np.arange(N.order)  # one representative per coset
         # every automorphism of N acting on Q, as an index into Aut(Q)
-        on_q = map(automorphism_group(Q).perm_index, coset_of[hol.aut.perms[:, reps]])
-        N._cache[key] = Q, coset_of, np.fromiter(on_q, dtype=ELEMENT_DTYPE)
+        on_q = automorphism_group(Q).index.find(coset_of[hol.aut.perms[:, reps]])
+        if (on_q < 0).any():
+            raise EngineError("an automorphism of N does not act on N/L as one of Aut(N/L)")
+        N._cache[key] = Q, coset_of, on_q.astype(ELEMENT_DTYPE)
     Q, coset_of, on_q = N._cache[key]
     f_bar = Homomorphism(G, automorphism_group(Q).carrier, on_q[c.f.images])
     g_bar = coset_of[c.g].astype(ELEMENT_DTYPE)
@@ -283,47 +282,32 @@ class RegularSubgroup:
         if not is_permutation(members[:, 0]):
             raise GroupError("evaluation at the identity is not bijective")
 
-    def member_set(self) -> set[bytes]:
-        return {np.ascontiguousarray(row).tobytes() for row in self.members}
-
     def key(self) -> tuple[bytes, ...]:
         return tuple(np.ascontiguousarray(row).tobytes() for row in self.members)
+
+    def contains(self, rows: np.ndarray) -> bool:
+        """True when every permutation row of ``rows`` (its last axis) is a
+        member: row x of the sorted members is the one sending 0 to x."""
+        return bool((self.members[rows[..., 0]] == rows).all())
 
     def as_group(self, name: str | None = None) -> FiniteGroup:
         """The subgroup as an abstract group, indexed by evaluation at 0.
 
-        Point x names the unique member sending 0 to x, so the product of
+        Point x names row x, the member sending 0 to x, so the product of
         points x and y is simply row_x[y]; the member table itself is the
         Cayley table.
         """
-        n = self.base.order
-        by_eval = np.empty(n, dtype=np.int64)
-        by_eval[self.members[:, 0]] = np.arange(n)
-        table = self.members[by_eval]
-        return FiniteGroup(table, name=name, validate=n <= 128)
-
-
-def is_subgroup_of_perms(members: np.ndarray) -> bool:
-    keys = {np.ascontiguousarray(r).tobytes() for r in members}
-    for i in range(len(members)):
-        comp = members[i][members]
-        for row in comp:
-            if np.ascontiguousarray(row).tobytes() not in keys:
-                return False
-    return True
+        return FiniteGroup(self.members, name=name, validate=self.base.order <= 128)
 
 
 def normalized_by(D: RegularSubgroup, conjugator_perms: Sequence[np.ndarray]) -> bool:
     """True when every conjugator keeps D's member set fixed setwise."""
-    keys = D.member_set()
     for e in conjugator_perms:
-        e = np.asarray(e, dtype=ELEMENT_DTYPE)  # conj rows key like D's members
+        e = np.asarray(e)
         e_inv = np.empty_like(e)
         e_inv[e] = np.arange(len(e))
-        conj = e[D.members[:, e_inv]]
-        for row in conj:
-            if np.ascontiguousarray(row).tobytes() not in keys:
-                return False
+        if not D.contains(e[D.members[:, e_inv]]):
+            return False
     return True
 
 
@@ -345,22 +329,18 @@ def rho_perms(G: FiniteGroup, elements: Optional[Sequence[int]] = None) -> np.nd
 def dual_regular_subgroup(D: RegularSubgroup) -> RegularSubgroup:
     """Centralizer of a regular subgroup in the full symmetric group.
 
-    Solved through the regular action: the unique member sending the
-    identity point to x plays the role of x under evaluation, and the dual's
-    members are the transported right translations.
+    Solved through the regular action: member x, the one sending the
+    identity point to x, plays the role of x under evaluation, and the
+    dual's members are the transported right translations, y -> x y sending
+    x to members[x][y]: the columns of the member rows.
     """
-    n = D.base.order
     members = D.members
-    by_eval = np.empty(n, dtype=np.int64)
-    by_eval[members[:, 0]] = np.arange(n)
-    DX = members[by_eval]        # DX[x] = the member with DX[x][0] == x
-    dual_members = DX[:, members[:, 0]].T.copy()
-    dual = RegularSubgroup(D.base, dual_members)
-    if not is_subgroup_of_perms(dual.members):
+    dual = RegularSubgroup(D.base, members.T)
+    if not dual.contains(dual.members[:, dual.members]):
         raise EngineError("centralizer transport did not produce a subgroup")
-    for d in members:
-        if not np.array_equal(d[dual.members], dual.members[:, d]):
-            raise EngineError("dual member fails to centralize")
+    if not np.array_equal(members[:, dual.members],
+                          dual.members[:, members].transpose(1, 0, 2)):
+        raise EngineError("dual member fails to centralize")
     return dual
 
 
@@ -570,20 +550,11 @@ def holomorph_equals_translation_normalizers(G: FiniteGroup) -> bool:
     n = G.order
     if n > 6:
         raise GroupError("normalizer identity check is capped at order 6")
-    hol = build_holomorph(G)
-    hol_keys = {np.ascontiguousarray(r).tobytes() for r in hol.all_pair_perms()}
-    lam = {np.ascontiguousarray(r).tobytes() for r in lambda_perms(G)}
-    rho = {np.ascontiguousarray(r).tobytes() for r in rho_perms(G)}
-    lam_rows = lambda_perms(G)
-    rho_rows = rho_perms(G)
-    norm_lam = set()
-    norm_rho = set()
-    for p in permutations(range(n)):
-        arr = np.array(p, dtype=ELEMENT_DTYPE)
-        inv = np.empty(n, dtype=ELEMENT_DTYPE)
-        inv[arr] = np.arange(n)
-        if all(np.ascontiguousarray(arr[row[inv]]).tobytes() in lam for row in lam_rows):
-            norm_lam.add(arr.tobytes())
-        if all(np.ascontiguousarray(arr[row[inv]]).tobytes() in rho for row in rho_rows):
-            norm_rho.add(arr.tobytes())
-    return norm_lam == hol_keys == norm_rho
+    hol = build_holomorph(G).all_pair_perms()
+    hol = hol[row_sort_order(hol)]
+    lam = RegularSubgroup(G, lambda_perms(G))
+    rho = RegularSubgroup(G, rho_perms(G))
+    every = np.array(list(permutations(range(n))), dtype=ELEMENT_DTYPE)  # sorted
+    norm_lam = [p for p in every if normalized_by(lam, [p])]
+    norm_rho = [p for p in every if normalized_by(rho, [p])]
+    return np.array_equal(norm_lam, hol) and np.array_equal(norm_rho, hol)

@@ -14,11 +14,11 @@ from .groups import (
     EngineError,
     FiniteGroup,
     GroupError,
+    RowIndex,
     Subgroup,
     center,
     conjugation_orbit_least,
     fingerprint,
-    perm_table,
     row_sort_order,
     sorted_distinct,
     table_cap,
@@ -75,23 +75,22 @@ class AutomorphismGroup:
     """Aut(base) with its own multiplication table.
 
     ``perms[i]`` realizes carrier element i as a permutation of the base
-    group; ``inner`` marks the inner automorphisms inside the carrier.
+    group; ``inner`` marks the inner automorphisms inside the carrier;
+    ``index`` finds carrier indices of permutations of the base.
     """
 
     base: FiniteGroup
     carrier: FiniteGroup
     perms: np.ndarray  # (|Aut|, |base|), ELEMENT_DTYPE
     inner: Subgroup
-    _base_points: tuple[int, ...]
-    _index: dict
+    index: RowIndex  # over perms
 
     def perm_index(self, perm: np.ndarray) -> int:
         """Carrier index of an automorphism given as a permutation of base."""
-        key = tuple(int(perm[b]) for b in self._base_points)
-        try:
-            return self._index[key]
-        except KeyError:
+        i = int(self.index.find(perm))
+        if i < 0:
             raise GroupError("permutation is not an automorphism of the base group")
+        return i
 
     @property
     def order(self) -> int:
@@ -207,18 +206,16 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
         raise EngineError("the automorphism cosets miss the identity map")
     if not _search.generator_certificate(G, G, perms):
         raise EngineError("an automorphism fails the generator certificate")
-    index = {k: i for i, k in enumerate(map(tuple, perms[:, gen_idx].tolist()))}
-    if len(index) != len(perms):
-        raise GroupError("automorphism action is not faithful on generators")
-    carrier = FiniteGroup(perm_table(perms),
+    perms = _readonly(perms)
+    index = RowIndex(perms)
+    carrier = FiniteGroup(index.table(),
                           name=f"Aut({G.name})" if G.name else "Aut",
                           validate=False)
-    inner_idx = sorted(index[k] for k in map(tuple, inn[:, gen_idx].tolist()))
-    inner = Subgroup(carrier, np.array(inner_idx, dtype=np.int64))
+    inner = Subgroup(carrier, index.find(inn))
     z = center(G).size
     if inner.size * z != G.order:
         raise GroupError("inner automorphism count disagrees with the center")
-    aut = AutomorphismGroup(G, carrier, _readonly(perms), inner, tuple(gen_idx), index)
+    aut = AutomorphismGroup(G, carrier, perms, inner, index)
     G._cache["aut"] = aut
     return aut
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hgs.fields import FieldError, field_axioms_hold, gf
@@ -23,7 +24,13 @@ def test_only_the_catalog_prime_powers_are_pinned():
 
 def test_gf9_structure():
     F = gf(9)
-    assert (F.p, F.k, F.q) == (3, 2, 9)
+    assert F.q == 9
+    # the pinned encoding: index c0 + 3 c1 is c0 + c1 i, with i^2 = -1
+    c1, c0 = np.divmod(np.arange(9), 3)
+    assert np.array_equal(F.add, (c0[:, None] + c0) % 3 + 3 * ((c1[:, None] + c1) % 3))
+    real = (c0[:, None] * c0 - c1[:, None] * c1) % 3
+    imag = (c0[:, None] * c1 + c1[:, None] * c0) % 3
+    assert np.array_equal(F.mul, real + 3 * imag)
     # the multiplicative group is cyclic of order 8
     orders = []
     for x in range(1, 9):

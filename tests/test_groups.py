@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,3 +297,33 @@ def test_perm_table_rejects_an_unclosed_set():
     cyc = P.parse_cycles("(0 1 2 3)", 4)
     with pytest.raises(GroupError, match="not closed"):
         perm_table(np.stack([P.identity_perm(4), cyc]))
+
+
+def test_perm_table_rejects_a_set_that_agrees_with_a_group_on_its_base():
+    # on the base {0} these rows look like C3, but row 2 is an involution
+    rows = np.stack([P.identity_perm(5), P.parse_cycles("(0 4 1)", 5),
+                     P.parse_cycles("(0 1)(2 3)", 5)])
+    with pytest.raises(GroupError, match="not closed"):
+        perm_table(rows)
+
+
+def test_perm_table_on_random_subsets_of_sym5():
+    # identity first, then distinct random members of Sym(5); a set gets a
+    # table exactly when it is closed, and the table is the composition's
+    sym5 = np.array(list(itertools.permutations(range(5))), dtype=ELEMENT_DTYPE)
+    rng = np.random.default_rng(5)
+    closed = 0
+    for _ in range(1500):
+        size = int(rng.integers(2, 7))
+        rows = sym5[np.concatenate([[0], 1 + rng.choice(119, size - 1, replace=False)])]
+        index = {row.tobytes(): i for i, row in enumerate(rows)}
+        products = [[index.get(rows[i][rows[j]].tobytes()) for j in range(size)]
+                    for i in range(size)]
+        if any(None in line for line in products):
+            for build in (perm_table, catalog.from_perm_set):
+                with pytest.raises(GroupError, match="not closed"):
+                    build(rows)
+        else:
+            closed += 1
+            assert perm_table(rows).tolist() == products
+    assert closed >= 50

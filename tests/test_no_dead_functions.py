@@ -19,6 +19,11 @@ cached method may name itself as its cache key.  Module-level functions
 registered by a decorator, such as catalog's ``@_atom`` specs, are reached
 through the registry and are exempt.
 
+Every keyword-only parameter is passed by name in some call from those
+paths, to a callee of its function's name (its class's name for
+``__init__``), except those in ``UNPASSED_KEYWORDS``, each kept for a
+named reason.
+
 The files are only parsed, never imported.
 """
 
@@ -48,6 +53,15 @@ TEST_ORACLES = {
     "fields.py:field_axioms_hold": (
         "fields.py:gf",
         "checks the pinned field tables exhaustively"),
+}
+
+# (definition, keyword) -> why no caller passes it yet
+UNPASSED_KEYWORDS = {
+    ("counting.py:count_byott", "log"):
+        "kept for the progress reports of long hgs count runs (ROADMAP item 4)",
+    ("parallel.py:parallel_crossed_counts", "jobs"):
+        "the benchmark's tracing harness imports hgs.parallel and wraps this "
+        "function by name; the module goes once that import does",
 }
 
 
@@ -125,3 +139,42 @@ def test_every_module_level_definition_is_used():
     assert unreached == sorted(TEST_ORACLES), "a test oracle gained a caller"
     checked = {live for live, _ in TEST_ORACLES.values()}
     assert checked <= {f"{mod}:{name}" for mod, name in defs} - set(unreached)
+
+
+def _keywords_passed() -> dict[str, set[str]]:
+    """Callee name -> every keyword some call from the caller paths passes it."""
+    passed: dict[str, set[str]] = {}
+    for path in CALLERS:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call):
+                f = n.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                passed.setdefault(callee, set()).update(k.arg for k in n.keywords if k.arg)
+    return passed
+
+
+def _keyword_only_parameters() -> list[tuple[str, str, str]]:
+    """(definition, the name callers call it by, keyword) for every
+    keyword-only parameter of a module-level function or a method."""
+    found = []
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef):
+                found.append((f"{path.name}:{stmt.name}", stmt.name, stmt))
+            elif isinstance(stmt, ast.ClassDef):
+                found += [(f"{path.name}:{stmt.name}.{m.name}",
+                           stmt.name if m.name == "__init__" else m.name, m)
+                          for m in stmt.body if isinstance(m, ast.FunctionDef)]
+    return [(where, callee, a.arg) for where, callee, fn in found
+            for a in fn.args.kwonlyargs]
+
+
+def test_every_keyword_only_parameter_is_passed_by_name():
+    params = _keyword_only_parameters()
+    assert len(params) >= 20
+    passed = _keywords_passed()
+    unpassed = sorted((where, kw) for where, callee, kw in params
+                      if kw not in passed.get(callee, set()))
+    assert [u for u in unpassed if u not in UNPASSED_KEYWORDS] == [], \
+        "no caller passes these keywords"
+    assert unpassed == sorted(UNPASSED_KEYWORDS), "an exempt keyword gained a caller"

@@ -12,7 +12,7 @@ import pytest
 
 from hgs import _search
 from hgs.catalog import resolve_spec
-from hgs.groups import ELEMENT_DTYPE, EngineError, row_sort_order
+from hgs.groups import ELEMENT_DTYPE, EngineError, RowIndex, row_sort_order
 from hgs.holomorph import (
     CrossedHom,
     _crossed_candidates,
@@ -243,15 +243,15 @@ def test_row_sort_order_equals_lexsort():
 
 
 def _reference_derive_h(c):
-    """The per-element loop derive_h replaced."""
+    """Per element, conj(g(d)) . f(d) looked up by its whole row in a dict."""
     hol, G, N = c.hol, c.source, c.hol.base
-    base_pts = np.array(hol.aut._base_points, dtype=np.int64)
+    index = {tuple(p): i for i, p in enumerate(hol.aut.perms.tolist())}
     images = np.empty(G.order, dtype=np.int32)
     for d in range(G.order):
         gd = int(c.g[d])
         fp = hol.aut.perms[int(c.f.images[d])]
-        key_vals = N.mul[N.mul[gd, fp[base_pts]], N.inv[gd]]
-        images[d] = hol.aut._index.get(tuple(int(v) for v in key_vals), -1)
+        row = N.mul[N.mul[gd, fp], N.inv[gd]]
+        images[d] = index.get(tuple(row.tolist()), -1)
         if images[d] < 0:
             raise EngineError("conj(g(d)).f(d) is not an automorphism of N")
     return images
@@ -274,19 +274,16 @@ def test_derive_h_equals_the_per_element_loop(g_label, n_label):
     assert checked > 0
 
 
-def test_derive_h_error_paths():
+def test_derive_h_error_paths(monkeypatch):
     Q8 = resolve_spec("Q8")
     hol = build_holomorph(Q8)
     f = Homomorphism(Q8, hol.aut.carrier, np.zeros(8, dtype=np.int32))
-    # a carrier missing conj(g(d)) for some d: the key lookup fails
+    # an index that holds the identity alone: the lookup of conj(g(d)) fails
     c = CrossedHom(hol, f, np.arange(8, dtype=np.int32), bijective=True)
-    index = hol.aut._index
-    try:
-        hol.aut._index = {k: v for k, v in index.items() if v in (0,)}
-        with pytest.raises(EngineError, match="is not an automorphism of N"):
-            derive_h(c)
-    finally:
-        hol.aut._index = index
+    monkeypatch.setattr(hol.aut, "index", RowIndex(hol.aut.perms[:1]))
+    with pytest.raises(EngineError, match="is not an automorphism of N"):
+        derive_h(c)
+    monkeypatch.undo()
     # a g that is not a crossed hom: every key exists, h is not multiplicative
     d = int(np.flatnonzero(Q8.elt_order == 4)[0])
     g = np.zeros(8, dtype=np.int32)

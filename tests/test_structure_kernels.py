@@ -592,7 +592,7 @@ def test_rows_fine_but_one_column_not_a_permutation():
 def test_element_without_finite_order_raises():
     # 1 -> 1*1 = 2 -> 2*1 = 1 -> ... never reaches the identity
     with pytest.raises(GroupError, match="element has no finite order"):
-        from_mul_table(TWISTED_C3, validate=False)
+        FiniteGroup(TWISTED_C3, validate=False)
 
 
 @pytest.mark.parametrize("entry, value", [((1, 1), 1), ((2, 1), 1)],
@@ -608,7 +608,7 @@ def test_element_without_finite_order_past_the_walk_limit_raises(entry, value):
     table[entry] = value
     assert n > ORDER_WALK_LIMIT
     with pytest.raises(GroupError, match="element has no finite order"):
-        from_mul_table(table, validate=False)
+        FiniteGroup(table, validate=False)
 
 
 # -- closures built as subgroups skip the membership check ------------------------
