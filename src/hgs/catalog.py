@@ -130,13 +130,13 @@ def _sl2_elements(F: GaloisField) -> np.ndarray:
 
 
 def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGroup:
-    """Group from its full set of permutations; GroupError unless closed."""
-    rows = sorted_distinct(np.asarray(perm_rows, dtype=ELEMENT_DTYPE))
+    """Group from its full set of permutations; GroupError unless they form one."""
+    rows = np.asarray(perm_rows, dtype=np.int64)  # checked wide, so nothing wraps
     degree = rows.shape[1]
-    ident = np.arange(degree)
-    ident_pos = int(np.flatnonzero((rows == ident).all(axis=1))[0])
-    order = [ident_pos] + [i for i in range(len(rows)) if i != ident_pos]
-    rows = rows[order]
+    bad = (np.sort(rows, axis=1) != np.arange(degree)).any(axis=1)
+    if bad.any():
+        raise GroupError(f"row {rows[bad][0].tolist()} is not a permutation")
+    rows = sorted_distinct(rows.astype(ELEMENT_DTYPE))
     return FiniteGroup(perm_table(rows), name=name,
                        perm_rep=PermRep(degree, _readonly(rows)), validate=False)
 

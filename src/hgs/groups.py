@@ -450,19 +450,19 @@ def _closure_indices(mul: np.ndarray, seed: Iterable[int]) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
+def _row_keys(rows: np.ndarray, word: int = 0) -> np.ndarray:
     """One key per row of nonnegative integers below 2^32, ordered as the
     rows are lexicographically.
 
-    Entries take 16-bit words when they fit (element indices always do),
-    else 32-bit ones.  A row of at most 64 bits becomes one uint64, first
+    Entries take ``word`` bytes, by default 2 when they fit (element indices
+    always do), else 4.  A row of at most 64 bits becomes one uint64, first
     entry highest: its words, last entry first, are the key's bytes read
     little-endian.  NumPy sorts and compares those natively.  A wider row
     is a void key of big-endian words, whose byte order is the rows' order.
     """
     k = rows.shape[1]
     narrow = rows.dtype.itemsize <= 2 or not rows.size or rows.max() < 1 << 16
-    word = 2 if narrow else 4
+    word = word or (2 if narrow else 4)
     if k * word <= 8:
         words = np.zeros((len(rows), 8 // word), dtype=f"<u{word}")
         words[:, :k] = rows[:, ::-1]
@@ -591,6 +591,29 @@ class RowIndex:
         return mul
 
 
+class RowSet:
+    """The rows a closure has met, keyed by ``_row_keys`` in fixed 32-bit words."""
+
+    def __init__(self):
+        self._keys: set = set()
+
+    def add(self, rows: np.ndarray) -> np.ndarray:
+        """Meet ``rows``; return the positions of the first copies of new ones."""
+        seen, fresh = self._keys, []
+        for i, key in enumerate(_row_keys(np.asarray(rows), 4).tolist()):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        return np.array(fresh, dtype=np.intp)
+
+    def __contains__(self, row) -> bool:
+        # the key _row_keys gives one row, built without arrays
+        key, row = 0, row.tolist()
+        for v in row:
+            key = key << 32 | v
+        return (key if len(row) <= 2 else key.to_bytes(4 * len(row), "big")) in self._keys
+
+
 def perm_table(images: np.ndarray) -> np.ndarray:
     """Cayley table of distinct permutation rows, identity first, by
     ``RowIndex.table``: GroupError unless they are closed under composition."""
@@ -623,9 +646,9 @@ def from_perm_gens(
 ) -> FiniteGroup:
     """Group generated by permutations, closed by breadth-first multiplication.
 
-    Elements are indexed in BFS discovery order from the identity, so index 0
-    is automatically the identity; the generators, less redundant ones, are
-    ``gens``.  The closure stops as soon as it would pass the table cap.
+    Elements are indexed from the identity, 0, level by level: each level's
+    elements in turn times every generator.  ``gens`` are the given ones, less
+    redundant ones.  The closure stops at the first level past the table cap.
     """
     if not gen_perms:
         raise GroupError("need at least one generator permutation")
@@ -641,31 +664,23 @@ def from_perm_gens(
         if not P.is_permutation(p):
             raise GroupError(f"generator {i} is not a bijection")
         gens.append(p.astype(ELEMENT_DTYPE))
-    cap = table_cap()
-    identity = np.arange(degree, dtype=ELEMENT_DTYPE)
-    index_of = {identity.tobytes(): 0}
-    elements = [identity]  # also the BFS queue
-    pos = 0
-    while pos < len(elements):
-        x = elements[pos]
-        pos += 1
-        for g in gens:
-            y = g[x]
-            key = y.tobytes()
-            if key not in index_of:
-                if len(elements) >= cap:
-                    raise CapExceededError(
-                        f"closure has more than {cap} elements, the table cap")
-                index_of[key] = len(elements)
-                elements.append(y)
-    images = np.stack(elements)
-    return FiniteGroup(
-        perm_table(images),
-        name=name,
-        perm_rep=PermRep(degree, _readonly(images)),
-        gens=[index_of[g.tobytes()] for g in gens],
-        validate=False,
-    )
+    cap, gens = table_cap(), np.stack(gens)
+    level = np.arange(degree, dtype=ELEMENT_DTYPE)[None]
+    seen, levels, size = RowSet(), [level], 1
+    seen.add(level)
+    while len(level):
+        # row x m + j is generator j after element x of the level: g[x]
+        moved = gens[:, level].transpose(1, 0, 2).reshape(-1, degree)
+        level = moved[seen.add(moved)]
+        size += len(level)
+        if size > cap:
+            raise CapExceededError(f"closure has more than {cap} elements, the table cap")
+        levels.append(level)
+    images = np.concatenate(levels)
+    index = RowIndex(images)
+    return FiniteGroup(index.table(), name=name,
+                       perm_rep=PermRep(degree, _readonly(images)),
+                       gens=index.find(gens).tolist(), validate=False)
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) -> FiniteGroup:

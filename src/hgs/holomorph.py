@@ -25,9 +25,9 @@ from .groups import (
     EngineError,
     FiniteGroup,
     GroupError,
+    RowSet,
     Subgroup,
     _readonly,
-    _row_keys,
     quotient_group,
     row_sort_order,
 )
@@ -371,9 +371,9 @@ def centralizer_orbits(hol: Holomorph, f: Homomorphism) -> tuple[int, np.ndarray
 
 
 def bijective_pair_count(hol: Holomorph, f: Homomorphism,
-                         found: Optional[dict] = None) -> int:
-    """Bijective crossed homs for one f; the subgroup of each emitted map
-    goes into ``found``, keyed by its sorted pair codes g(d) |Aut(N)| + f(d).
+                         found: Optional[list] = None) -> int:
+    """Bijective crossed homs for one f; each emitted map appends the sorted
+    pair codes g(d) |Aut(N)| + f(d) of its subgroup to ``found``, repeats and all.
 
     One first-generator image is searched per orbit of C = C_Aut(N)(f(G))
     on N: for alpha in C, g -> alpha . g permutes the bijective crossed homs
@@ -391,8 +391,7 @@ def bijective_pair_count(hol: Holomorph, f: Homomorphism,
     for c in crossed_homomorphisms(hol, f, bijective_only=True, first_images=weight > 0):
         count += int(weight[c.g[s1]])
         if found is not None:
-            codes = np.sort(c.g * m + f.images)
-            found.setdefault(codes.tobytes(), codes)
+            found.append(np.sort(c.g * m + f.images))
     if count % cent_order:
         raise EngineError(f"weighted pair count {count} is not a multiple of "
                           f"|C_Aut(N)(f(G))| = {cent_order}")
@@ -405,10 +404,10 @@ def hom_orbit(images: np.ndarray, aut_g: AutomorphismGroup,
 
     (b, a) runs over Aut(G) x Aut(N).  The orbit is closed one frontier at
     a time under the generators of both carriers; a map is known by its
-    images of the effective generators of G, read as one byte key per row.
-    Each frontier moves those images only, keeps the first copy of every
-    key not seen before, in the order the moves produce them, and builds
-    whole rows for the new keys alone.
+    images of the effective generators of G, held in a ``RowSet``.  Each
+    frontier moves those images only, keeps the first copy of every image
+    row not met before, in the order the moves produce them, and builds
+    whole rows for the new ones alone.
     """
     gens = np.asarray(aut_g.base.gens, dtype=np.intp)
     B, A = aut_g.carrier, aut_n.carrier
@@ -427,19 +426,15 @@ def hom_orbit(images: np.ndarray, aut_g: AutomorphismGroup,
     moves = np.arange(m)[:, None, None]
     frontier = np.asarray(images, dtype=ELEMENT_DTYPE)[None, :]
     blocks = [frontier]
-    seen = set(_row_keys(frontier[:, gens]).tolist())
+    seen = RowSet()
+    seen.add(frontier[:, gens])
     while True:
-        # key j * len(frontier) + r is move j applied to frontier row r
+        # row j * len(frontier) + r is move j applied to frontier row r
         moved = conj[moves, frontier[:, perm_on_gens].transpose(1, 0, 2)]
-        keys = _row_keys(moved.reshape(m * len(frontier), len(gens))).tolist()
-        fresh = []
-        for i, key in enumerate(keys):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        if not fresh:
+        fresh = seen.add(moved.reshape(m * len(frontier), len(gens)))
+        if not len(fresh):
             return np.concatenate(blocks)
-        move, row = np.divmod(np.array(fresh), len(frontier))
+        move, row = np.divmod(fresh, len(frontier))
         frontier = conj[move[:, None], frontier[row[:, None], perm[move]]]
         blocks.append(frontier)
 
@@ -460,38 +455,37 @@ def hom_orbits(G: FiniteGroup, aut_g: AutomorphismGroup,
     carrier = aut_n.carrier
     gens = G.gens
     group_order = aut_g.order * aut_n.order
-    covered: set[tuple[int, ...]] = set()
+    covered = RowSet()
     orbits = []
     candidates = class_cut(carrier, _hom_candidates(G, carrier))
     for img in _search.iter_stage_maps(_search.stage_data(G), [carrier.mul] * len(gens),
                                        candidates):
-        if (tuple(img[gens].tolist()) in covered
+        if (img[gens] in covered
                 or not _search.generator_certificate(G, carrier, img)):
             continue
         orbit = hom_orbit(img, aut_g, aut_n)
         if group_order % len(orbit):
             raise EngineError(f"orbit of size {len(orbit)} does not divide "
                               f"|Aut(G)| |Aut(N)| = {group_order}")
-        covered.update(map(tuple, orbit[:, gens].tolist()))
+        covered.add(orbit[:, gens])
         orbits.append((Homomorphism(G, carrier, img, _checked=True), len(orbit)))
     return orbits
 
 
-def close_under_aut(hol: Holomorph, found: dict) -> list[np.ndarray]:
-    """The pair-code sets of ``found`` closed one frontier at a time under
-    conjugation by (1, b), (x, beta) -> (b(x), b beta b^-1), for the
-    generators b of Aut(N)'s carrier; new sets follow in first-reached order."""
-    A, m = hol.aut.carrier, np.int64(hol.aut.order)
+def close_under_aut(hol: Holomorph, found: list) -> list[np.ndarray]:
+    """The distinct pair-code sets of ``found``, in order, closed one frontier at
+    a time under conjugation by (1, b), (x, beta) -> (b(x), b beta b^-1), for
+    the generators b of Aut(N)'s carrier; new sets follow in first-reached order."""
+    A, m, n = hol.aut.carrier, np.int64(hol.aut.order), hol.base.order
     b = np.asarray(A.gens, dtype=np.intp)
     conj = A.mul[A.mul[b], A.inv[b][:, None]]  # conj[j][beta] = b_j beta b_j^-1
-    closed, frontier = dict(found), list(found.values())
-    while frontier:
-        x, beta = np.divmod(np.stack(frontier), m)
-        moved = np.sort(hol.aut.perms[b][:, x] * m + conj[:, beta], axis=2)
-        new = {codes.tobytes(): codes for codes in moved.reshape(-1, hol.base.order)}
-        frontier = [codes for key, codes in new.items() if key not in closed]
-        closed.update(new)
-    return list(closed.values())
+    seen, frontier = RowSet(), np.array(found, dtype=np.int64).reshape(-1, n)
+    closed = [frontier[seen.add(frontier)]]
+    while len(closed[-1]):
+        x, beta = np.divmod(closed[-1], m)
+        moved = np.sort(hol.aut.perms[b][:, x] * m + conj[:, beta], axis=2).reshape(-1, n)
+        closed.append(moved[seen.add(moved)])
+    return list(np.concatenate(closed))
 
 
 def regular_subgroups_in_holomorph(
@@ -519,7 +513,7 @@ def regular_subgroups_in_holomorph(
     aut_g = automorphism_group(G)
     orbits = hom_orbits(G, aut_g, hol.aut)
 
-    found: dict[bytes, np.ndarray] = {}
+    found: list[np.ndarray] = []
     sink = found if collect_subgroups else None
     pair_count = 0
     for oi, (f, size) in enumerate(orbits):

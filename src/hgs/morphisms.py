@@ -15,6 +15,7 @@ from .groups import (
     FiniteGroup,
     GroupError,
     RowIndex,
+    RowSet,
     Subgroup,
     center,
     conjugation_orbit_least,
@@ -187,15 +188,15 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     gen_idx = G.gens
     # row h: x -> h x h^-1, one row per inner automorphism
     inn = G.mul[G.mul, G.inv[:, None]]
-    inn = inn[np.unique(inn[:, gen_idx], axis=0, return_index=True)[1]]
+    inn = inn[RowSet().add(inn[:, gen_idx])]
     candidates = class_cut(G, _iso_candidates(G, G))
     coset_reps = []
-    covered: set[tuple[int, ...]] = set()
+    covered = RowSet()
     for branch in _inn_branches(G, candidates):
         for phi in _search.iter_hom_images(G, G, branch, bijective=True):
-            if tuple(phi[gen_idx].tolist()) not in covered:
+            if phi[gen_idx] not in covered:
                 # the coset Inn(G) . phi, on the generators
-                covered.update(map(tuple, inn[:, phi[gen_idx]].tolist()))
+                covered.add(inn[:, phi[gen_idx]])
                 coset_reps.append(phi)
     if not coset_reps:
         raise GroupError("automorphism search lost the identity map")

@@ -350,16 +350,12 @@ def check_inner_unique_in_aut(G: FiniteGroup) -> InnerUniquenessCheck:
     census = np.bincount(G.elt_order)
     witnesses = []
     ok = True
-    seen: set[bytes] = set()
+    # a map onto C2 is fixed by its kernel and coset_of is onto: no subgroup twice
     for h in enumerate_homomorphisms(Q, c2):
         if not h.is_surjective():
             continue
         kernel_cosets = h.kernel().members
         members = np.flatnonzero(np.isin(coset_of, kernel_cosets))
-        key = members.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
         iso = (np.array_equal(np.bincount(car.elt_order[members]), census)
                and are_isomorphic(Subgroup(car, members).as_group()[0], G) is not None)
         equals_inner = np.array_equal(members, aut.inner.members)

@@ -1,12 +1,14 @@
+import numpy as np
 import pytest
 
 from hgs.catalog import (
     SpecError,
     catalog_aut6_tower,
+    from_perm_set,
     load_group_file,
     resolve_spec,
 )
-from hgs.groups import center, normal_subgroups, order_census
+from hgs.groups import GroupError, center, normal_subgroups, order_census
 from hgs.morphisms import are_isomorphic
 
 
@@ -126,3 +128,14 @@ def test_comments_and_blank_lines_allowed(tmp_path):
     path = tmp_path / "c4.grp"
     path.write_text("# a 4-cycle\nperm 4\n\n(0 1 2 3)\n")
     assert load_group_file(path).order == 4
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0, 2], [0, 2, 1]], "identity row must come first"),
+    ([[0, 1], [0, 0]], r"row \[0, 0\] is not a permutation"),
+    ([[0, 1], [1, 1]], r"row \[1, 1\] is not a permutation"),
+    ([[0, 1], [65537, 0]], r"row \[65537, 0\] is not a permutation"),  # not wrapped
+])
+def test_from_perm_set_rejects_rows_that_are_no_group(rows, message):
+    with pytest.raises(GroupError, match=message):
+        from_perm_set(np.array(rows))

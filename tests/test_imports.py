@@ -1,6 +1,6 @@
-"""Every module-level import in the package is used by its module, and a
-counting run does not pull in numpy.ma or multiprocessing and runs on one
-OS thread."""
+"""Every module-level import in the package is used by its module, the row
+key format stays inside groups.py, and a counting run does not pull in
+numpy.ma or multiprocessing and runs on one OS thread."""
 
 import ast
 import os
@@ -32,6 +32,15 @@ def test_no_unused_module_level_imports():
     unused = {p.name: _unused_imports(ast.parse(p.read_text(encoding="utf-8")))
               for p in SOURCES}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_only_groups_names_the_row_key_format():
+    # other modules find rows through groups.RowIndex and recognise the rows
+    # a closure meets through groups.RowSet, never by keys of their own
+    package = Path(hgs.__file__).parent
+    naming = [p.name for p in sorted(package.glob("*.py"))
+              if p.name != "groups.py" and "_row_keys" in p.read_text(encoding="utf-8")]
+    assert naming == []
 
 
 NO_MASKED_ARRAYS = """

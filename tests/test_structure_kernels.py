@@ -31,6 +31,8 @@ from hgs.groups import (
     CapExceededError,
     FiniteGroup,
     GroupError,
+    PermRep,
+    RowSet,
     Subgroup,
     _closure_indices,
     _row_keys,
@@ -38,13 +40,14 @@ from hgs.groups import (
     commutator_subgroup,
     fingerprint,
     from_mul_table,
+    from_perm_gens,
     normal_subgroups,
     perm_table,
     sorted_distinct,
     subgroup_closure,
 )
 from hgs.morphisms import Homomorphism, automorphism_group
-from hgs.perms import is_permutation
+from hgs.perms import identity_perm, is_permutation, parse_cycles
 
 SPECS = ["C4", "V4", "C6", "S3", "C8", "C4xC2", "C2xC2xC2", "D4", "Q8",
          "S5", "AxCp(A5,2)", "A6", "S6", "PGL(2,9)", "M10", "AxCp(A6,2)", "C720"]
@@ -631,3 +634,101 @@ def test_an_unclosed_set_still_raises(catalog_groups):
         if G.elt_order[x] > 2:
             with pytest.raises(GroupError, match="not closed"):
                 Subgroup(G, [0, x])
+
+
+# -- closures that grow a row set, against tuple keys and single elements --------
+
+
+def test_row_set_keeps_the_first_copy_of_each_new_row_in_order():
+    seen = RowSet()
+    rows = np.array([[3, 1], [0, 2], [3, 1], [5, 5], [0, 2]], dtype=ELEMENT_DTYPE)
+    assert seen.add(rows).tolist() == [0, 1, 3]
+    more = np.array([[0, 2], [7, 7], [7, 7], [3, 1], [1, 3]], dtype=ELEMENT_DTYPE)
+    assert seen.add(more).tolist() == [1, 4]
+    assert seen.add(more).tolist() == []
+    assert seen.add(np.empty((0, 2), dtype=ELEMENT_DTYPE)).tolist() == []
+    assert rows[0] in seen and more[1] in seen
+    assert np.array([2, 0], dtype=ELEMENT_DTYPE) not in seen
+
+
+def test_row_set_keys_do_not_depend_on_the_batch():
+    # with a word width chosen per batch, [1, 2] took a 16-bit key in the
+    # first batch and a 32-bit one in the second, and came back as new
+    seen = RowSet()
+    assert seen.add([[1, 2]]).tolist() == [0]
+    assert seen.add([[1, 2], [70000, 0]]).tolist() == [1]
+    assert np.array([1, 2], dtype=ELEMENT_DTYPE) in seen
+    assert np.array([70000, 0]) in seen
+
+
+@pytest.mark.parametrize("dtype", [ELEMENT_DTYPE, np.int64])
+def test_row_set_equals_a_tuple_keyed_set(dtype):
+    rng = np.random.default_rng(17)
+    for width in range(1, 7):
+        top = int(np.iinfo(dtype).max) if dtype == ELEMENT_DTYPE else 1 << 32
+        seen, reference = RowSet(), set()
+        for _ in range(6):
+            rows = rng.integers(0, top, (40, width)).astype(dtype)
+            rows[::3] = rng.integers(0, 3, (len(rows[::3]), width))  # repeats
+            met = [row in reference for row in map(tuple, rows.tolist())]
+            assert [row in seen for row in rows] == met
+            expected = []
+            for i, row in enumerate(map(tuple, rows.tolist())):
+                if row not in reference:
+                    reference.add(row)
+                    expected.append(i)
+            assert seen.add(rows).tolist() == expected, (width, dtype)
+            assert all(row in seen for row in rows)
+
+
+def _from_perm_gens_one_element_at_a_time(gen_perms):
+    """The closure ``from_perm_gens`` replaced: a queue of single elements,
+    each times every generator, with one byte key per row."""
+    gens = [np.asarray(p, dtype=ELEMENT_DTYPE) for p in gen_perms]
+    identity = np.arange(len(gens[0]), dtype=ELEMENT_DTYPE)
+    index_of = {identity.tobytes(): 0}
+    elements = [identity]  # also the BFS queue
+    pos = 0
+    while pos < len(elements):
+        x = elements[pos]
+        pos += 1
+        for g in gens:
+            y = g[x]
+            if y.tobytes() not in index_of:
+                index_of[y.tobytes()] = len(elements)
+                elements.append(y)
+    images = np.stack(elements)
+    return FiniteGroup(perm_table(images), perm_rep=PermRep(len(identity), images),
+                       gens=[index_of[g.tobytes()] for g in gens], validate=False)
+
+
+def _cycle(n):
+    return np.roll(np.arange(n), -1)
+
+
+GENERATOR_LISTS = {
+    "S5": [_cycle(5), parse_cycles("(0 1)", 5)],
+    "S6": [_cycle(6), parse_cycles("(0 1)", 6)],
+    "A6": [parse_cycles("(0 1 2 3 4)", 6), parse_cycles("(3 4 5)", 6)],
+    "D6": [_cycle(6), -np.arange(6) % 6],
+    "S5 with the identity and a repeat": [identity_perm(5), _cycle(5),
+                                          parse_cycles("(0 1)", 5), _cycle(5)],
+}
+
+
+@pytest.mark.parametrize("label", GENERATOR_LISTS)
+def test_from_perm_gens_keeps_the_order_of_the_single_element_closure(label):
+    got = from_perm_gens(GENERATOR_LISTS[label])
+    expected = _from_perm_gens_one_element_at_a_time(GENERATOR_LISTS[label])
+    assert np.array_equal(got.perm_rep.images, expected.perm_rep.images)
+    assert np.array_equal(got.mul, expected.mul)
+    assert got.gens == expected.gens
+
+
+def test_from_perm_gens_raises_exactly_past_the_cap(monkeypatch):
+    s4 = [_cycle(4), parse_cycles("(0 1)", 4)]
+    monkeypatch.setenv("HGS_MAX_TABLE", "24")
+    assert from_perm_gens(s4).order == 24
+    monkeypatch.setenv("HGS_MAX_TABLE", "23")
+    with pytest.raises(CapExceededError, match="more than 23 elements"):
+        from_perm_gens(s4)
