@@ -27,7 +27,7 @@ print("distinct regular C4-subgroups of Hol(V4):", run.subgroup_count)
 
 print("\nper-homomorphism breakdown (f: C4 -> Aut(V4)):")
 for i, f in enumerate(enumerate_homomorphisms(C4, hol.aut.carrier)):
-    found = list(crossed_homomorphisms(hol, f, bijective_only=True))
+    found = list(crossed_homomorphisms(hol, f))
     print(f"  f #{i}: image order {f.image().size}, "
           f"{len(found)} bijective crossed homomorphisms")
     for c in found:

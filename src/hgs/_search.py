@@ -5,12 +5,13 @@ The engine searches for maps m: S -> T with m(1) = 1 and
     m(s * w) = T_k[m(s)][m(w)]        for the k-th generator s of S,
 
 where T_k is a product table on T supplied per generator.  Homomorphisms
-use T's own table for every k; crossed homomorphisms for f use the twisted
-table T_k[a][b] = a * f(s)(b).  The generators are ``S.gens``, which are
-effective (``FiniteGroup``).  The engine fixes images for one generator at
-a time.  After each assignment it extends the candidate map along the
-left-factorization word tree of the subgroup generated so far
-(element = gen * parent).  Each generator-against-element product that the
+use T's own table for every k; the bijective crossed homomorphisms for f,
+the only crossed homs hgs searches, use the twisted table
+T_k[a][b] = a * f(s)(b) and no value twice.  The generators are
+``S.gens``, which are effective (``FiniteGroup``).  The engine fixes
+images for one generator at a time.  After each assignment it extends the
+candidate map along the left-factorization word tree of the subgroup
+generated so far (element = gen * parent).  Each generator-against-element product that the
 tree does not cover is checked right after the node that gives the second
 of its two elements an image (elements of earlier stages have theirs from
 the start), so a bad branch dies on its first decidable violated product,
@@ -104,9 +105,15 @@ def stage_data(G) -> StageData:
     return G._cache[key]
 
 
-# index entries checked per certificate block: a block's temporaries stay
-# near a megabyte, however many maps are stacked
+# index entries gathered per block: a block's temporaries stay near a
+# megabyte, however many rows are stacked
 CERTIFICATE_BLOCK = 1 << 16
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` index entries per block: about
+    ``CERTIFICATE_BLOCK`` entries, and at least one row."""
+    return max(1, CERTIFICATE_BLOCK // max(width, 1))
 
 
 def generator_certificate(S, T, images: np.ndarray) -> bool:
@@ -115,10 +122,9 @@ def generator_certificate(S, T, images: np.ndarray) -> bool:
     ``images`` is one image sequence or a stack of them (one map per row).
     Each map is checked on m(s * w) = m(s) * m(w) for the generators s of
     S and every w, which is sufficient (module docstring).  The stack is
-    checked a block of rows at a time, about ``CERTIFICATE_BLOCK`` index
-    entries each (at least one row), and each block is one flat gather
-    from T's table at m(s) * |T| + m(w) for all generators at once; the
-    first failing block ends the check.
+    checked a block of rows at a time (``block_rows``), and each block is
+    one flat gather from T's table at m(s) * |T| + m(w) for all generators
+    at once; the first failing block ends the check.
     """
     gens = np.asarray(S.gens, dtype=np.intp)
     left = S.mul[gens]
@@ -126,7 +132,7 @@ def generator_certificate(S, T, images: np.ndarray) -> bool:
     if images.ndim == 1:
         blocks = [images]
     else:
-        rows = max(1, CERTIFICATE_BLOCK // max(left.size, 1))
+        rows = block_rows(left.size)
         blocks = (images[i:i + rows] for i in range(0, len(images), rows))
     n = np.intp(T.order)  # the flat index is built as intp: no cast copy
     for m in blocks:
@@ -152,8 +158,9 @@ def iter_stage_maps(
     once per search and table.  ``candidates[k]`` lists the allowed images
     of the k-th effective generator, tried in the given order; emission
     order is the lexicographic order of generator-image tuples, so it is
-    deterministic.  With ``bijective`` no value is used twice.  Maps have
-    the tables' dtype, which is the element dtype of the groups.
+    deterministic.  With ``bijective`` no value is used twice, so only
+    injective maps are met: every search but the Hom enumeration sets it.
+    Maps have the tables' dtype, which is the element dtype of the groups.
     """
     if len(candidates) != len(sd.gens) or len(tables) != len(sd.gens):
         raise ValueError("need one candidate list and table per effective generator")

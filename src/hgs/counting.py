@@ -174,17 +174,21 @@ def count_sn(n: int, variant: str) -> CountResult:
 
 def count_byott(G: FiniteGroup, N: FiniteGroup, *,
                 g_label: str | None = None, n_label: str | None = None,
-                jobs: int = 1, log=None) -> CountResult:
+                jobs: int = 1) -> CountResult:
     """e(G, N) = pair count over Hol(N) divided by |Aut(N)|, exactly.
 
-    The count runs in the calling process and thread.  ``jobs`` is ignored:
-    it is kept only for the ``byott-120-jobs2`` benchmark workload, which
-    passes it, and goes together with that workload.
+    The pair count sums, over the Aut(G) x Aut(N)-orbits on
+    Hom(G, Aut(N)), the bijective crossed homomorphisms G -> N of each
+    orbit's representative times the orbit size
+    (``holomorph.regular_subgroups_in_holomorph``).  The count runs in the
+    calling process and thread.  ``jobs`` is ignored: it is kept only for
+    the ``byott-120-jobs2`` benchmark workload, which passes it, and goes
+    together with that workload.
     """
     t0 = time.perf_counter()
     if G.order != N.order:
         raise GroupError("count needs |G| = |N|")
-    run = regular_subgroups_in_holomorph(N, G, log=log)
+    run = regular_subgroups_in_holomorph(N, G)
     aut_n = automorphism_group(N).order
     value = _exact_div(run.pair_count, aut_n, "holomorph pair count")
     ms = int((time.perf_counter() - t0) * 1000)

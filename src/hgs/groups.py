@@ -313,7 +313,7 @@ class Subgroup:
         # block of rows at a time keeps the intp widening of the pos lookup
         # near half a megabyte, as in _compose_rows
         table = np.empty((len(members), len(members)), dtype=ELEMENT_DTYPE)
-        rows = max(1, _search.CERTIFICATE_BLOCK // self.parent.order)
+        rows = _search.block_rows(self.parent.order)
         for i in range(0, len(members), rows):
             block = self.parent.mul.take(members[i:i + rows], axis=0).take(members, axis=1)
             table[i:i + rows] = np.take(pos, block)
@@ -530,11 +530,11 @@ class RowIndex:
     def find(self, rows: np.ndarray) -> np.ndarray:
         """The position of every row of ``rows`` (its last axis) among the
         indexed rows, or -1 where none of them equals it.  Rows go a block
-        of about ``_search.CERTIFICATE_BLOCK`` entries at a time."""
+        at a time (``_search.block_rows``)."""
         rows = np.asarray(rows)
         flat = rows.reshape(-1, rows.shape[-1])
         found = np.empty(len(flat), dtype=np.intp)
-        step = max(1, _search.CERTIFICATE_BLOCK // flat.shape[1])
+        step = _search.block_rows(flat.shape[1])
         last = len(self._keys) - 1
         for i in range(0, len(flat), step):
             block = flat[i:i + step]
@@ -562,7 +562,7 @@ class RowIndex:
         images, n = self.rows, len(self.rows)
         if not np.array_equal(images[0], np.arange(images.shape[1])):
             raise GroupError("the identity row must come first")
-        step = max(1, _search.CERTIFICATE_BLOCK // images.shape[1])
+        step = _search.block_rows(images.shape[1])
         mul = np.empty((n, n), dtype=ELEMENT_DTYPE)
         mul[0] = np.arange(n)
         known = np.zeros(n, dtype=bool)
@@ -623,11 +623,11 @@ def perm_table(images: np.ndarray) -> np.ndarray:
 def _compose_rows(mul: np.ndarray, h: int, xs: np.ndarray, parents: np.ndarray) -> None:
     """mul[x] = mul[h][mul[p]] for each x = h p and its parent p.
 
-    Rows are gathered a block at a time, about ``_search.CERTIFICATE_BLOCK``
-    index entries each: numpy widens an int16 index block to intp, so the
-    temporaries stay near half a megabyte however many rows a level holds.
+    Rows are gathered a block at a time (``_search.block_rows``): numpy
+    widens an int16 index block to intp, so the temporaries stay near half
+    a megabyte however many rows a level holds.
     """
-    rows = max(1, _search.CERTIFICATE_BLOCK // len(mul))
+    rows = _search.block_rows(len(mul))
     left = mul[h]
     for i in range(0, len(xs), rows):
         # np.take gathers about twice as fast as the subscript left[...]

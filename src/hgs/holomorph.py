@@ -8,7 +8,9 @@ with a bijective crossed homomorphism g: G -> N with respect to f, i.e.
 
     g(d1 * d2) = g(d1) * f(d1)(g(d2))        for all d1, d2,
 
-and the subgroup is {(g(d), f(d)) : d in G}.
+and the subgroup is {(g(d), f(d)) : d in G}.  Byott's translation needs
+these alone, so the crossed-hom search (``crossed_homomorphisms``) finds
+only bijective maps, between groups of one order.
 """
 
 from __future__ import annotations
@@ -83,16 +85,6 @@ class Holomorph:
         e, a = p
         return self.base.mul[self.aut.perms[a], self.base.inv[e][..., None]]
 
-    def lambda_pair(self, eta: int) -> tuple[int, int]:
-        """Left translation by eta as a holomorph pair."""
-        base = self.base
-        conj = base.mul[base.mul[eta], base.inv[eta]]
-        return (int(base.inv[eta]), self.aut.perm_index(conj))
-
-    def rho_pair(self, eta: int) -> tuple[int, int]:
-        """Right translation by eta^-1 as a holomorph pair."""
-        return (int(eta), 0)
-
     def all_pair_perms(self) -> np.ndarray:
         """Permutation image of the whole holomorph (small bases only)."""
         n, m = self.base.order, self.aut.order
@@ -122,7 +114,6 @@ class CrossedHom:
     hol: Holomorph
     f: Homomorphism  # G -> Aut(N) carrier
     g: np.ndarray    # |G| indices into N
-    bijective: bool
 
     @property
     def source(self) -> FiniteGroup:
@@ -150,54 +141,47 @@ def crossed_relation_holds(hol: Holomorph, f: Homomorphism, g: np.ndarray) -> bo
     return True
 
 
-def _crossed_candidates(hol: Holomorph, f: Homomorphism,
-                        bijective_only: bool) -> list[list[int]]:
-    """Per-generator g-image candidates, pruned by holomorph pair order."""
+def _crossed_candidates(hol: Holomorph, f: Homomorphism) -> list[list[int]]:
+    """Per-generator g-image candidates: the x whose pair (x, f(s)) has the
+    order of s, as d -> (g(d), f(d)) is an isomorphism for bijective g."""
     G = f.source
-    out = []
-    for s in G.gens:
-        target_order = int(G.elt_order[s])
-        orders = hol.pair_orders(int(f.images[s]))
-        if bijective_only:
-            allowed = orders == target_order
-        else:
-            allowed = target_order % orders == 0
-        out.append(np.flatnonzero(allowed).tolist())
-    return out
+    return [np.flatnonzero(hol.pair_orders(int(f.images[s])) == G.elt_order[s]).tolist()
+            for s in G.gens]
 
 
 def crossed_homomorphisms(
     hol: Holomorph,
     f: Homomorphism,
     *,
-    bijective_only: bool = False,
     first_images: Optional[np.ndarray] = None,
 ) -> Iterator[CrossedHom]:
-    """All crossed homomorphisms g: G -> N with respect to f, DFS order.
+    """All bijective crossed homomorphisms g: G -> N with respect to f, DFS order.
 
-    The staged search runs on the twisted tables T_s[a][b] = a * f(s)(b), one
-    per effective generator s of G, and rejects a partial assignment on the
-    first violated product (or repeated value, when ``bijective_only``).
-    Fully assigned maps pass ``crossed_relation_holds`` before emission.
-    ``first_images``, a boolean mask over N, keeps only the maps whose first
-    effective generator lands where it is True; the emitted maps are then
-    those of the full search with that image, in the same order.
+    These are the maps Byott's translation needs: their subgroups
+    {(g(d), f(d))} are the regular subgroups of Hol(N), so |G| = |N| is
+    required.  The staged search runs on the twisted tables
+    T_s[a][b] = a * f(s)(b), one per effective generator s of G, and
+    rejects a partial assignment on the first violated product or repeated
+    value.  Fully assigned maps pass ``crossed_relation_holds`` before
+    emission.  ``first_images``, a boolean mask over N, keeps only the maps
+    whose first effective generator lands where it is True; the emitted
+    maps are then those of the full search with that image, in the same
+    order.
     """
     G = f.source
     N = hol.base
     if f.target is not hol.aut.carrier:
         raise GroupError("f must land in the automorphism carrier of the holomorph")
-    nG, nN = G.order, N.order
+    if G.order != N.order:
+        raise GroupError("bijective crossed homomorphisms need |G| = |N|")
     tables = [N.mul[:, hol.aut.perms[int(f.images[s])]] for s in G.gens]
-    candidates = _crossed_candidates(hol, f, bijective_only)
+    candidates = _crossed_candidates(hol, f)
     if first_images is not None and candidates:
         candidates[0] = [x for x in candidates[0] if first_images[x]]
     for g in _search.iter_stage_maps(_search.stage_data(G), tables, candidates,
-                                     bijective=bijective_only):
+                                     bijective=True):
         if crossed_relation_holds(hol, f, g):
-            bij = nG == nN and is_permutation(g)
-            if not bijective_only or bij:
-                yield CrossedHom(hol, f, _readonly(g), bijective=bij)
+            yield CrossedHom(hol, f, _readonly(g))
 
 
 def derive_h(c: CrossedHom) -> Homomorphism:
@@ -255,8 +239,7 @@ def induce_on_quotient(c: CrossedHom, L: Subgroup) -> tuple[CrossedHom, Subgroup
     hol_q = build_holomorph(Q)
     if not crossed_relation_holds(hol_q, f_bar, g_bar):
         raise EngineError("induced map is not a crossed homomorphism")
-    bij = G.order == Q.order and is_permutation(g_bar)
-    induced = CrossedHom(hol_q, f_bar, _readonly(g_bar), bijective=bij)
+    induced = CrossedHom(hol_q, f_bar, _readonly(g_bar))
     preimage = Subgroup(G, np.flatnonzero(np.isin(c.g, L.members)))
     return induced, preimage
 
@@ -352,7 +335,6 @@ class RegularSubgroupCount:
     pair_count: int
     subgroup_count: int
     samples: list[RegularSubgroup]
-    f_total: int          # |Hom(G, Aut(N))|
     orbit_count: int      # orbit representatives searched
 
 
@@ -388,7 +370,7 @@ def bijective_pair_count(hol: Holomorph, f: Homomorphism,
     cent_order, weight = centralizer_orbits(hol, f)
     m = np.int64(hol.aut.order)
     count = 0
-    for c in crossed_homomorphisms(hol, f, bijective_only=True, first_images=weight > 0):
+    for c in crossed_homomorphisms(hol, f, first_images=weight > 0):
         count += int(weight[c.g[s1]])
         if found is not None:
             found.append(np.sort(c.g * m + f.images))
@@ -493,7 +475,6 @@ def regular_subgroups_in_holomorph(
     G: FiniteGroup,
     *,
     collect_subgroups: bool = False,
-    log=None,
 ) -> RegularSubgroupCount:
     """Count (and optionally collect) regular subgroups of Hol(N) isomorphic to G.
 
@@ -504,8 +485,7 @@ def regular_subgroups_in_holomorph(
     (g, f) to its conjugate by (1, a), so the subgroups of the emitted maps
     meet every Aut(N)-class, and ``close_under_aut`` must reach exactly
     pair count / |Aut(G)| of them.  The orbits are searched one after
-    another in the calling process and thread.  ``log`` receives (orbit
-    index, orbit count, running pair count) after each orbit.
+    another in the calling process and thread.
     """
     if N.order != G.order:
         raise GroupError("regular subgroups need |N| = |G|")
@@ -515,11 +495,7 @@ def regular_subgroups_in_holomorph(
 
     found: list[np.ndarray] = []
     sink = found if collect_subgroups else None
-    pair_count = 0
-    for oi, (f, size) in enumerate(orbits):
-        pair_count += size * bijective_pair_count(hol, f, sink)
-        if log:
-            log(oi, len(orbits), pair_count)
+    pair_count = sum(size * bijective_pair_count(hol, f, sink) for f, size in orbits)
 
     if pair_count % aut_g.order != 0:
         raise EngineError(
@@ -530,7 +506,7 @@ def regular_subgroups_in_holomorph(
     samples = [RegularSubgroup(N, hol.pair_perm(np.divmod(codes, hol.aut.order)))
                for codes in subgroups]
     return RegularSubgroupCount(pair_count, pair_count // aut_g.order, samples,
-                                sum(size for _, size in orbits), len(orbits))
+                                len(orbits))
 
 
 # -- normalizer identity (desk-scale literal check) -----------------------------

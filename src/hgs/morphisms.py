@@ -86,13 +86,6 @@ class AutomorphismGroup:
     inner: Subgroup
     index: RowIndex  # over perms
 
-    def perm_index(self, perm: np.ndarray) -> int:
-        """Carrier index of an automorphism given as a permutation of base."""
-        i = int(self.index.find(perm))
-        if i < 0:
-            raise GroupError("permutation is not an automorphism of the base group")
-        return i
-
     @property
     def order(self) -> int:
         return self.carrier.order

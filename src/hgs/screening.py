@@ -42,7 +42,6 @@ class StructureClass:
     socle: Optional[Subgroup] = None
     socle_group: Optional[FiniteGroup] = None
     prime: Optional[int] = None
-    center_subgroup: Optional[Subgroup] = None
     quotient: Optional[FiniteGroup] = None
     cyclic_factor: Optional[Subgroup] = None
 
@@ -83,7 +82,7 @@ def _classify(G: FiniteGroup) -> StructureClass:
         if Z.size > 1:
             Q, _ = quotient_group(G, Z)
             if _is_nonabelian_simple(Q):
-                return StructureClass("quasisimple", center_subgroup=Z, quotient=Q)
+                return StructureClass("quasisimple", quotient=Q)
         return StructureClass("perfect-other")
     if len(proper) == 1:
         A = proper[0]

@@ -53,6 +53,7 @@ from .holomorph import (
     lambda_perms,
     normalized_by,
     regular_subgroups_in_holomorph,
+    rho_perms,
 )
 from .morphisms import (
     are_isomorphic,
@@ -258,7 +259,7 @@ def _lemma_crossed_sweep(S5, N) -> dict:
     counts = {"pairs": 0, "relation": 0, "companion": 0, "fixed_points": 0,
               "kernel_laws": 0, "preimage_is_socle": 0}
     for f in enumerate_homomorphisms(S5, hol.aut.carrier):
-        for c in crossed_homomorphisms(hol, f, bijective_only=True):
+        for c in crossed_homomorphisms(hol, f):
             counts["pairs"] += 1
             if c.verify():
                 counts["relation"] += 1
@@ -322,9 +323,7 @@ def _suite_lemmas(s: _Suite) -> None:
 
     def exactly_one_normalizer():
         run = regular_subgroups_in_holomorph(N5, S5, collect_subgroups=True)
-        hol = build_holomorph(N5)
-        lam = [hol.pair_perm(hol.lambda_pair(g)) for g in N5.gens]
-        rho = [hol.pair_perm(hol.rho_pair(g)) for g in N5.gens]
+        lam, rho = lambda_perms(N5, N5.gens), rho_perms(N5, N5.gens)
         patterns = sorted(
             (normalized_by(D, lam), normalized_by(D, rho)) for D in run.samples)
         return (len(run.samples),

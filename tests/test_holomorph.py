@@ -63,11 +63,14 @@ def test_pair_orders_match_pair_multiplication(label):
 
 
 def test_lambda_rho_pairs_act_as_translations():
+    # left translation by g is the pair (g^-1, conj(g)), right translation by
+    # g^-1 the pair (g, 1)
     G = resolve_spec("S3")
     hol = build_holomorph(G)
     for g in range(6):
-        assert np.array_equal(hol.pair_perm(hol.lambda_pair(g)), G.mul[g])
-        assert np.array_equal(hol.pair_perm(hol.rho_pair(g)), G.mul[:, G.inv[g]])
+        conj = int(hol.aut.index.find(G.mul[G.mul[g], G.inv[g]]))
+        assert np.array_equal(hol.pair_perm((G.inv[g], conj)), lambda_perms(G, [g])[0])
+        assert np.array_equal(hol.pair_perm((g, 0)), rho_perms(G, [g])[0])
 
 
 def test_lambda_rho_centralize_each_other():
@@ -92,11 +95,10 @@ def test_trivial_f_crossed_homs_are_homomorphisms():
     C4 = resolve_spec("C4")
     hol = build_holomorph(C4)
     f = _trivial_f(C4, hol)
-    all_maps = list(crossed_homomorphisms(hol, f))
-    # with trivial f the crossed relation is plain multiplicativity
-    assert len(all_maps) == 4  # Hom(C4, C4)
-    bijective = [c for c in all_maps if c.bijective]
-    assert len(bijective) == 2  # the two automorphisms
+    # with trivial f the crossed relation is plain multiplicativity, and the
+    # bijective maps are the two automorphisms
+    assert [c.g.tolist() for c in crossed_homomorphisms(hol, f)] == \
+        [[0, 1, 2, 3], [0, 3, 2, 1]]
 
 
 def test_no_bijective_crossed_hom_c4_to_v4():
@@ -104,45 +106,55 @@ def test_no_bijective_crossed_hom_c4_to_v4():
     C4 = resolve_spec("C4")
     hol = build_holomorph(V4)
     f = _trivial_f(C4, hol)
-    assert list(crossed_homomorphisms(hol, f, bijective_only=True)) == []
+    assert list(crossed_homomorphisms(hol, f)) == []
+
+
+# |Aut(N)| for the isomorphic pairs below; the others have no isomorphism
+ISOMORPHISMS = {("C4", "C4"): 2, ("S3", "S3"): 6, ("Q8", "Q8"): 24, ("D4", "D4"): 8}
 
 
 @pytest.mark.parametrize("g_label,n_label", [
     ("C4", "C4"), ("V4", "C4"), ("S3", "C6"), ("C6", "S3"), ("S3", "S3"),
-    ("D4", "Q8"), ("Q8", "D4"), ("C4xC2", "D4"), ("C6", "C2"),
+    ("D4", "Q8"), ("Q8", "D4"), ("C4xC2", "D4"), ("Q8", "Q8"), ("D4", "D4"),
 ])
 def test_trivial_f_crossed_homs_are_hom_enumeration(g_label, n_label):
-    # a homomorphism is a crossed homomorphism for the trivial f, found in
-    # the same order by the same search
+    # for the trivial f the crossed homs are the isomorphisms G -> N, found
+    # in the order of the Hom search
     G, N = resolve_spec(g_label), resolve_spec(n_label)
     hol = build_holomorph(N)
     crossed = [c.g.tolist() for c in crossed_homomorphisms(hol, _trivial_f(G, hol))]
-    homs = [h.images.tolist() for h in enumerate_homomorphisms(G, N)]
+    homs = [h.images.tolist() for h in enumerate_homomorphisms(G, N) if h.is_injective()]
     assert crossed == homs
+    assert len(crossed) == ISOMORPHISMS.get((g_label, n_label), 0)
+
+
+def test_crossed_homs_need_equal_orders():
+    G, N = resolve_spec("C6"), resolve_spec("C2")
+    hol = build_holomorph(N)
+    with pytest.raises(GroupError, match="need \\|G\\| = \\|N\\|"):
+        next(crossed_homomorphisms(hol, _trivial_f(G, hol)))
 
 
 def _crossed_sequence_digest(G, N):
-    """sha256 over every emitted (f, g, bijective), all f's, both modes.
+    """sha256 over every emitted (f, g), all f's.
 
     Index arrays are hashed as 32-bit entries, the width the pins were
     taken at, so the pins do not move with the element dtype."""
     hol = build_holomorph(N)
     h = hashlib.sha256()
     count = 0
-    for bijective_only in (False, True):
-        for f in enumerate_homomorphisms(G, hol.aut.carrier):
-            for c in crossed_homomorphisms(hol, f, bijective_only=bijective_only):
-                h.update(c.f.images.astype("<i4").tobytes())
-                h.update(c.g.astype("<i4").tobytes())
-                h.update(bytes([c.bijective]))
-                count += 1
-            h.update(b"|")
+    for f in enumerate_homomorphisms(G, hol.aut.carrier):
+        for c in crossed_homomorphisms(hol, f):
+            h.update(c.f.images.astype("<i4").tobytes())
+            h.update(c.g.astype("<i4").tobytes())
+            count += 1
+        h.update(b"|")
     return h.hexdigest(), count
 
 
 @pytest.mark.parametrize("g_label,n_label,digest,count", [
-    ("S3", "C6", "b2b899766be02317cf58313c05b33759b962c5e4c60f4f3e6fe9e31c937e8711", 26),
-    ("D4", "Q8", "d68d496089bd896a82c28a77a64a1a4b39f22093dedf738a1b15ed6013332389", 1216),
+    ("S3", "C6", "4a0d8836c8576db7bc6443ae2f9a6cd77a13dc9d0fe15dbd5a715824474774b1", 6),
+    ("D4", "Q8", "8f4360db7a61061275d3511b810e5e2ae9fe83a48265e4c60b36ac7d4d6f7ec5", 48),
 ])
 def test_crossed_emission_order_is_pinned(g_label, n_label, digest, count):
     # a collecting run keeps the first crossed hom it meets for each subgroup,
@@ -156,7 +168,7 @@ def test_crossed_relation_verified_on_all_pairs(S5, A5xC2):
     f_list = list(enumerate_homomorphisms(S5, hol.aut.carrier))
     seen = 0
     for f in f_list:
-        for c in crossed_homomorphisms(hol, f, bijective_only=True):
+        for c in crossed_homomorphisms(hol, f):
             assert c.verify()
             seen += 1
             if seen >= 50:
@@ -170,7 +182,7 @@ def test_derive_h_properties(S5, A5xC2):
     f_list = list(enumerate_homomorphisms(S5, hol.aut.carrier))
     checked = 0
     for f in f_list:
-        for c in crossed_homomorphisms(hol, f, bijective_only=True):
+        for c in crossed_homomorphisms(hol, f):
             h = derive_h(c)  # construction fails if not a homomorphism
             fp = fixed_points(c.f, h)
             assert np.array_equal(fp, np.flatnonzero(np.isin(c.g, ZN.members)))
@@ -186,7 +198,7 @@ def test_derive_h_trivial_f_identity_g():
     hol = build_holomorph(Q8)
     f = _trivial_f(Q8, hol)
     from hgs.holomorph import CrossedHom
-    c = CrossedHom(hol, f, np.arange(8, dtype=np.int32), bijective=True)
+    c = CrossedHom(hol, f, np.arange(8, dtype=np.int32))
     assert c.verify()
     h = derive_h(c)
     assert h.kernel().size == center(Q8).size == 2
@@ -195,7 +207,7 @@ def test_derive_h_trivial_f_identity_g():
 def test_induce_on_quotient_characteristic_only(A5xC2):
     hol = build_holomorph(A5xC2)
     f = _trivial_f(A5xC2, hol)
-    c = next(crossed_homomorphisms(hol, f, bijective_only=True))
+    c = next(crossed_homomorphisms(hol, f))
     subs = normal_subgroups(A5xC2)
     a5 = [s for s in subs if s.size == 60][0]
     c2 = [s for s in subs if s.size == 2][0]
@@ -210,7 +222,7 @@ def test_induce_on_trivial_and_full_subgroup(A5xC2):
     from hgs.groups import Subgroup, subgroup_closure
     hol = build_holomorph(A5xC2)
     f = _trivial_f(A5xC2, hol)
-    c = next(crossed_homomorphisms(hol, f, bijective_only=True))
+    c = next(crossed_homomorphisms(hol, f))
     ind, pre = induce_on_quotient(c, subgroup_closure(A5xC2, []))
     assert np.array_equal(ind.g, c.g)
     assert pre.size == 1
@@ -230,7 +242,7 @@ def test_induce_on_quotient_builds_each_quotient_once(monkeypatch):
     monkeypatch.setattr(holomorph, "quotient_group",
                         lambda *args, **kw: built.append(real(*args, **kw)) or built[-1])
     pairs = [c for f in enumerate_homomorphisms(N, hol.aut.carrier)
-             for c in crossed_homomorphisms(hol, f, bijective_only=True)]
+             for c in crossed_homomorphisms(hol, f)]
     induced = [induce_on_quotient(c, A3)[0] for c in pairs]
     assert len(induced) == 12 and len(built) == 1
     Q, coset_of = built[0]
@@ -248,7 +260,7 @@ def test_induce_rejects_non_characteristic():
     V4 = resolve_spec("V4")
     hol = build_holomorph(V4)
     f = _trivial_f(V4, hol)
-    c = next(crossed_homomorphisms(hol, f, bijective_only=True))
+    c = next(crossed_homomorphisms(hol, f))
     from hgs.groups import Subgroup
     sub = Subgroup(V4, np.array([0, 1], dtype=np.int64))
     with pytest.raises(GroupError, match="characteristic"):

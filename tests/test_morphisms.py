@@ -116,7 +116,7 @@ def test_fixed_points_of_inner_automorphism(A5):
     aut = automorphism_group(A5)
     five = int(np.flatnonzero(A5.elt_order == 5)[0])
     conj_perm = A5.mul[A5.mul[five, np.arange(60)], A5.inv[five]]
-    idx = aut.perm_index(conj_perm)
+    idx = int(aut.index.find(conj_perm))
     fp = fixed_points(Homomorphism(A5, A5, aut.perms[idx]),
                       Homomorphism(A5, A5, aut.perms[0]))
     assert len(fp) == 5  # centralizer of a 5-cycle in A5
@@ -194,7 +194,7 @@ def test_inn_reduced_aut_equals_exhaustive_search(spec):
     assert np.array_equal(aut.perms, perms)
     assert np.array_equal(aut.carrier.mul, _perm_table_by_rows(perms))
     assert aut.inner.members.tolist() == inner
-    assert [aut.perm_index(p) for p in perms] == list(range(len(perms)))
+    assert aut.index.find(perms).tolist() == list(range(len(perms)))
 
 
 @pytest.mark.parametrize("s, t", [

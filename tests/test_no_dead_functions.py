@@ -22,7 +22,14 @@ through the registry and are exempt.
 Every keyword-only parameter is passed by name in some call from those
 paths, to a callee of its function's name (its class's name for
 ``__init__``), except those in ``UNPASSED_KEYWORDS``, each kept for a
-named reason.
+named reason.  Nor does every such call give it one and the same literal,
+passed or defaulted: a keyword no caller sets to anything else is a
+constant.
+
+Every field of a class (its annotated fields, its ``__slots__`` and the
+attributes its methods set on ``self``) is read from those paths: mentioned
+as an attribute that is loaded, or as a string.  Setting a field is not
+reading it.  ``UNREAD_FIELDS`` names the exceptions and why they stay.
 
 The files are only parsed, never imported.
 """
@@ -57,11 +64,16 @@ TEST_ORACLES = {
 
 # (definition, keyword) -> why no caller passes it yet
 UNPASSED_KEYWORDS = {
-    ("counting.py:count_byott", "log"):
-        "kept for the progress reports of long hgs count runs (ROADMAP item 4)",
     ("parallel.py:parallel_crossed_counts", "jobs"):
         "the benchmark's tracing harness imports hgs.parallel and wraps this "
         "function by name; the module goes once that import does",
+}
+
+# class field -> why it stays although no caller path reads it
+UNREAD_FIELDS = {
+    "screening.py:InnerUniquenessCheck.witnesses":
+        "the evidence behind each inner-uniqueness verdict, which test_screening "
+        "re-derives",
 }
 
 
@@ -141,20 +153,20 @@ def test_every_module_level_definition_is_used():
     assert checked <= {f"{mod}:{name}" for mod, name in defs} - set(unreached)
 
 
-def _keywords_passed() -> dict[str, set[str]]:
-    """Callee name -> every keyword some call from the caller paths passes it."""
-    passed: dict[str, set[str]] = {}
+def _calls() -> dict[str, list[ast.Call]]:
+    """Callee name -> every call from the caller paths to that name."""
+    calls: dict[str, list[ast.Call]] = {}
     for path in CALLERS:
         for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(n, ast.Call):
                 f = n.func
                 callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                passed.setdefault(callee, set()).update(k.arg for k in n.keywords if k.arg)
-    return passed
+                calls.setdefault(callee, []).append(n)
+    return calls
 
 
-def _keyword_only_parameters() -> list[tuple[str, str, str]]:
-    """(definition, the name callers call it by, keyword) for every
+def _keyword_only_parameters() -> list[tuple[str, str, str, ast.expr | None]]:
+    """(definition, the name callers call it by, keyword, default) for every
     keyword-only parameter of a module-level function or a method."""
     found = []
     for path in SOURCES:
@@ -165,16 +177,77 @@ def _keyword_only_parameters() -> list[tuple[str, str, str]]:
                 found += [(f"{path.name}:{stmt.name}.{m.name}",
                            stmt.name if m.name == "__init__" else m.name, m)
                           for m in stmt.body if isinstance(m, ast.FunctionDef)]
-    return [(where, callee, a.arg) for where, callee, fn in found
-            for a in fn.args.kwonlyargs]
+    return [(where, callee, a.arg, default) for where, callee, fn in found
+            for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)]
 
 
 def test_every_keyword_only_parameter_is_passed_by_name():
     params = _keyword_only_parameters()
     assert len(params) >= 20
-    passed = _keywords_passed()
-    unpassed = sorted((where, kw) for where, callee, kw in params
-                      if kw not in passed.get(callee, set()))
+    calls = _calls()
+    unpassed = sorted((where, kw) for where, callee, kw, _ in params
+                      if not any(k.arg == kw for c in calls.get(callee, []) for k in c.keywords))
     assert [u for u in unpassed if u not in UNPASSED_KEYWORDS] == [], \
         "no caller passes these keywords"
     assert unpassed == sorted(UNPASSED_KEYWORDS), "an exempt keyword gained a caller"
+
+
+def _literal(node: ast.expr | None) -> str | None:
+    """The literal ``node`` spells, as its repr (so True and 1 differ), or None."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def test_no_keyword_only_parameter_gets_one_literal_from_every_call():
+    calls = _calls()
+    constant = []
+    for where, callee, kw, default in _keyword_only_parameters():
+        if (where, kw) in UNPASSED_KEYWORDS or callee not in calls:
+            continue
+        # a call that splats ``**kwargs`` gives no literal
+        values = {_literal(next((k.value for k in c.keywords if k.arg in (kw, None)), default))
+                  for c in calls[callee]}
+        if len(values) == 1 and None not in values:
+            constant.append(f"{where}({kw}={values.pop()})")
+    assert constant == [], "every call gives these keywords the same value"
+
+
+def _fields() -> list[tuple[str, str]]:
+    """(file, Class.field) for every field of every package class."""
+    found = []
+    for path in SOURCES:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = set()
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and not ast.unparse(stmt.annotation).startswith(("InitVar", "ClassVar"))):
+                    names.add(stmt.target.id)
+                elif (isinstance(stmt, ast.Assign)
+                      and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)):
+                    names.update(ast.literal_eval(stmt.value))
+                elif isinstance(stmt, ast.FunctionDef):
+                    names.update(n.attr for n in ast.walk(stmt)
+                                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                                 and getattr(n.value, "id", None) == "self")
+            found += [(path.name, f"{cls.name}.{name}") for name in names]
+    return found
+
+
+def test_every_class_field_is_read():
+    fields = _fields()
+    assert len(fields) >= 50
+    read = set()
+    for path in CALLERS:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    unread = sorted(f"{mod}:{name}" for mod, name in fields
+                    if name.rpartition(".")[2] not in read)
+    assert [u for u in unread if u not in UNREAD_FIELDS] == [], "nothing reads these fields"
+    assert unread == sorted(UNREAD_FIELDS), "an exempt field gained a reader"

@@ -30,7 +30,7 @@ from hgs.verify import SMALL_CATALOG
 
 def unweighted_pair_count(hol, f) -> int:
     """Every bijective crossed hom of f, counted one by one."""
-    return sum(1 for _ in crossed_homomorphisms(hol, f, bijective_only=True))
+    return sum(1 for _ in crossed_homomorphisms(hol, f))
 
 
 def exhaustive_pair_count(N, G) -> int:
@@ -61,7 +61,8 @@ def test_orbit_totals_equal_exhaustive_totals_at_order_120(gl, nl, pairs):
     G, N = resolve_spec(gl), resolve_spec(nl)
     run = regular_subgroups_in_holomorph(N, G)
     assert run.pair_count == exhaustive_pair_count(N, G) == pairs
-    assert (run.f_total, run.orbit_count) == (146, 4)
+    homs = enumerate_homomorphisms(G, automorphism_group(N).carrier)
+    assert (len(list(homs)), run.orbit_count) == (146, 4)
 
 
 def _weighted_counts_equal_unweighted(G, N) -> list[int]:
@@ -101,10 +102,9 @@ def test_the_weighted_search_tries_one_first_image_per_centralizer_orbit():
     classes = N.conjugacy_classes()
     least = np.array([classes[k].min() for k in N.class_index()])
     assert np.array_equal(weight > 0, least == np.arange(120))
-    maps = list(crossed_homomorphisms(hol, trivial, bijective_only=True,
-                                      first_images=weight > 0))
+    maps = list(crossed_homomorphisms(hol, trivial, first_images=weight > 0))
     s1 = _search.stage_data(G).gens[0]
-    full = crossed_homomorphisms(hol, trivial, bijective_only=True)
+    full = crossed_homomorphisms(hol, trivial)
     assert [c.g.tolist() for c in maps] == \
         [c.g.tolist() for c in full if weight[c.g[s1]] > 0]  # same maps, same order
     assert sum(int(weight[c.g[s1]]) for c in maps) == 120
@@ -136,7 +136,7 @@ def full_orbit(images, aut_g, aut_n) -> set[bytes]:
     return {row.tobytes() for row in rows.reshape(-1, len(images))}
 
 
-def _orbits_cover_hom_exactly(G, N):
+def _orbits_cover_hom_exactly(G, N, *, with_full_orbits=True):
     hol = build_holomorph(N)
     aut_g = automorphism_group(G)
     orbits = hom_orbits(G, aut_g, hol.aut)
@@ -144,13 +144,13 @@ def _orbits_cover_hom_exactly(G, N):
     covered = set()
     for rep, size in orbits:
         members = {row.tobytes() for row in hom_orbit(rep.images, aut_g, hol.aut)}
-        assert members == full_orbit(rep.images, aut_g, hol.aut)
+        if with_full_orbits:
+            assert members == full_orbit(rep.images, aut_g, hol.aut)
         assert len(members) == size
         assert not covered & members  # orbits are disjoint
         covered |= members
     assert covered == homs
     assert sum(size for _, size in orbits) == len(homs)
-    assert regular_subgroups_in_holomorph(N, G).f_total == len(homs)
     return [size for _, size in orbits]
 
 
@@ -168,32 +168,37 @@ def test_orbits_cover_hom_exactly_at_order_120():
         assert sorted(sizes) == [1, 10, 15, 120]
 
 
+def test_orbits_cover_hom_exactly_at_order_720():
+    # without the full_orbit reference, which takes minutes per pair at this order
+    sizes = _orbits_cover_hom_exactly(resolve_spec("S6"), resolve_spec("M10"),
+                                      with_full_orbits=False)
+    assert sum(sizes) == 1552
+    assert sorted(sizes) == [1, 30, 36, 45, 1440]
+
+
 def test_orbit_list_and_totals_do_not_depend_on_jobs():
     # count_byott keeps a jobs keyword that has no effect
-    logs = {}
     for gl, nl in [("D4", "Q8"), ("S5", "AxCp(A5,2)")]:
         G, N = resolve_spec(gl), resolve_spec(nl)
-        runs = []
-        for jobs in (1, 2):
-            logged = []
-            result = count_byott(G, N, jobs=jobs, log=lambda *a: logged.append(a))
-            runs.append((result.value, result.notes, logged))
-        assert runs[0] == runs[1]
-        logs[gl] = runs[0][2]
-    # (orbit index, orbit count, running pair count) after each orbit
-    assert [oi for oi, _, _ in logs["D4"]] == list(range(9))
-    assert {total for _, total, _ in logs["D4"]} == {9}
-    totals = [0] + [pairs for _, _, pairs in logs["D4"]]
-    assert sum(b > a for a, b in zip(totals, totals[1:])) == 2  # orbits with pairs
+        runs = [count_byott(G, N, jobs=jobs) for jobs in (1, 2)]
+        assert (runs[0].value, runs[0].notes) == (runs[1].value, runs[1].notes)
+    # D4 -> Q8 has nine orbits, two of them with pairs
+    G, N = resolve_spec("D4"), resolve_spec("Q8")
+    hol = build_holomorph(N)
+    counts = [bijective_pair_count(hol, f)
+              for f, _ in hom_orbits(G, automorphism_group(G), hol.aut)]
+    assert len(counts) == 9
+    assert sum(count > 0 for count in counts) == 2
 
 
 def test_collecting_and_counting_runs_search_the_same_orbits():
     G, N = resolve_spec("D4"), resolve_spec("C4xC2")
     collected = regular_subgroups_in_holomorph(N, G, collect_subgroups=True)
     counted = regular_subgroups_in_holomorph(N, G)
-    assert (collected.orbit_count, collected.f_total, collected.pair_count) == \
-        (counted.orbit_count, counted.f_total, counted.pair_count)
-    assert counted.orbit_count < counted.f_total
+    assert (collected.orbit_count, collected.pair_count) == \
+        (counted.orbit_count, counted.pair_count)
+    assert counted.orbit_count < len(list(
+        enumerate_homomorphisms(G, automorphism_group(N).carrier)))
     assert len(collected.samples) == counted.subgroup_count
 
 
@@ -203,7 +208,7 @@ def exhaustive_member_sets(N, G) -> set[bytes]:
     hol = build_holomorph(N)
     found = set()
     for f in enumerate_homomorphisms(G, hol.aut.carrier):
-        for c in crossed_homomorphisms(hol, f, bijective_only=True):
+        for c in crossed_homomorphisms(hol, f):
             rows = hol.pair_perm((c.g, f.images))
             found.add(b"".join(sorted(row.tobytes() for row in rows)))
     return found

@@ -43,9 +43,10 @@ def test_classify_pgl_and_m10():
 
 
 def test_classify_quasisimple_sl29():
-    cls = classify_group(resolve_spec("SL(2,9)"))
+    G = resolve_spec("SL(2,9)")
+    cls = classify_group(G)
     assert cls.kind == "quasisimple"
-    assert cls.center_subgroup.size == 2
+    assert center(G).size == 2
     assert are_isomorphic(cls.quotient, resolve_spec("A6")) is not None
 
 

@@ -134,15 +134,14 @@ def _reference_hom_images(S, T, candidates, *, bijective=False):
             yield img
 
 
-def _reference_crossed(hol, f, bijective_only):
+def _reference_crossed(hol, f):
     G, N = f.source, hol.base
     tables = [N.mul[:, hol.aut.perms[int(f.images[s])]]
               for s in G.gens]
-    candidates = _crossed_candidates(hol, f, bijective_only)
-    for g in _reference_stage_maps(G, tables, candidates, bijective=bijective_only):
-        if crossed_relation_holds(hol, f, g):
-            if not bijective_only or len(np.unique(g)) == N.order == G.order:
-                yield g
+    candidates = _crossed_candidates(hol, f)
+    for g in _reference_stage_maps(G, tables, candidates, bijective=True):
+        if crossed_relation_holds(hol, f, g) and len(np.unique(g)) == N.order:
+            yield g
 
 
 def _same_sequence(found, expected):
@@ -204,26 +203,22 @@ def test_aut_search_emission_equals_fill_then_check(spec):
 
 
 @pytest.mark.parametrize("g_label,n_label", [("S3", "C6"), ("D4", "Q8")])
-@pytest.mark.parametrize("bijective_only", [False, True])
-def test_crossed_emission_equals_fill_then_check(g_label, n_label, bijective_only):
+def test_crossed_emission_equals_fill_then_check(g_label, n_label):
     G, N = resolve_spec(g_label), resolve_spec(n_label)
     hol = build_holomorph(N)
     emitted = 0
     for f in enumerate_homomorphisms(G, hol.aut.carrier):
-        emitted += _same_sequence(
-            (c.g for c in crossed_homomorphisms(hol, f, bijective_only=bijective_only)),
-            _reference_crossed(hol, f, bijective_only))
+        emitted += _same_sequence((c.g for c in crossed_homomorphisms(hol, f)),
+                                  _reference_crossed(hol, f))
     assert emitted > 0
 
 
-@pytest.mark.parametrize("bijective_only", [False, True])
-def test_crossed_emission_on_s5_orbit_representatives(S5, bijective_only):
+def test_crossed_emission_on_s5_orbit_representatives(S5):
     hol = build_holomorph(S5)
     emitted = 0
     for f, _ in hom_orbits(S5, automorphism_group(S5), hol.aut):
-        emitted += _same_sequence(
-            (c.g for c in crossed_homomorphisms(hol, f, bijective_only=bijective_only)),
-            _reference_crossed(hol, f, bijective_only))
+        emitted += _same_sequence((c.g for c in crossed_homomorphisms(hol, f)),
+                                  _reference_crossed(hol, f))
     assert emitted > 0
 
 
@@ -279,7 +274,7 @@ def test_derive_h_error_paths(monkeypatch):
     hol = build_holomorph(Q8)
     f = Homomorphism(Q8, hol.aut.carrier, np.zeros(8, dtype=np.int32))
     # an index that holds the identity alone: the lookup of conj(g(d)) fails
-    c = CrossedHom(hol, f, np.arange(8, dtype=np.int32), bijective=True)
+    c = CrossedHom(hol, f, np.arange(8, dtype=np.int32))
     monkeypatch.setattr(hol.aut, "index", RowIndex(hol.aut.perms[:1]))
     with pytest.raises(EngineError, match="is not an automorphism of N"):
         derive_h(c)
@@ -288,6 +283,6 @@ def test_derive_h_error_paths(monkeypatch):
     d = int(np.flatnonzero(Q8.elt_order == 4)[0])
     g = np.zeros(8, dtype=np.int32)
     g[d] = d  # h(d) = conj(d) is not trivial, h(d^-1) is
-    bad = CrossedHom(hol, f, g, bijective=False)
+    bad = CrossedHom(hol, f, g)
     with pytest.raises(EngineError, match="derived map h is not a homomorphism"):
         derive_h(bad)
