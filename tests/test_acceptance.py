@@ -2,12 +2,25 @@
 
 All five run in the default suite; criteria 1 and 5 share one run of the
 paper-720 suite (about 10 s on one core), which checks the formula values
-and all 18 holomorph counts of the order-720 table.
+and all 18 holomorph counts of the order-720 table.  Each suite's items are
+also pinned by digest, inside the run that its criterion makes.
 """
+
+import hashlib
+import json
 
 import pytest
 
 from hgs.verify import run_verify_suite
+
+# sha256 of each suite's items (name, expected, observed, status, in order;
+# runtimes left out), with the item counts
+ITEM_DIGESTS = {
+    "small": (35, "b622ea7a19aac8dbfd8aa1371fdb2435960c2946ca35f86df9bdfe7926db2243"),
+    "paper-120": (7, "83e461dbd360a5fa35dd96e62d06285717861573fcc7c19145032686d20c4b8d"),
+    "paper-720": (38, "591d5c46b783e9492d22361346d72497c7d828fc0f76827a97e37cbd941c2fd6"),
+    "lemmas": (24, "6e7436529ff4c38c6a2ecfc294c023577e35b75c9be2e52a4a02c23e9b8459bb"),
+}
 
 
 def _run(suite: str, **kw):
@@ -16,6 +29,13 @@ def _run(suite: str, **kw):
     for line in lines:
         print(line)
     return report
+
+
+def _assert_items_pinned(report):
+    items = [[i["name"], i["expected"], i["observed"], i["status"]]
+             for i in report.to_dict()["items"]]
+    digest = hashlib.sha256(json.dumps(items).encode()).hexdigest()
+    assert (len(items), digest) == ITEM_DIGESTS[report.suite]
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +69,7 @@ def test_criterion_1_formula_paths_order_720(paper_720):
         assert named[f"e({g},A6xC2) by fixed-point-free pairs"] == row[3]
         assert named[f"e({g},N) summed over the six types by holomorph "
                      f"enumeration"] == sum(row) == 224
+    _assert_items_pinned(paper_720)
 
 
 def test_criterion_2_triple_agreement_order_120():
@@ -58,6 +79,7 @@ def test_criterion_2_triple_agreement_order_120():
     assert all(i.ok for i in report.items), [i.line() for i in report.items]
     assert len([v for v in values.values() if v == 32]) == 3
     assert len([v for v in values.values() if v == 20]) == 4
+    _assert_items_pinned(report)
 
 
 def test_criterion_3_oracle_equivalence_small_orders():
@@ -66,6 +88,7 @@ def test_criterion_3_oracle_equivalence_small_orders():
     assert len(report.items) == 35  # 2 fixtures + 33 ordered pairs
     for item in report.items:
         assert item.ok, item.line()
+    _assert_items_pinned(report)
 
 
 def test_criterion_4_lemma_property_suite():
@@ -74,6 +97,7 @@ def test_criterion_4_lemma_property_suite():
     report = _run("lemmas")
     for item in report.items:
         assert item.ok, item.line()
+    _assert_items_pinned(report)
 
 
 def test_criterion_5_screening_verdicts(paper_720):

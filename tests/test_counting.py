@@ -61,6 +61,28 @@ def test_product_type_formula_s5(S5):
     assert count_product_type(S5).value == 20
 
 
+@pytest.mark.parametrize("q, self_type, product_type", [
+    (5, 32, 20), (7, 44, 56), (9, 92, 72), (11, 112, 132)])
+def test_pgl2_formulas_match_dicksons_involution_count(q, self_type, product_type):
+    """Dickson: PSL(2,q), q odd, has q(q+1)/2 involutions when q = 1 mod 4
+    and q(q-1)/2 when q = 3 mod 4, and PGL(2,q) has q^2 in all.  So with i
+    the socle's involutions, e(G, G) = 2 + 2i and e(G, PSL(2,q) x C2) =
+    2(q^2 - i)."""
+    i = q * (q + 1) // 2 if q % 4 == 1 else q * (q - 1) // 2
+    assert (2 + 2 * i, 2 * (q * q - i)) == (self_type, product_type)
+    G = resolve_spec(f"PGL(2,{q})")
+    r = count_self_type(G)
+    assert (r.value, r.notes) == (self_type, "inner-uniqueness verified")
+    assert count_product_type(G).value == product_type
+
+
+def test_pgl27_values_by_the_holomorph_and_fpf_routes():
+    G, N = resolve_spec("PGL(2,7)"), resolve_spec("AxCp(PSL(2,7),2)")
+    assert count_byott(G, G).value == 44
+    assert count_byott(G, N).value == 56
+    assert count_fpf_inner_holomorph(G, N).value == 56
+
+
 def test_formulas_reject_wrong_shape():
     with pytest.raises(GroupError):
         count_self_type(resolve_spec("A5"))

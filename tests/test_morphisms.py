@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -58,8 +59,17 @@ def test_aut_a6_has_order_1440(A6):
     assert aut.order // aut.inner.size == 4
 
 
-def test_aut_c4_is_units_mod_4():
-    assert automorphism_group(resolve_spec("C4")).order == 2
+def test_aut_orders_match_closed_forms():
+    def phi(n):
+        return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+    for n in range(1, 41):
+        assert automorphism_group(resolve_spec(f"C{n}")).order == phi(n), n
+    for n in range(3, 31):
+        assert automorphism_group(resolve_spec(f"D{n}")).order == n * phi(n), n
+    for spec, order in [("S3", 6), ("S4", 24), ("S5", 120), ("A4", 24), ("A5", 120),
+                        ("S6", 1440), ("A6", 1440)]:
+        assert automorphism_group(resolve_spec(spec)).order == order, spec
 
 
 def test_aut_action_is_faithful(A5):

@@ -3,6 +3,7 @@ import pytest
 
 from hgs import screening
 from hgs.catalog import resolve_spec
+from hgs.counting import count_byott
 from hgs.groups import (
     FiniteGroup,
     GroupError,
@@ -124,6 +125,34 @@ def test_sl29_fails_condition3_with_reverified_witness():
     # conditions 1 and 2 hold for the double cover
     assert rep.conditions["condition-1"].status == "holds"
     assert rep.conditions["condition-2"].status == "holds"
+
+
+# every catalog N of order 120 that the sweep below screens and counts
+ORDER_120 = ("C120", "D60", "S5", "SL(2,5)", "AxCp(A5,2)", "S4xC5", "A4xC10",
+             "S3xC20", "S3xD10", "D4xC15", "Q8xC15", "C2xC60", "C2xC2xC30",
+             "D6xC10", "D12xC5", "A4xD5", "V4xC30")
+
+
+def test_screen_verdicts_agree_with_counts_at_order_120(S5):
+    """The paper's necessary criteria against the holomorph count: every N
+    the screen excludes has e(S5, N) = 0, and the two it allows are S5 and
+    A5 x C2, with 32 and 20.  The catalog holds only these 17 of the 47
+    groups of order 120."""
+    allowed, failing = {}, {}
+    for spec in ORDER_120:
+        N = resolve_spec(spec)
+        rep = screen_candidate(S5, N, "S5", spec)
+        value = count_byott(S5, N).value
+        if rep.shape_verdict == "excluded":
+            assert value == 0, spec
+            failing[spec] = [k for k, v in rep.conditions.items() if v.status == "fails"]
+        else:
+            allowed[spec] = value
+    assert allowed == {"S5": 32, "AxCp(A5,2)": 20}
+    # the perfect SL(2,5) is excluded by condition 3 alone; the other 14
+    # are excluded by their shape, before any condition applies
+    assert failing.pop("SL(2,5)") == ["condition-3"]
+    assert len(failing) == 14 and not any(failing.values())
 
 
 def test_screen_report_serializes(S5, A5xC2):
