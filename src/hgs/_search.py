@@ -139,7 +139,8 @@ def generator_certificate(S, T, images: np.ndarray) -> bool:
         # m(s) * |T| + m(w), kept C-ordered by m.take, so that flat.take
         # (faster than flat[...]) gathers from it without a copy
         index = m.take(gens, axis=-1)[..., None] * n + m[..., None, :]
-        if not (m[..., left] == flat.take(index)).all():  # m(s * w) = m(s) * m(w)
+        # m(s * w) = m(s) * m(w)
+        if not (m.take(left, axis=-1) == flat.take(index)).all():
             return False
     return True
 

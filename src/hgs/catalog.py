@@ -20,6 +20,7 @@ from .fields import FieldError, GaloisField, gf
 from .groups import (
     ELEMENT_DTYPE,
     PERM_INPUT_DEGREE_CAP,
+    CapExceededError,
     FiniteGroup,
     GroupError,
     PermRep,
@@ -34,6 +35,7 @@ from .groups import (
     quotient_group,
     center,
     sorted_distinct,
+    table_cap,
 )
 from .morphisms import are_isomorphic, automorphism_group
 
@@ -51,9 +53,14 @@ _RESOLVE_CACHE: dict[str, FiniteGroup] = {}
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise SpecError("cyclic group order must be positive")
-    idx = np.arange(n, dtype=np.int64)
-    table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table.astype(ELEMENT_DTYPE), name=f"C{n}",
+    if n > table_cap():
+        raise CapExceededError(f"cyclic order {n} above table cap {table_cap()}")
+    idx = np.arange(n, dtype=ELEMENT_DTYPE)
+    twice = np.concatenate([idx, idx])
+    table = np.empty((n, n), dtype=ELEMENT_DTYPE)
+    for i in range(n):  # row i is i, i+1, .., n-1, 0, .., i-1
+        table[i] = twice[i:i + n]
+    return FiniteGroup(table, name=f"C{n}",
                        gens=[1] if n > 1 else [], validate=False)
 
 

@@ -540,7 +540,7 @@ class RowIndex:
             block = flat[i:i + step]
             keys = _row_keys(block[:, self._base])
             at = self._order[np.minimum(np.searchsorted(self._keys, keys), last)]
-            at[(self.rows[at] != block).any(axis=1)] = -1
+            at[(self.rows.take(at, axis=0) != block).any(axis=1)] = -1
             found[i:i + step] = at
         return found.reshape(rows.shape[:-1])
 
@@ -689,12 +689,12 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) -
     n = nA * nB
     if n > table_cap():
         raise CapExceededError(f"product order {n} above table cap {table_cap()}")
-    a1, b1 = np.divmod(np.arange(n, dtype=np.int64), nB)
-    mul = (A.mul[a1[:, None], a1[None, :]].astype(np.int64) * nB
-           + B.mul[b1[:, None], b1[None, :]])
+    # a * |B| for each a of A: every entry a * |B| + b is below n, so the
+    # element dtype holds it and (a, b)(a', b') sits at [a, b, a', b']
+    scaled = (np.arange(nA) * nB).astype(ELEMENT_DTYPE)
+    mul = (scaled[A.mul][:, None, :, None] + B.mul[None, :, None, :]).reshape(n, n)
     gens = [int(a * nB) for a in A.gens] + [int(b) for b in B.gens]
-    return FiniteGroup(mul.astype(ELEMENT_DTYPE), name=name, gens=gens,
-                       validate=False)
+    return FiniteGroup(mul, name=name, gens=gens, validate=False)
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:

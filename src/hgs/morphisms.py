@@ -77,13 +77,17 @@ class AutomorphismGroup:
 
     ``perms[i]`` realizes carrier element i as a permutation of the base
     group; ``inner`` marks the inner automorphisms inside the carrier;
-    ``index`` finds carrier indices of permutations of the base.
+    ``inner_of`` is the carrier index of each distinct conjugation
+    x -> h x h^-1, the first h of each coset of the center, so for a
+    centerless base ``inner_of[h]`` is c_h itself; ``index`` finds carrier
+    indices of permutations of the base.
     """
 
     base: FiniteGroup
     carrier: FiniteGroup
     perms: np.ndarray  # (|Aut|, |base|), ELEMENT_DTYPE
     inner: Subgroup
+    inner_of: np.ndarray  # (|Inn|,), ELEMENT_DTYPE
     index: RowIndex  # over perms
 
     @property
@@ -130,26 +134,28 @@ def class_cut(T: FiniteGroup, candidates: list[list[int]]) -> list[list[int]]:
     return [_first_per_label(candidates[0], T.class_index())] + candidates[1:]
 
 
-def _inn_branches(G: FiniteGroup, candidates: list[list[int]]) -> list[list[list[int]]]:
-    """One automorphism search branch per kept first-generator image r.
+def _inn_branches(T: FiniteGroup, candidates: list[list[int]]) -> Iterator[list[list[int]]]:
+    """One search branch per kept first-generator image r in the target T.
 
     Branch r fixes g1 -> r and keeps, for the second generator, the first
-    candidate in each orbit of the centralizer C_G(r) acting by
-    conjugation.  Conjugation by z in C_G(r) fixes r, so it moves a map
-    with g1 -> r, g2 -> s to one with g1 -> r, g2 -> z s z^-1 in the same
-    Inn(G)-coset: each coset that meets g1 -> r still meets the branch.
-    The second list is a union of classes of G, so it holds the whole
-    orbit of each of its candidates.  With one generator there is nothing
-    to cut.
+    candidate in each orbit of the centralizer C_T(r) acting by
+    conjugation.  Conjugation by z in C_T(r) fixes r, so it moves a map
+    with g1 -> r, g2 -> s to one with g1 -> r, g2 -> z s z^-1, the same
+    map followed by an inner automorphism of T.  Both searches that use
+    it, Aut(G) (T = G) and the isomorphisms G -> T, are closed under that
+    composition, so each class of maps that meets g1 -> r still meets the
+    branch.  The second list must be a union of classes of T, so it holds
+    the whole orbit of each of its candidates.  With one generator there
+    is nothing to cut.  Branches are made lazily, so a search that stops
+    early computes no further centralizers.
     """
     if len(candidates) < 2:
-        return [candidates]
-    branches = []
+        yield candidates
+        return
     for r in candidates[0]:
-        centralizer_gens, _ = _greedy_closure(G.mul, G.mul[r] == G.mul[:, r])
-        least = conjugation_orbit_least(G, centralizer_gens)
-        branches.append([[r], _first_per_label(candidates[1], least), *candidates[2:]])
-    return branches
+        centralizer_gens, _ = _greedy_closure(T.mul, T.mul[r] == T.mul[:, r])
+        least = conjugation_orbit_least(T, centralizer_gens)
+        yield [[r], _first_per_label(candidates[1], least), *candidates[2:]]
 
 
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
@@ -205,11 +211,12 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     carrier = FiniteGroup(index.table(),
                           name=f"Aut({G.name})" if G.name else "Aut",
                           validate=False)
-    inner = Subgroup(carrier, index.find(inn))
+    inner_of = index.find(inn).astype(ELEMENT_DTYPE)
+    inner = Subgroup(carrier, inner_of)
     z = center(G).size
     if inner.size * z != G.order:
         raise GroupError("inner automorphism count disagrees with the center")
-    aut = AutomorphismGroup(G, carrier, perms, inner, index)
+    aut = AutomorphismGroup(G, carrier, perms, inner, _readonly(inner_of), index)
     G._cache["aut"] = aut
     return aut
 
@@ -258,11 +265,16 @@ def fixed_points(phi: Homomorphism, psi: Homomorphism) -> np.ndarray:
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
-    """An explicit isomorphism G -> H, or None.
+    """An isomorphism G -> H, or None when there is none.
 
     Invariant fingerprints reject most non-isomorphic pairs before any
     search; the remainder backtracks over generator images restricted to
-    elements of equal order and class size.
+    elements of equal order and class size, in the branches of
+    ``_inn_branches(H, ...)``: one first-generator image per class of H
+    and one second-generator image per orbit of its centralizer.  An
+    isomorphism followed by an inner automorphism of H is again one, so
+    when any exists some branch meets one.  Which isomorphism is returned
+    is therefore the first in the branches' order, not the least overall.
     """
     if G.order != H.order:
         return None
@@ -271,6 +283,7 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
     candidates = _iso_candidates(G, H)
     if candidates is None:
         return None
-    for img in _search.iter_hom_images(G, H, candidates, bijective=True):
-        return Homomorphism(G, H, img, _checked=True)
+    for branch in _inn_branches(H, class_cut(H, candidates)):
+        for img in _search.iter_hom_images(G, H, branch, bijective=True):
+            return Homomorphism(G, H, img, _checked=True)
     return None

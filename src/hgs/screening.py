@@ -18,8 +18,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import _search
 from .fields import _is_prime
 from .groups import (
+    EngineError,
     FiniteGroup,
     GroupError,
     Subgroup,
@@ -29,9 +31,11 @@ from .groups import (
     is_solvable,
     normal_subgroups,
     quotient_group,
+    sorted_distinct,
     _greedy_closure,
 )
-from .morphisms import are_isomorphic, automorphism_group, enumerate_homomorphisms
+from .morphisms import (AutomorphismGroup, are_isomorphic, automorphism_group,
+                        enumerate_homomorphisms)
 
 
 @dataclass
@@ -320,13 +324,30 @@ class InnerUniquenessCheck:
     witnesses: list = field(default_factory=list)
 
 
+def _certify_inner_copy(G: FiniteGroup, aut: AutomorphismGroup) -> None:
+    """Check that h -> c_h (``aut.inner_of``) is an isomorphism of the
+    centerless G onto Inn(G): a homomorphism into the carrier by the
+    generator certificate, one-to-one, with image ``aut.inner.members``.
+    The map comes from ``automorphism_group``, so a failure is an engine
+    fault (EngineError)."""
+    images = aut.inner_of
+    if not _search.generator_certificate(G, aut.carrier, images):
+        raise EngineError("h -> c_h fails the generator certificate")
+    image = sorted_distinct(images)
+    if len(image) != G.order or not np.array_equal(image, aut.inner.members):
+        raise EngineError("h -> c_h is not one-to-one onto Inn(G)")
+
+
 def check_inner_unique_in_aut(G: FiniteGroup) -> InnerUniquenessCheck:
     """Is Inn(G) the only subgroup of Aut(G) isomorphic to G?
 
     Feasible exactly when [Aut(G) : Inn(G)] is 1 or 2: index-2 subgroups are
     kernels of maps onto C_2, found through the abelianization, and those
     are all subgroups of order |G|.  Larger indices are reported infeasible
-    rather than guessed.
+    rather than guessed.  The subgroup equal to Inn(G) is not searched: it
+    is isomorphic to G by the certified map h -> c_h
+    (``_certify_inner_copy``).  Every other one is compared with G by its
+    element-order census and then, if that agrees, by ``are_isomorphic``.
     """
     if center(G).size != 1:
         return InnerUniquenessCheck(
@@ -355,9 +376,13 @@ def check_inner_unique_in_aut(G: FiniteGroup) -> InnerUniquenessCheck:
             continue
         kernel_cosets = h.kernel().members
         members = np.flatnonzero(np.isin(coset_of, kernel_cosets))
-        iso = (np.array_equal(np.bincount(car.elt_order[members]), census)
-               and are_isomorphic(Subgroup(car, members).as_group()[0], G) is not None)
         equals_inner = np.array_equal(members, aut.inner.members)
+        if equals_inner:
+            _certify_inner_copy(G, aut)
+            iso = True
+        else:
+            iso = (np.array_equal(np.bincount(car.elt_order[members]), census)
+                   and are_isomorphic(Subgroup(car, members).as_group()[0], G) is not None)
         witnesses.append({"subgroup_order": int(len(members)),
                           "isomorphic_to_G": iso,
                           "equals_inner": equals_inner})

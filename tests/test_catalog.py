@@ -4,11 +4,20 @@ import pytest
 from hgs.catalog import (
     SpecError,
     catalog_aut6_tower,
+    cyclic,
     from_perm_set,
     load_group_file,
     resolve_spec,
 )
-from hgs.groups import GroupError, center, normal_subgroups, order_census
+from hgs.cli import main
+from hgs.groups import (
+    CapExceededError,
+    GroupError,
+    center,
+    direct_product,
+    normal_subgroups,
+    order_census,
+)
 from hgs.morphisms import are_isomorphic
 
 
@@ -57,6 +66,42 @@ def test_product_specs():
     G = resolve_spec("AxCp(A6,2)")
     assert G.order == 720
     assert sorted(s.size for s in normal_subgroups(G)) == [1, 2, 360, 720]
+
+
+def test_cyclic_tables_are_addition_mod_n():
+    for n in [*range(1, 41), 720]:
+        idx = np.arange(n, dtype=np.int64)
+        mul = cyclic(n).mul
+        assert mul.dtype == np.int16, n
+        assert np.array_equal(mul, (idx[:, None] + idx[None, :]) % n), n
+
+
+def test_cyclic_orders_above_the_table_cap_are_refused(monkeypatch):
+    monkeypatch.setenv("HGS_MAX_TABLE", "100")
+    assert cyclic(100).order == 100
+    with pytest.raises(CapExceededError):
+        cyclic(101)
+    assert main(["info", "-G", "C200"]) == 3
+
+
+def _product_by_pairs(A, B):
+    """Reference: (a, b)(a', b') = (a a', b b') over every pair of elements."""
+    a, b = np.divmod(np.arange(A.order * B.order), B.order)
+    return (A.mul[a[:, None], a[None, :]].astype(np.int64) * B.order
+            + B.mul[b[:, None], b[None, :]])
+
+
+@pytest.mark.parametrize("a, b", [
+    ("A5", "C2"), ("A6", "C2"), ("C4", "C2"), ("C2xC2", "C2"), ("C2", "C2"),
+    ("C120", "C1"), ("C1", "C120"), ("S4", "C5"), ("A4", "C10"), ("S3", "C20"),
+    ("S3", "D10"), ("D4", "C15"), ("Q8", "C15"), ("C2", "C60"), ("C2xC2", "C30"),
+    ("D6", "C10"), ("D12", "C5"), ("A4", "D5"), ("V4", "C30"),
+])
+def test_direct_product_tables_equal_the_pairwise_rule(a, b):
+    A, B = resolve_spec(a), resolve_spec(b)
+    mul = direct_product(A, B).mul
+    assert mul.dtype == np.int16
+    assert np.array_equal(mul, _product_by_pairs(A, B))
 
 
 def test_tower_labels_and_m10():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from hgs import _search
-from hgs.catalog import cyclic, resolve_spec
+from hgs.catalog import catalog_aut6_tower, cyclic, resolve_spec
 from hgs.groups import (
     CapExceededError,
     FiniteGroup,
     GroupError,
     direct_product,
+    fingerprint,
 )
 from hgs.morphisms import (
     Homomorphism,
@@ -22,7 +23,8 @@ from hgs.morphisms import (
     fixed_points,
 )
 
-from test_structure_kernels import _perm_table_by_rows
+from test_screening import ORDER_120
+from test_structure_kernels import _perm_table_by_rows, _relabel
 
 
 def test_homomorphism_rejects_non_multiplicative(S5):
@@ -169,6 +171,46 @@ def test_isomorphism_images_are_verified(A5):
     assert np.array_equal(img[A5.mul], T.mul[img][:, img])
     # symmetry: the reverse direction succeeds too
     assert are_isomorphic(resolve_spec("PSL(2,4)"), A5) is not None
+
+
+def _isomorphic_by_uncut_search(G, H):
+    """Reference: the isomorphism search over every candidate image, with
+    no cut by classes or centralizer orbits."""
+    if G.order != H.order or fingerprint(G) != fingerprint(H):
+        return False
+    candidates = _iso_candidates(G, H)
+    if candidates is None:
+        return False
+    found = _search.iter_hom_images(G, H, candidates, bijective=True)
+    return next(found, None) is not None
+
+
+ORDER_720 = ("S6", "PGL(2,9)", "M10", "SL(2,9)", "AxCp(A6,2)", "C720")
+
+
+def _iso_pairs(small):
+    """Every same-order pair of the small grid; S5 and A5 x C2 against the
+    order-120 catalog; every pair of the order-720 catalog groups, the
+    Aut(A6) tower's three groups and a relabelled copy of each."""
+    pairs = [(G, H) for G in small for H in small if G.order == H.order]
+    pairs += [(resolve_spec(g), resolve_spec(h))
+              for g in ("S5", "AxCp(A5,2)") for h in ORDER_120]
+    big = [resolve_spec(label) for label in ORDER_720]
+    tower = catalog_aut6_tower()
+    big += [tower["S6"], tower["PGL(2,9)"]]  # the catalog's M10 is the tower's
+    big += [_relabel(G, seed) for seed, G in enumerate(big[:3] + big[-2:], start=1)]
+    pairs += [(G, H) for G in big for H in big]
+    return pairs
+
+
+def test_cut_isomorphism_search_agrees_with_the_uncut_one(small_catalog):
+    found = [(are_isomorphic(G, H) is not None, _isomorphic_by_uncut_search(G, H))
+             for G, H in _iso_pairs(list(small_catalog.values()))]
+    assert all(cut == uncut for cut, uncut in found)
+    # each group with itself on the small grid and at order 120; at order
+    # 720, the pairs inside each class of four S6, four PGL(2,9) and two
+    # M10, and SL(2,9), A6 x C2 and C720 each with itself
+    assert sum(cut for cut, _ in found) == 9 + 2 + 16 + 16 + 4 + 3
 
 
 # catalog atoms up to order 168 (C_n and D_n sampled), the product

@@ -5,6 +5,7 @@ from hgs import screening
 from hgs.catalog import resolve_spec
 from hgs.counting import count_byott
 from hgs.groups import (
+    EngineError,
     FiniteGroup,
     GroupError,
     Subgroup,
@@ -248,20 +249,26 @@ def test_inner_unique_results_are_pinned(order_720_groups):
 
 
 def test_census_skip_never_drops_the_inner_copy(order_720_groups, monkeypatch):
-    searched = []
-
     def spy(H, G):
-        iso = are_isomorphic(H, G)
-        searched.append(iso is not None)
-        return iso
+        raise AssertionError("an isomorphism search ran")
 
-    monkeypatch.setattr(screening, "are_isomorphic", spy)
     for label, G in order_720_groups.items():
-        searched.clear()
-        check = check_inner_unique_in_aut(G)
+        witnesses = _witnesses_building_every_subgroup(G)
+        with monkeypatch.context() as m:
+            m.setattr(screening, "are_isomorphic", spy)
+            check = check_inner_unique_in_aut(G)
         inner = [w for w in check.witnesses if w["equals_inner"]]
         assert len(inner) == 1 and inner[0]["isomorphic_to_G"], label
-        # the inner copy was built and found isomorphic; the other two have
-        # another census and were not built
-        assert searched == [True], label
-        assert check.witnesses == _witnesses_building_every_subgroup(G), label
+        # the inner copy is certified by h -> c_h and the other two have
+        # another census, so no subgroup is searched
+        assert check.witnesses == witnesses, label
+
+
+def test_a_corrupted_inner_map_raises(monkeypatch):
+    G = resolve_spec("A5")  # Aut(A5) = S5, so Inn(A5) has index 2
+    aut = automorphism_group(G)
+    corrupted = aut.inner_of.copy()
+    corrupted[[1, 2]] = corrupted[[2, 1]]
+    monkeypatch.setattr(aut, "inner_of", corrupted)
+    with pytest.raises(EngineError):
+        check_inner_unique_in_aut(G)
