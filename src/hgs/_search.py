@@ -25,11 +25,16 @@ rather than n^2 steps: ``generator_certificate`` checks
 m(s * w) = m(s) * m(w) for every generator s and every w.  That is
 sufficient.  The set of x with m(x * w) = m(x) * m(w) for all w is closed
 under products, and it contains the generators, which generate S (checked
-when S is built); in a finite group that makes it all of S.  A stack of
-maps (Aut(G) certifies all its rows at once) is certified block by block,
-so a stack of any height needs about a megabyte of temporaries.  The
-crossed relation has the same certificate on the twisted tables
+when S is built); in a finite group that makes it all of S.  The crossed
+relation has the same certificate on the twisted tables
 (``holomorph.crossed_relation_holds``).
+
+Every gather over a stack of rows goes a block of rows at a time, cut by
+``row_blocks``: the certificate of a stack of maps (Aut(G) certifies all
+its rows at once), and in ``groups`` the subgroup tables, the row lookups
+and the table fill of ``RowIndex``.  NumPy widens an int16 index block to
+intp, so a block of about ``CERTIFICATE_BLOCK`` entries keeps the
+temporaries near a megabyte however many rows are stacked.
 """
 
 from __future__ import annotations
@@ -110,10 +115,13 @@ def stage_data(G) -> StageData:
 CERTIFICATE_BLOCK = 1 << 16
 
 
-def block_rows(width: int) -> int:
-    """Rows of ``width`` index entries per block: about
-    ``CERTIFICATE_BLOCK`` entries, and at least one row."""
-    return max(1, CERTIFICATE_BLOCK // max(width, 1))
+def row_blocks(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering rows 0..count once, in order, each of
+    at least one row and at most ``CERTIFICATE_BLOCK`` entries in rows of
+    ``width`` (one row when a row alone is wider)."""
+    step = max(1, CERTIFICATE_BLOCK // max(width, 1))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def generator_certificate(S, T, images: np.ndarray) -> bool:
@@ -122,18 +130,15 @@ def generator_certificate(S, T, images: np.ndarray) -> bool:
     ``images`` is one image sequence or a stack of them (one map per row).
     Each map is checked on m(s * w) = m(s) * m(w) for the generators s of
     S and every w, which is sufficient (module docstring).  The stack is
-    checked a block of rows at a time (``block_rows``), and each block is
+    checked a block of rows at a time (``row_blocks``), and each block is
     one flat gather from T's table at m(s) * |T| + m(w) for all generators
     at once; the first failing block ends the check.
     """
     gens = np.asarray(S.gens, dtype=np.intp)
     left = S.mul[gens]
     flat = T.mul.ravel()
-    if images.ndim == 1:
-        blocks = [images]
-    else:
-        rows = block_rows(left.size)
-        blocks = (images[i:i + rows] for i in range(0, len(images), rows))
+    blocks = ([images] if images.ndim == 1
+              else (images[rows] for rows in row_blocks(len(images), left.size)))
     n = np.intp(T.order)  # the flat index is built as intp: no cast copy
     for m in blocks:
         # m(s) * |T| + m(w), kept C-ordered by m.take, so that flat.take

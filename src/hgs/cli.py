@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .catalog import SpecError, catalog_list, resolve_spec
 from .counting import (
     METHOD_BRUTE,
@@ -77,9 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_info(args) -> int:
     G = resolve_spec(args.G)
     cls = classify_group(G)
-    import numpy as np
-    orders, counts = np.unique(G.elt_order, return_counts=True)
-    census = {int(k): int(v) for k, v in zip(orders, counts)}
+    # np.bincount, as groups.fingerprint: a plain np.unique imports numpy.ma
+    census = {k: c for k, c in enumerate(np.bincount(G.elt_order).tolist()) if c}
     payload = {
         "spec": args.G,
         "order": G.order,

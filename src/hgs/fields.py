@@ -2,9 +2,11 @@
 prime p, and GF(4), GF(8) and GF(9), the prime powers that the catalog's
 matrix groups use (q <= 11).
 
-Elements are dense indices 0..q-1 encoding coefficient tuples little-endian
-in base p (index = c0 + c1*p + c2*p^2).  The reducing moduli of GF(4), GF(8)
-and GF(9) are pinned below so element encodings are stable across runs.
+Every field is GF(p)[x] modulo a monic irreducible polynomial of degree k,
+GF(p) itself being GF(p)[x]/(x).  Elements are dense indices 0..q-1
+encoding coefficient tuples little-endian in base p
+(index = c0 + c1*p + c2*p^2).  The reducing moduli of GF(4), GF(8) and
+GF(9) are pinned below so element encodings are stable across runs.
 """
 
 from __future__ import annotations
@@ -84,47 +86,39 @@ def gf(q: int) -> GaloisField:
             break
     if p is None:
         raise FieldError(f"{q} is not a prime power p^k with k <= 3")
-    if k == 1:
-        idx = np.arange(q, dtype=np.int64)
-        add = (idx[:, None] + idx[None, :]) % q
-        mul = (idx[:, None] * idx[None, :]) % q
-        neg = (-idx) % q
-        inv = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            inv[x] = pow(x, q - 2, q)
-    else:
-        modulus = _MODULI.get((p, k))
-        if modulus is None:
-            raise FieldError(f"no pinned modulus for GF({p}^{k})")
-        def decode(x: int) -> list[int]:
-            out = []
-            for _ in range(k):
-                out.append(x % p)
-                x //= p
-            return out
+    modulus = (0, 1) if k == 1 else _MODULI.get((p, k))  # GF(p) = GF(p)[x]/(x)
+    if modulus is None:
+        raise FieldError(f"no pinned modulus for GF({p}^{k})")
 
-        def encode(c: list[int]) -> int:
-            v = 0
-            for d in reversed(c):
-                v = v * p + d
-            return v
+    def decode(x: int) -> list[int]:
+        out = []
+        for _ in range(k):
+            out.append(x % p)
+            x //= p
+        return out
 
-        add = np.empty((q, q), dtype=np.int64)
-        mul = np.empty((q, q), dtype=np.int64)
-        for x in range(q):
-            cx = decode(x)
-            for y in range(q):
-                cy = decode(y)
-                add[x, y] = encode([(a + b) % p for a, b in zip(cx, cy)])
-                mul[x, y] = encode(_poly_mul_mod(cx, cy, modulus, p))
-        neg = np.array([encode([(-c) % p for c in decode(x)]) for x in range(q)],
-                       dtype=np.int64)
-        inv = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            hits = np.flatnonzero(mul[x] == 1)
-            if len(hits) != 1:
-                raise FieldError(f"modulus for GF({p}^{k}) is not irreducible")
-            inv[x] = hits[0]
+    def encode(c: list[int]) -> int:
+        v = 0
+        for d in reversed(c):
+            v = v * p + d
+        return v
+
+    add = np.empty((q, q), dtype=np.int64)
+    mul = np.empty((q, q), dtype=np.int64)
+    for x in range(q):
+        cx = decode(x)
+        for y in range(q):
+            cy = decode(y)
+            add[x, y] = encode([(a + b) % p for a, b in zip(cx, cy)])
+            mul[x, y] = encode(_poly_mul_mod(cx, cy, modulus, p))
+    neg = np.array([encode([(-c) % p for c in decode(x)]) for x in range(q)],
+                   dtype=np.int64)
+    inv = np.zeros(q, dtype=np.int64)
+    for x in range(1, q):
+        hits = np.flatnonzero(mul[x] == 1)
+        if len(hits) != 1:
+            raise FieldError(f"modulus for GF({p}^{k}) is not irreducible")
+        inv[x] = hits[0]
     for a in (add, mul, neg, inv):
         a.setflags(write=False)
     field = GaloisField(q, add, mul, neg, inv)

@@ -202,12 +202,9 @@ class FiniteGroup:
     # -- basic queries -----------------------------------------------------------
 
     def is_abelian(self) -> bool:
-        """Whether the generators commute pairwise, which they do exactly
-        when G is abelian."""
+        """Whether G is its own center."""
         if "abelian" not in self._cache:
-            g = np.asarray(self.gens, dtype=np.intp)
-            block = self.mul[np.ix_(g, g)]
-            self._cache["abelian"] = bool(np.array_equal(block, block.T))
+            self._cache["abelian"] = center(self).size == self.order
         return self._cache["abelian"]
 
     def conjugacy_classes(self) -> list[np.ndarray]:
@@ -296,13 +293,10 @@ class Subgroup:
         return i < len(self.members) and self.members[i] == x
 
     def is_normal(self) -> bool:
-        G = self.parent
-        mask = self.member_mask()
-        for g in G.gens:
-            conj = G.mul[G.mul[g, self.members], G.inv[g]]
-            if not mask[conj].all():
-                return False
-        return True
+        """Whether conjugation by each generator of the parent keeps the
+        members inside."""
+        conj = conjugation_rows(self.parent, self.parent.gens)
+        return bool(self.member_mask()[conj[:, self.members]].all())
 
     def as_group(self, name: str | None = None) -> tuple[FiniteGroup, np.ndarray]:
         """Reindexed copy of the subgroup plus the member list embedding it."""
@@ -311,12 +305,11 @@ class Subgroup:
         pos[members] = np.arange(len(members))
         # a take along each axis gathers about 2.5x faster than np.ix_; a
         # block of rows at a time keeps the intp widening of the pos lookup
-        # near half a megabyte, as in _compose_rows
+        # near half a megabyte (``_search.row_blocks``)
         table = np.empty((len(members), len(members)), dtype=ELEMENT_DTYPE)
-        rows = _search.block_rows(self.parent.order)
-        for i in range(0, len(members), rows):
-            block = self.parent.mul.take(members[i:i + rows], axis=0).take(members, axis=1)
-            table[i:i + rows] = np.take(pos, block)
+        for rows in _search.row_blocks(len(members), self.parent.order):
+            block = self.parent.mul.take(members[rows], axis=0).take(members, axis=1)
+            table[rows] = np.take(pos, block)
         perm_rep = None
         if self.parent.perm_rep is not None:
             perm_rep = PermRep(self.parent.perm_rep.degree,
@@ -325,18 +318,37 @@ class Subgroup:
         return H, members.copy()
 
 
+def centralizer(G: FiniteGroup, elements) -> Subgroup:
+    """C_G of a set of elements, or of one element: the x with x y = y x
+    for every y of the set, found by comparing column y of the table with
+    row y.  The centralizer of the empty set is G.  The centralizer of a
+    set is that of any set generating the same subgroup, so callers pass
+    generators."""
+    y = np.atleast_1d(np.asarray(elements, dtype=np.intp))
+    if y.size and not (0 <= y.min() and y.max() < G.order):
+        raise GroupError(f"element indices {y.tolist()} out of range")
+    commuting = (G.mul[:, y] == G.mul[y].T).all(axis=1)
+    return Subgroup(G, np.flatnonzero(commuting), _checked=True)
+
+
+def conjugation_rows(G: FiniteGroup, by) -> np.ndarray:
+    """One row per element g of ``by``: the map x -> g x g^-1 on G."""
+    g = np.asarray(by, dtype=np.intp)
+    return G.mul[G.mul[g], G.inv[g][:, None]]
+
+
 def conjugation_orbit_least(G: FiniteGroup, by: Sequence[int]) -> np.ndarray:
     """least[x]: the least member of the orbit of x under conjugation by
     the subgroup that the elements ``by`` generate.
 
     That orbit is the orbit under the k maps x -> g x g^-1, g in ``by``,
-    one row each.  Every element's label starts as itself and is pulled
-    down along those rows, with pointer jumping (least = least[least]) in
-    between, until every row maps each label to itself: each label is then
-    its orbit's least member, at O(n k) per round.
+    one row each (``conjugation_rows``).  Every element's label starts as
+    itself and is pulled down along those rows, with pointer jumping
+    (least = least[least]) in between, until every row maps each label to
+    itself: each label is then its orbit's least member, at O(n k) per
+    round.
     """
-    g = np.asarray(by, dtype=np.intp)
-    conj = G.mul[G.mul[g], G.inv[g][:, None]]
+    conj = conjugation_rows(G, by)
     least = np.arange(G.order)
     while True:
         for row in conj:
@@ -530,18 +542,17 @@ class RowIndex:
     def find(self, rows: np.ndarray) -> np.ndarray:
         """The position of every row of ``rows`` (its last axis) among the
         indexed rows, or -1 where none of them equals it.  Rows go a block
-        at a time (``_search.block_rows``)."""
+        at a time (``_search.row_blocks``)."""
         rows = np.asarray(rows)
         flat = rows.reshape(-1, rows.shape[-1])
         found = np.empty(len(flat), dtype=np.intp)
-        step = _search.block_rows(flat.shape[1])
         last = len(self._keys) - 1
-        for i in range(0, len(flat), step):
-            block = flat[i:i + step]
+        for part in _search.row_blocks(len(flat), flat.shape[1]):
+            block = flat[part]
             keys = _row_keys(block[:, self._base])
             at = self._order[np.minimum(np.searchsorted(self._keys, keys), last)]
             at[(self.rows.take(at, axis=0) != block).any(axis=1)] = -1
-            found[i:i + step] = at
+            found[part] = at
         return found.reshape(rows.shape[:-1])
 
     def table(self) -> np.ndarray:
@@ -562,7 +573,6 @@ class RowIndex:
         images, n = self.rows, len(self.rows)
         if not np.array_equal(images[0], np.arange(images.shape[1])):
             raise GroupError("the identity row must come first")
-        step = _search.block_rows(images.shape[1])
         mul = np.empty((n, n), dtype=ELEMENT_DTYPE)
         mul[0] = np.arange(n)
         known = np.zeros(n, dtype=bool)
@@ -570,8 +580,9 @@ class RowIndex:
         gens: list[int] = []
         while not known.all():
             g = int(np.argmin(known))  # the first row not yet reached
-            for i in range(0, n, step):  # np.take gathers faster than a subscript
-                mul[g, i:i + step] = self.find(np.take(images[g], images[i:i + step]))
+            for rows in _search.row_blocks(n, images.shape[1]):
+                # np.take gathers faster than a subscript
+                mul[g, rows] = self.find(np.take(images[g], images[rows]))
             if (mul[g] < 0).any():
                 raise GroupError("permutation rows are not closed under composition")
             known[g] = True
@@ -623,15 +634,14 @@ def perm_table(images: np.ndarray) -> np.ndarray:
 def _compose_rows(mul: np.ndarray, h: int, xs: np.ndarray, parents: np.ndarray) -> None:
     """mul[x] = mul[h][mul[p]] for each x = h p and its parent p.
 
-    Rows are gathered a block at a time (``_search.block_rows``): numpy
+    Rows are gathered a block at a time (``_search.row_blocks``): numpy
     widens an int16 index block to intp, so the temporaries stay near half
     a megabyte however many rows a level holds.
     """
-    rows = _search.block_rows(len(mul))
     left = mul[h]
-    for i in range(0, len(xs), rows):
+    for rows in _search.row_blocks(len(xs), len(mul)):
         # np.take gathers about twice as fast as the subscript left[...]
-        mul[xs[i:i + rows]] = np.take(left, mul[parents[i:i + rows]])
+        mul[xs[rows]] = np.take(left, mul[parents[rows]])
 
 
 def from_mul_table(table, *, name: str | None = None) -> FiniteGroup:
@@ -729,18 +739,8 @@ def order_census(G: FiniteGroup, k: int, region: str = "all",
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    """Z(G): the elements that commute with every generator, found by
-    comparing row and column on the generator columns only."""
-    g = np.asarray(G.gens, dtype=np.intp)
-    central = np.flatnonzero(np.all(G.mul[:, g] == G.mul[g].T, axis=1))
-    return Subgroup(G, central, _checked=True)
-
-
-def centralizer(G: FiniteGroup, x: int) -> Subgroup:
-    if not 0 <= x < G.order:
-        raise GroupError(f"element index {x} out of range")
-    hits = np.flatnonzero(G.mul[x, :] == G.mul[:, x])
-    return Subgroup(G, hits)
+    """Z(G): the centralizer of the generators."""
+    return centralizer(G, G.gens)
 
 
 def _derived_subgroup(G: FiniteGroup, members: np.ndarray,

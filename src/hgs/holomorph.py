@@ -30,6 +30,8 @@ from .groups import (
     RowSet,
     Subgroup,
     _readonly,
+    centralizer,
+    conjugation_rows,
     quotient_group,
     row_sort_order,
 )
@@ -342,14 +344,12 @@ def centralizer_orbits(hol: Holomorph, f: Homomorphism) -> tuple[int, np.ndarray
     """|C| for C = C_Aut(N)(f(G)), and the size of every C-orbit on N, kept
     at the orbit's least member (0 at every other point).
 
-    C is read off the carrier table: the automorphisms that commute with
-    f(s) for every effective generator s of G.
+    C is read off the carrier table: the centralizer of the images f(s)
+    of the effective generators s of G.
     """
-    A = hol.aut.carrier
-    imgs = f.images[f.source.gens]
-    cent = np.flatnonzero((A.mul[:, imgs] == A.mul[imgs].T).all(axis=1))
-    least = hol.aut.perms[cent].min(axis=0)
-    return len(cent), np.bincount(least, minlength=hol.base.order)
+    cent = centralizer(hol.aut.carrier, f.images[f.source.gens])
+    least = hol.aut.perms[cent.members].min(axis=0)
+    return cent.size, np.bincount(least, minlength=hol.base.order)
 
 
 def bijective_pair_count(hol: Holomorph, f: Homomorphism,
@@ -403,7 +403,7 @@ def hom_orbit(images: np.ndarray, aut_g: AutomorphismGroup,
     perm[nb:] = np.arange(len(images))
     conj = np.empty((m, A.order), dtype=ELEMENT_DTYPE)
     conj[:nb] = np.arange(A.order)
-    conj[nb:] = A.mul[A.mul[a_gens], A.inv[a_gens][:, None]]
+    conj[nb:] = conjugation_rows(A, a_gens)
     perm_on_gens = perm[:, gens]
     moves = np.arange(m)[:, None, None]
     frontier = np.asarray(images, dtype=ELEMENT_DTYPE)[None, :]
@@ -460,7 +460,7 @@ def close_under_aut(hol: Holomorph, found: list) -> list[np.ndarray]:
     the generators b of Aut(N)'s carrier; new sets follow in first-reached order."""
     A, m, n = hol.aut.carrier, np.int64(hol.aut.order), hol.base.order
     b = np.asarray(A.gens, dtype=np.intp)
-    conj = A.mul[A.mul[b], A.inv[b][:, None]]  # conj[j][beta] = b_j beta b_j^-1
+    conj = conjugation_rows(A, b)  # conj[j][beta] = b_j beta b_j^-1
     seen, frontier = RowSet(), np.array(found, dtype=np.int64).reshape(-1, n)
     closed = [frontier[seen.add(frontier)]]
     while len(closed[-1]):

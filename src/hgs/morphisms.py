@@ -18,7 +18,9 @@ from .groups import (
     RowSet,
     Subgroup,
     center,
+    centralizer,
     conjugation_orbit_least,
+    conjugation_rows,
     fingerprint,
     row_sort_order,
     sorted_distinct,
@@ -134,45 +136,48 @@ def class_cut(T: FiniteGroup, candidates: list[list[int]]) -> list[list[int]]:
     return [_first_per_label(candidates[0], T.class_index())] + candidates[1:]
 
 
-def _inn_branches(T: FiniteGroup, candidates: list[list[int]]) -> Iterator[list[list[int]]]:
-    """One search branch per kept first-generator image r in the target T.
+def _isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[np.ndarray]:
+    """Image arrays of isomorphisms G -> H: at least one from every class
+    of them under composition with the inner automorphisms of H, and none
+    when G and H are not isomorphic.
 
-    Branch r fixes g1 -> r and keeps, for the second generator, the first
-    candidate in each orbit of the centralizer C_T(r) acting by
-    conjugation.  Conjugation by z in C_T(r) fixes r, so it moves a map
-    with g1 -> r, g2 -> s to one with g1 -> r, g2 -> z s z^-1, the same
-    map followed by an inner automorphism of T.  Both searches that use
-    it, Aut(G) (T = G) and the isomorphisms G -> T, are closed under that
-    composition, so each class of maps that meets g1 -> r still meets the
-    branch.  The second list must be a union of classes of T, so it holds
-    the whole orbit of each of its candidates.  With one generator there
-    is nothing to cut.  Branches are made lazily, so a search that stops
-    early computes no further centralizers.
+    The search keeps no value twice, and a generator's images keep its
+    element order and class size (``_iso_candidates``).  An isomorphism
+    psi followed by conjugation with h is again one, so the search is cut
+    twice without losing a class.  First, g1 -> h r h^-1 becomes g1 -> r
+    after conjugation by h^-1, so one image r per class of H is tried
+    (``class_cut``).  Then each r is its own branch: conjugation by z in
+    the centralizer C_H(r) fixes r and moves g2's image s to z s z^-1, so
+    the branch keeps one image of g2 per C_H(r)-orbit.  g2's candidates
+    are a union of classes of H, so they hold each orbit whole.  With one
+    generator there is nothing to cut.  Each branch is one staged search,
+    in the order of the kept images; branches are made lazily, so a
+    caller that stops early computes no further centralizers.
     """
+    candidates = _iso_candidates(G, H)
+    if candidates is None:
+        return
+    candidates = class_cut(H, candidates)
     if len(candidates) < 2:
-        yield candidates
+        yield from _search.iter_hom_images(G, H, candidates, bijective=True)
         return
     for r in candidates[0]:
-        centralizer_gens, _ = _greedy_closure(T.mul, T.mul[r] == T.mul[:, r])
-        least = conjugation_orbit_least(T, centralizer_gens)
-        yield [[r], _first_per_label(candidates[1], least), *candidates[2:]]
+        orbit_gens, _ = _greedy_closure(H.mul, centralizer(H, r).member_mask())
+        second = _first_per_label(candidates[1], conjugation_orbit_least(H, orbit_gens))
+        yield from _search.iter_hom_images(G, H, [[r], second, *candidates[2:]],
+                                           bijective=True)
 
 
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     """All automorphisms of G, as Inn(G)-cosets of searched representatives.
 
-    Inn(G) is built directly by conjugation.  Every automorphism psi sends
-    the first effective generator g1 into the conjugacy class of some class
-    representative r, say psi(g1) = h r h^-1; then c_h^-1 . psi sends g1 to
-    r.  Among the maps with g1 -> r, conjugation by the centralizer C_G(r)
-    moves the second generator's image within its C_G(r)-orbit and stays
-    in the coset.  So one staged search per kept r, with g2 restricted to
-    one candidate per C_G(r)-orbit (``_inn_branches``), finds a map in
-    every coset Inn(G) . psi; each coset not yet covered is added whole.
-    When two generators generate G, each coset is met once per branch: a
-    map that also fixes g2's image differs by conjugation with a central
-    element, which is the same map.  For abelian G the classes and orbits
-    are singletons and this is the plain search.
+    Inn(G) is built directly by conjugation (``conjugation_rows``).  The
+    isomorphism search G -> G (``_isomorphisms``) meets every coset
+    Inn(G) . psi, and each coset not yet covered is added whole.  When two
+    generators generate G, each coset is met once per branch: a map that
+    also fixes g2's image differs by conjugation with a central element,
+    which is the same map.  For abelian G the classes and orbits are
+    singletons and this is the plain search.
 
     Carrier order: identity first, the rest by image-sequence order, which
     depends on the set of automorphisms alone and not on which coset
@@ -186,17 +191,15 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
             f"automorphism search capped at order {table_cap()}")
     gen_idx = G.gens
     # row h: x -> h x h^-1, one row per inner automorphism
-    inn = G.mul[G.mul, G.inv[:, None]]
+    inn = conjugation_rows(G, np.arange(G.order))
     inn = inn[RowSet().add(inn[:, gen_idx])]
-    candidates = class_cut(G, _iso_candidates(G, G))
     coset_reps = []
     covered = RowSet()
-    for branch in _inn_branches(G, candidates):
-        for phi in _search.iter_hom_images(G, G, branch, bijective=True):
-            if phi[gen_idx] not in covered:
-                # the coset Inn(G) . phi, on the generators
-                covered.add(inn[:, phi[gen_idx]])
-                coset_reps.append(phi)
+    for phi in _isomorphisms(G, G):
+        if phi[gen_idx] not in covered:
+            # the coset Inn(G) . phi, on the generators
+            covered.add(inn[:, phi[gen_idx]])
+            coset_reps.append(phi)
     if not coset_reps:
         raise GroupError("automorphism search lost the identity map")
     perms = inn[:, np.stack(coset_reps)].reshape(-1, G.order)
@@ -268,22 +271,10 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
     """An isomorphism G -> H, or None when there is none.
 
     Invariant fingerprints reject most non-isomorphic pairs before any
-    search; the remainder backtracks over generator images restricted to
-    elements of equal order and class size, in the branches of
-    ``_inn_branches(H, ...)``: one first-generator image per class of H
-    and one second-generator image per orbit of its centralizer.  An
-    isomorphism followed by an inner automorphism of H is again one, so
-    when any exists some branch meets one.  Which isomorphism is returned
-    is therefore the first in the branches' order, not the least overall.
+    search; the remainder takes the first map of ``_isomorphisms``, which
+    is the first in its branches' order, not the least overall.
     """
-    if G.order != H.order:
+    if G.order != H.order or fingerprint(G) != fingerprint(H):
         return None
-    if fingerprint(G) != fingerprint(H):
-        return None
-    candidates = _iso_candidates(G, H)
-    if candidates is None:
-        return None
-    for branch in _inn_branches(H, class_cut(H, candidates)):
-        for img in _search.iter_hom_images(G, H, branch, bijective=True):
-            return Homomorphism(G, H, img, _checked=True)
-    return None
+    img = next(_isomorphisms(G, H), None)
+    return None if img is None else Homomorphism(G, H, img, _checked=True)

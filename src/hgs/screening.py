@@ -26,6 +26,7 @@ from .groups import (
     GroupError,
     Subgroup,
     center,
+    centralizer,
     commutator_subgroup,
     is_perfect,
     is_solvable,
@@ -93,8 +94,8 @@ def _classify(G: FiniteGroup) -> StructureClass:
         index = G.order // A.size
         Agrp, _ = A.as_group()
         if _is_prime(index) and _is_nonabelian_simple(Agrp):
-            cent = _subgroup_centralizer(G, A)
-            if cent.size == 1:
+            # C_G(A) from generators of A: |G| k comparisons, not |G| |A|
+            if centralizer(G, _greedy_closure(G.mul, A.member_mask())[0]).size == 1:
                 return StructureClass("almost-simple", socle=A, socle_group=Agrp,
                                       prime=index)
         return StructureClass("other")
@@ -111,13 +112,6 @@ def _classify(G: FiniteGroup) -> StructureClass:
                                   socle_group=Agrp, prime=p, cyclic_factor=C)
         return StructureClass("other")
     return StructureClass("other")
-
-
-def _subgroup_centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Elements of G commuting with every member of H: with its greedy
-    generators, as ``center`` does with G's."""
-    g = np.asarray(_greedy_closure(G.mul, H.member_mask())[0], dtype=np.intp)
-    return Subgroup(G, np.flatnonzero((G.mul[g] == G.mul[:, g].T).all(axis=0)))
 
 
 # -- screening reports ----------------------------------------------------------
@@ -239,8 +233,7 @@ def _condition3(N: FiniteGroup, ZN: Subgroup, p: int) -> ConditionVerdict:
         left = N.mul[:, zeta]    # eta * zeta over all eta
         right = N.mul[zeta, :]   # zeta * eta
         mod_comm = coset_of[left] == coset_of[right]
-        exact_comm = left == right
-        bad = np.flatnonzero(mod_comm & ~exact_comm)
+        bad = np.flatnonzero(mod_comm & ~centralizer(N, zeta).member_mask())
         if len(bad) == 0:
             return ConditionVerdict("holds", {"zeta_tilde": zeta})
         counterexamples.append({"zeta_tilde": zeta, "eta": int(bad[0])})
@@ -261,8 +254,7 @@ def _condition4(G: FiniteGroup, cls_g: StructureClass, N: FiniteGroup,
     for zeta in cls_g.socle.members:
         if int(G.elt_order[zeta]) != p:
             continue
-        commuting = np.flatnonzero(G.mul[:, zeta] == G.mul[zeta, :])
-        outside = [int(s) for s in commuting if not socle_mask[s]]
+        outside = [int(s) for s in centralizer(G, zeta).members if not socle_mask[s]]
         if outside:
             return ConditionVerdict("holds",
                                     {"zeta": int(zeta), "sigma": outside[0]})
@@ -288,10 +280,9 @@ def reverify_report(report: ScreeningReport, G: FiniteGroup,
                 return False
     if c3 is not None and c3.status == "holds":
         zeta = c3.witness["zeta_tilde"]
-        left = N.mul[:, zeta]
-        right = N.mul[zeta, :]
-        mod_comm = zmask[N.mul[left, N.inv[right]]]
-        if np.any(mod_comm & (left != right)):
+        # eta zeta (zeta eta)^-1 for every eta: central, then trivial
+        comm = N.mul[N.mul[:, zeta], N.inv[N.mul[zeta, :]]]
+        if np.any(zmask[comm] & (comm != 0)):
             return False
     c2 = conds.get("condition-2")
     if c2 is not None and c2.status == "holds":

@@ -3,6 +3,7 @@ import pytest
 
 from hgs.catalog import (
     SpecError,
+    _check_catalog_invariants,
     catalog_aut6_tower,
     cyclic,
     from_perm_set,
@@ -184,3 +185,11 @@ def test_comments_and_blank_lines_allowed(tmp_path):
 def test_from_perm_set_rejects_rows_that_are_no_group(rows, message):
     with pytest.raises(GroupError, match=message):
         from_perm_set(np.array(rows))
+
+
+@pytest.mark.parametrize("label", ["S5", "S6", "A5", "A6", "PGL(2,9)", "PSL(2,9)",
+                                   "SL(2,9)", "M10", "Q8", "V4"])
+def test_each_checked_label_rejects_a_group_of_the_wrong_order(label):
+    # the first seven by the pattern rules, M10, Q8 and V4 by their table
+    with pytest.raises(GroupError, match=f"resolved to order 3, expected"):
+        _check_catalog_invariants(label, cyclic(3))

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, the row
-key format stays inside groups.py, and a counting run does not pull in
-numpy.ma or multiprocessing and runs on one OS thread."""
+key format stays inside groups.py, a counting run does not pull in
+numpy.ma or multiprocessing and runs on one OS thread, and neither does
+``hgs info``."""
 
 import ast
 import os
@@ -90,3 +91,25 @@ def test_counting_runs_do_not_import_numpy_ma():
 
 def test_a_callers_openblas_thread_count_is_kept():
     assert _count_run("3")[:2] == ["False", "3"]
+
+
+INFO_RUN = """
+import sys
+from hgs.cli import main
+assert main(["info", "-G", "S5"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_info_does_not_import_numpy_ma():
+    # its element-order census is taken with np.bincount; a plain
+    # np.unique there would import numpy.ma
+    src = Path(hgs.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", INFO_RUN], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    out = run.stdout.splitlines()
+    assert out[0] == "spec: S5"
+    assert out[-1] == "False"
