@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 infeasible
-(a size cap was exceeded), 4 internal error (an engine invariant failed,
-which is a bug in hgs).  HGS_MAX_TABLE overrides the Cayley-table cap of
-2000, up to 32768: element indices are 16-bit (``groups.ELEMENT_DTYPE``),
-so a table takes 2 bytes per entry, about 1 MB at order 720 and 4 MB for
-a 1440-element Aut carrier.
-hgs runs one process and one thread: every count runs in the process that
-parses the command line.
+Exit codes: 0 success, 1 check failure, 2 usage or parse error, or a
+``counting.NoFormulaError`` (no closed form fits ``count --method
+formula``), 3 infeasible (a size cap was exceeded), 4 internal error (an
+engine invariant failed, which is a bug in hgs).  HGS_MAX_TABLE overrides
+the Cayley-table cap of 2000, up to 32768: element indices are 16-bit
+(``groups.ELEMENT_DTYPE``), so a table takes 2 bytes per entry, about 1 MB
+at order 720 and 4 MB for a 1440-element Aut carrier.  hgs runs one
+process and one thread: every count runs in the process that parses the
+command line.
 """
 
 from __future__ import annotations
@@ -19,17 +20,8 @@ import sys
 import numpy as np
 
 from .catalog import SpecError, catalog_list, resolve_spec
-from .counting import (
-    METHOD_BRUTE,
-    CountResult,
-    count_brute_force,
-    count_byott,
-    count_fpf_inner_holomorph,
-    count_product_type,
-    count_self_type,
-)
+from .counting import METHODS, NoFormulaError
 from .groups import CapExceededError, EngineError, GroupError, center
-from .morphisms import are_isomorphic
 from .report import emit_report
 from .screening import classify_group, screen_candidate
 from .verify import SUITE_NAMES, run_verify_suite
@@ -55,8 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count structures of type N on G")
     p_count.add_argument("-G", required=True, metavar="SPEC")
     p_count.add_argument("-N", required=True, metavar="SPEC")
-    p_count.add_argument("--method", required=True,
-                         choices=["formula", "byott", "brute", "fpf"])
+    p_count.add_argument("--method", required=True, choices=list(METHODS))
     p_count.add_argument("--json", action="store_true")
     p_count.add_argument("--allow-order-9", action="store_true",
                          help="lift the brute-force cap from 8 to 9 (~15 s); "
@@ -99,43 +90,18 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    G = resolve_spec(args.G)
-    N = resolve_spec(args.N)
-    if args.method == "formula":
-        cls = classify_group(G)
-        if cls.kind != "almost-simple":
-            print("formula methods need an almost simple G with prime-index socle",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        if are_isomorphic(G, N) is not None:
-            result = count_self_type(G, g_label=args.G)
-        else:
-            cls_n = classify_group(N)
-            if (cls_n.kind == "direct-product-simple-cyclic"
-                    and cls_n.prime == cls.prime
-                    and are_isomorphic(cls_n.socle_group, cls.socle_group) is not None):
-                result = count_product_type(G, g_label=args.G, n_label=args.N)
-            else:
-                print("no closed-form formula applies to this (G, N); "
-                      "use --method byott", file=sys.stderr)
-                return EXIT_USAGE
-    elif args.method == "byott":
-        result = count_byott(G, N, g_label=args.G, n_label=args.N)
-    elif args.method == "fpf":
-        result = count_fpf_inner_holomorph(G, N, g_label=args.G, n_label=args.N)
-    else:  # brute
-        brute = count_brute_force(G, {args.N: N}, g_label=args.G,
+    G, N = resolve_spec(args.G), resolve_spec(args.N)
+    if args.method == "brute":
+        result = METHODS["brute"](G, N, g_label=args.G, n_label=args.N,
                                   allow_order_9=args.allow_order_9)
-        value = brute.counts.get(args.N, 0)
-        result = CountResult(args.G, args.N, METHOD_BRUTE, value,
-                             brute.runtime_ms)
+    else:
+        result = METHODS[args.method](G, N, g_label=args.G, n_label=args.N)
     print(emit_report([result], "json" if args.json else "table"))
     return EXIT_OK
 
 
 def _cmd_screen(args) -> int:
-    G = resolve_spec(args.G)
-    N = resolve_spec(args.N)
+    G, N = resolve_spec(args.G), resolve_spec(args.N)
     report = screen_candidate(G, N, args.G, args.N)
     if args.json:
         print(report.to_json())
@@ -150,13 +116,17 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    log = None if args.json else print
-    report = run_verify_suite(args.suite, log=log)
+    report = run_verify_suite(args.suite, log=None if args.json else print)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.summary())
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+
+
+def _cmd_catalog(args) -> int:
+    print("\n".join(catalog_list()))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -165,23 +135,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    commands = {"info": _cmd_info, "count": _cmd_count, "screen": _cmd_screen,
+                "verify": _cmd_verify, "catalog": _cmd_catalog}
     try:
-        if args.command == "info":
-            return _cmd_info(args)
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "screen":
-            return _cmd_screen(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "catalog":
-            for line in catalog_list():
-                print(line)
-            return EXIT_OK
-        return EXIT_USAGE
+        return commands[args.command](args)
     except CapExceededError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except NoFormulaError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_USAGE

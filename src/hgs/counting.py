@@ -44,7 +44,7 @@ from .morphisms import (
     count_injective_homomorphisms,
     enumerate_homomorphisms,
 )
-from .screening import check_inner_unique_in_aut, classify_group
+from .screening import check_inner_unique_in_aut, classify_group, socle_times_cp
 
 METHOD_FORMULA_SELF = "formula-self-type"
 METHOD_FORMULA_PRODUCT = "formula-product-type"
@@ -73,6 +73,10 @@ class CountResult:
             "value": self.value, "runtime_ms": self.runtime_ms,
             "notes": self.notes,
         }
+
+
+class NoFormulaError(GroupError):
+    """Neither closed form applies to the (G, N) given to ``count_formula``."""
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -130,6 +134,19 @@ def count_product_type(G: FiniteGroup, *, g_label: str | None = None,
     nlab = n_label or f"socle x C{p}"
     ms = int((time.perf_counter() - t0) * 1000)
     return CountResult(label, nlab, METHOD_FORMULA_PRODUCT, value, ms)
+
+
+def count_formula(G: FiniteGroup, N: FiniteGroup, *, g_label: str | None = None,
+                  n_label: str | None = None) -> CountResult:
+    """e(G, N) by the self-type formula if N is G, the product-type one if N is A x C_p."""
+    cls = classify_group(G)
+    if cls.kind != "almost-simple":
+        raise NoFormulaError("formula methods need an almost simple G with prime-index socle")
+    if are_isomorphic(G, N) is not None:
+        return count_self_type(G, g_label=g_label)
+    if socle_times_cp(cls, N) is not None:
+        return count_product_type(G, g_label=g_label, n_label=n_label)
+    raise NoFormulaError("no closed-form formula applies to this (G, N); use --method byott")
 
 
 # -- symmetric-group involution formulas ----------------------------------------
@@ -223,11 +240,9 @@ def count_fpf_inner_holomorph(G: FiniteGroup, N: FiniteGroup, *,
     t0 = time.perf_counter()
     cls_g = _almost_simple_data(G)
     p = cls_g.prime
-    cls_n = classify_group(N)
-    if cls_n.kind != "direct-product-simple-cyclic" or cls_n.prime != p:
-        raise GroupError("fpf route needs N of shape (simple A) x C_p")
-    if are_isomorphic(cls_n.socle_group, cls_g.socle_group) is None:
-        raise GroupError("the simple factor of N must match the socle of G")
+    cls_n = socle_times_cp(cls_g, N)
+    if cls_n is None:
+        raise GroupError("fpf route needs N of shape A x C_p for the socle A and prime p of G")
     C, _ = cls_n.cyclic_factor.as_group()
     eps = C.gens[0]
     socle_mask = cls_g.socle.member_mask()
@@ -404,3 +419,17 @@ def count_brute_force(G: FiniteGroup, types: dict[str, FiniteGroup] | None = Non
         counts[label] = counts.get(label, 0) + 1
     ms = int((time.perf_counter() - t0) * 1000)
     return BruteForceResult(g_label or G.name or "G", counts, normalized, ms)
+
+
+def count_brute(G: FiniteGroup, N: FiniteGroup, *, g_label: str | None = None,
+                n_label: str | None = None, allow_order_9: bool = False) -> CountResult:
+    """e(G, N) read off the oracle's census (``count_brute_force``)."""
+    n_label = n_label or N.name or "N"
+    brute = count_brute_force(G, {n_label: N}, g_label=g_label, allow_order_9=allow_order_9)
+    return CountResult(brute.g_label, n_label, METHOD_BRUTE, brute.counts.get(n_label, 0),
+                       brute.runtime_ms)
+
+
+# ``hgs count --method`` name -> count call
+METHODS = {"formula": count_formula, "byott": count_byott, "brute": count_brute,
+           "fpf": count_fpf_inner_holomorph}

@@ -259,8 +259,9 @@ class Subgroup:
     generator is its least member not yet reached, and the set is a
     subgroup exactly when the closure of these generators is the set.
     That costs O(|S| k) for k generators rather than the |S|^2 products
-    of S.  Callers that have just built the set as a closure pass
-    ``_checked=True`` and skip that check.
+    of S.  Callers that have just built the set as a closure, sorted and
+    distinct (``np.flatnonzero`` of a mask), pass ``_checked=True`` and
+    skip that check and the sort.
     """
 
     parent: FiniteGroup
@@ -268,7 +269,8 @@ class Subgroup:
     _checked: InitVar[bool] = False
 
     def __post_init__(self, _checked: bool):
-        members = sorted_distinct(np.asarray(self.members, dtype=np.int64))
+        members = np.asarray(self.members if _checked else sorted_distinct(self.members),
+                             dtype=np.int64)
         object.__setattr__(self, "members", _readonly(members))
         if len(members) == 0 or members[0] != 0:
             raise GroupError("subgroup must contain the identity")

@@ -114,6 +114,15 @@ def _classify(G: FiniteGroup) -> StructureClass:
     return StructureClass("other")
 
 
+def socle_times_cp(cls_g: StructureClass, N: FiniteGroup) -> Optional[StructureClass]:
+    """N's class if N is A x C_p for the socle A and prime p of the almost
+    simple G classed as ``cls_g``, else None: the one test of that shape."""
+    cls_n = classify_group(N)
+    fits = (cls_n.kind == "direct-product-simple-cyclic" and cls_n.prime == cls_g.prime
+            and are_isomorphic(cls_n.socle_group, cls_g.socle_group) is not None)
+    return cls_n if fits else None
+
+
 # -- screening reports ----------------------------------------------------------
 
 
@@ -169,15 +178,12 @@ def screen_candidate(G: FiniteGroup, N: FiniteGroup,
     p = cls_g.prime
     conditions: dict[str, ConditionVerdict] = {}
 
+    cls_n = classify_group(N)
     if not is_perfect(N):
-        cls_n = classify_group(N)
         for key in ("condition-1", "condition-2", "condition-3", "condition-4"):
             conditions[key] = ConditionVerdict("not-applicable")
-        if (cls_n.kind == "direct-product-simple-cyclic" and cls_n.prime == p
-                and are_isomorphic(cls_n.socle_group, A_grp) is not None):
-            return ScreeningReport(g_label, n_label, "allowed-nonperfect", None,
-                                   conditions)
-        if (cls_n.kind == "almost-simple"
+        if socle_times_cp(cls_g, N) is not None or (
+                cls_n.kind == "almost-simple"
                 and are_isomorphic(cls_n.socle_group, A_grp) is not None):
             return ScreeningReport(g_label, n_label, "allowed-nonperfect", None,
                                    conditions)
@@ -188,7 +194,6 @@ def screen_candidate(G: FiniteGroup, N: FiniteGroup,
             conditions)
 
     # perfect candidate: the four necessary conditions
-    cls_n = classify_group(N)
     ZN = center(N)
 
     quasi_ok = (cls_n.kind == "quasisimple"

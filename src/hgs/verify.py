@@ -2,11 +2,12 @@
 
 The suites ``small``, ``paper-120`` and ``paper-720`` are tables of cells
 (``CELLS``): G, N, the expected e(G, N) and the routes that reach it, each
-route a phrase of ``ROUTES``, the one table of count calls.  One runner
-(``_Suite.cells``) checks every route of every cell, one item per route.
-``tests/test_verify_tables.py`` reads the cells without running them and
-fails on a cell with fewer than two distinct routes unless its exemption
-map names the cell.  Row sums, tower labels and lemmas are plain checks.
+a phrase of ``ROUTES``; four count through ``counting.METHODS``, as ``hgs
+count --method`` does.  One runner (``_Suite.cells``) checks every route of
+every cell, one item per route.  ``tests/test_verify_tables.py`` reads the
+cells without running them and fails on a cell with fewer than two
+distinct routes unless its exemption map names the cell.  Row sums, tower
+labels and lemmas are plain checks.
 
 * ``small``      — for every ordered same-order pair of catalog groups at
                    orders 4, 6, 8, the brute-force Perm(G) census gives the
@@ -26,13 +27,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .catalog import catalog_aut6_tower, resolve_spec
-from .counting import (count_brute_force, count_byott, count_fpf_inner_holomorph,
-                       count_product_type, count_self_type, count_sn)
+from .counting import METHODS, count_brute_force, count_sn
 from .groups import (center, is_solvable, normal_subgroups, order_census, quotient_group,
                      sorted_distinct)
 from .holomorph import (build_holomorph, crossed_homomorphisms, derive_h,
@@ -84,8 +85,10 @@ def _census(s: "_Suite", g: str):
     return s.censuses[g]
 
 
-def _self_type(s, g: str, n: str):
-    r = count_self_type(_group(g), g_label=g)
+def _by_method(method: str, s, g: str, n: str):
+    """e(G, N) by ``counting.METHODS[method]``; a self-type count whose
+    hypothesis check did not hold reads "conditional: e"."""
+    r = METHODS[method](_group(g), _group(n), g_label=g, n_label=n)
     return f"conditional: {r.value}" if "CONDITIONAL" in r.notes else r.value
 
 
@@ -99,15 +102,12 @@ def _lifting(s, g: str, n: str):
 # route phrase -> count call.  A screening route reaches only the zero
 # cells: an N that the paper's necessary criteria exclude has e(G, N) = 0.
 ROUTES = {
-    "self-type formula": Route(_self_type),
-    "product-type formula": Route(lambda s, g, n: count_product_type(
-        _group(g), g_label=g, n_label=n).value),
+    "self-type formula": Route(partial(_by_method, "formula")),
+    "product-type formula": Route(partial(_by_method, "formula")),
     "symmetric-group census": Route(lambda s, g, n: count_sn(  # G = S_n
         int(g[1:]), "Sn" if n == g else "AnxC2").value),
-    "holomorph enumeration": Route(lambda s, g, n: count_byott(
-        _group(g), _group(n), g_label=g, n_label=n).value, matches="holomorph route"),
-    "fixed-point-free pairs": Route(lambda s, g, n: count_fpf_inner_holomorph(
-        _group(g), _group(n), g_label=g, n_label=n).value),
+    "holomorph enumeration": Route(partial(_by_method, "byott"), matches="holomorph route"),
+    "fixed-point-free pairs": Route(partial(_by_method, "fpf")),
     "oracle": Route(lambda s, g, n: _census(s, g).counts.get(n, 0)),
     "cyclic exclusion": Route(
         lambda s, g, n: screen_candidate(_group(g), _group(n), g, n).shape_verdict,

@@ -60,9 +60,43 @@ def test_count_fpf(capsys):
     assert json.loads(capsys.readouterr().out)["items"][0]["value"] == 20
 
 
+NO_ALMOST_SIMPLE_G = "formula methods need an almost simple G with prime-index socle\n"
+NO_FORMULA = "no closed-form formula applies to this (G, N); use --method byott\n"
+
+
 def test_count_formula_needs_applicable_shape(capsys):
     rc = main(["count", "-G", "S5", "-N", "C120", "--method", "formula"])
     assert rc == 2
+    assert capsys.readouterr() == ("", NO_FORMULA)
+
+
+@pytest.mark.parametrize("g, n, err", [
+    ("C6", "S3", NO_ALMOST_SIMPLE_G),
+    ("PGL(2,9)", "S6", NO_FORMULA),  # almost simple N, but neither G nor A6 x C2
+])
+def test_count_formula_refusals_exit_2(g, n, err, capsys):
+    assert main(["count", "-G", g, "-N", n, "--method", "formula"]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("g, n, err", [
+    ("S5", "C120", "error: fpf route needs N of shape A x C_p for the socle A and "
+                   "prime p of G\n"),
+    ("C6", "S3", "error: count formulas need an almost simple G with prime-index "
+                 "socle\n"),
+])
+def test_count_fpf_refusals_exit_1(g, n, err, capsys):
+    assert main(["count", "-G", g, "-N", n, "--method", "fpf"]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("g, value", [("PGL(2,9)", 72), ("M10", 0)])
+def test_count_formula_product_type_at_order_720(g, value, capsys):
+    rc = main(["count", "-G", g, "-N", "AxCp(A6,2)", "--method", "formula", "--json"])
+    assert rc == 0
+    item = json.loads(capsys.readouterr().out)["items"][0]
+    assert (item["G"], item["N"], item["method"], item["value"]) == \
+        (g, "AxCp(A6,2)", "formula-product-type", value)
 
 
 def test_screen_command(capsys):

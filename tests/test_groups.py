@@ -151,6 +151,27 @@ def test_subgroup_closure_identity_only(S5):
     assert subgroup_closure(S5, []).size == 1
 
 
+@pytest.mark.parametrize("spec", ["D4", "Q8", "C2xC2xC2", "S4", "AxCp(A5,2)"])
+def test_trusted_subgroups_have_strictly_increasing_members(spec):
+    """centralizer, subgroup_closure and normal_subgroups build their members
+    sorted and distinct, and Subgroup keeps them as given."""
+    G = resolve_spec(spec)
+    rng = np.random.default_rng(3)
+    pairs = rng.integers(0, G.order, (10, 2)).tolist()
+    made = {
+        "centralizer": [centralizer(G, x) for x in range(G.order)]
+                       + [centralizer(G, pair) for pair in pairs],
+        "subgroup_closure": [subgroup_closure(G, [x]) for x in range(G.order)]
+                            + [subgroup_closure(G, pair) for pair in pairs],
+        "normal_subgroups": normal_subgroups(G),
+    }
+    for caller, subs in made.items():
+        for H in subs:
+            assert H.members.dtype == np.int64, caller
+            assert H.members[0] == 0 and (np.diff(H.members) > 0).all(), caller
+            assert not H.members.flags.writeable, caller
+
+
 def test_direct_product_structure(A5):
     C2 = from_mul_table([[0, 1], [1, 0]], name="C2")
     G = direct_product(A5, C2)

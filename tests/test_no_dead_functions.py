@@ -22,9 +22,10 @@ through the registry and are exempt.
 Every keyword-only parameter is passed by name in some call from those
 paths, to a callee of its function's name (its class's name for
 ``__init__``), except those in ``UNPASSED_KEYWORDS``, each kept for a
-named reason.  Nor does every such call give it one and the same literal,
-passed or defaulted: a keyword no caller sets to anything else is a
-constant.
+named reason.  A call through the package's ``METHODS`` table
+(``METHODS[name](...)``) is a call to every function the table names.
+Nor does every such call give it one and the same literal, passed or
+defaulted: a keyword no caller sets to anything else is a constant.
 
 Every field of a class (its annotated fields, its ``__slots__`` and the
 attributes its methods set on ``self``) is read from those paths: mentioned
@@ -153,24 +154,45 @@ def test_every_module_level_definition_is_used():
     assert checked <= {f"{mod}:{name}" for mod, name in defs} - set(unreached)
 
 
-def _calls() -> dict[str, list[ast.Call]]:
+def _parse() -> dict[Path, ast.Module]:
+    """Every package source and caller path, parsed."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(set(SOURCES) | set(CALLERS))}
+
+
+def _name(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _method_table(trees: dict[Path, ast.Module]) -> list[str]:
+    """The functions that the package's ``METHODS`` table names."""
+    return [_name(v) for path in SOURCES for stmt in trees[path].body
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Dict)
+            and any(_name(t) == "METHODS" for t in stmt.targets)
+            for v in stmt.value.values]
+
+
+def _calls(trees: dict[Path, ast.Module]) -> dict[str, list[ast.Call]]:
     """Callee name -> every call from the caller paths to that name."""
+    table = _method_table(trees)
     calls: dict[str, list[ast.Call]] = {}
     for path in CALLERS:
-        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for n in ast.walk(trees[path]):
             if isinstance(n, ast.Call):
                 f = n.func
-                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                calls.setdefault(callee, []).append(n)
+                through_table = isinstance(f, ast.Subscript) and _name(f.value) == "METHODS"
+                for callee in table if through_table else [_name(f)]:
+                    calls.setdefault(callee, []).append(n)
     return calls
 
 
-def _keyword_only_parameters() -> list[tuple[str, str, str, ast.expr | None]]:
+def _keyword_only_parameters(trees: dict[Path, ast.Module]
+                             ) -> list[tuple[str, str, str, ast.expr | None]]:
     """(definition, the name callers call it by, keyword, default) for every
     keyword-only parameter of a module-level function or a method."""
     found = []
     for path in SOURCES:
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        for stmt in trees[path].body:
             if isinstance(stmt, ast.FunctionDef):
                 found.append((f"{path.name}:{stmt.name}", stmt.name, stmt))
             elif isinstance(stmt, ast.ClassDef):
@@ -181,15 +203,38 @@ def _keyword_only_parameters() -> list[tuple[str, str, str, ast.expr | None]]:
             for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)]
 
 
+def _unpassed_keywords(trees: dict[Path, ast.Module]) -> list[tuple[str, str]]:
+    calls = _calls(trees)
+    return sorted((where, kw) for where, callee, kw, _ in _keyword_only_parameters(trees)
+                  if not any(k.arg == kw for c in calls.get(callee, []) for k in c.keywords))
+
+
 def test_every_keyword_only_parameter_is_passed_by_name():
-    params = _keyword_only_parameters()
-    assert len(params) >= 20
-    calls = _calls()
-    unpassed = sorted((where, kw) for where, callee, kw, _ in params
-                      if not any(k.arg == kw for c in calls.get(callee, []) for k in c.keywords))
+    trees = _parse()
+    assert len(_keyword_only_parameters(trees)) >= 20
+    unpassed = _unpassed_keywords(trees)
     assert [u for u in unpassed if u not in UNPASSED_KEYWORDS] == [], \
         "no caller passes these keywords"
     assert unpassed == sorted(UNPASSED_KEYWORDS), "an exempt keyword gained a caller"
+
+
+def test_a_table_entry_keyword_that_no_caller_passes_still_fails():
+    """Mutation: give every function of the ``METHODS`` table a keyword-only
+    parameter that no call passes; the table's calls must not cover it."""
+    trees = _parse()
+    table = _method_table(trees)
+    assert len(table) >= 4
+    mutated = []
+    for path in SOURCES:
+        for stmt in trees[path].body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in table:
+                stmt.args.kwonlyargs.append(ast.arg("never_passed"))
+                stmt.args.kw_defaults.append(ast.Constant(None))
+                mutated.append((f"{path.name}:{stmt.name}", "never_passed"))
+    assert len(mutated) == len(table)
+    unpassed = _unpassed_keywords(trees)
+    assert set(mutated) <= set(unpassed)
+    assert [u for u in unpassed if u not in mutated] == sorted(UNPASSED_KEYWORDS)
 
 
 def _literal(node: ast.expr | None) -> str | None:
@@ -201,9 +246,10 @@ def _literal(node: ast.expr | None) -> str | None:
 
 
 def test_no_keyword_only_parameter_gets_one_literal_from_every_call():
-    calls = _calls()
+    trees = _parse()
+    calls = _calls(trees)
     constant = []
-    for where, callee, kw, default in _keyword_only_parameters():
+    for where, callee, kw, default in _keyword_only_parameters(trees):
         if (where, kw) in UNPASSED_KEYWORDS or callee not in calls:
             continue
         # a call that splats ``**kwargs`` gives no literal

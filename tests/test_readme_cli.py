@@ -1,10 +1,12 @@
-"""README's command-line synopsis lists exactly the options of the parser."""
+"""README's command-line synopsis lists exactly the options of the parser,
+and the ``--method`` names of ``hgs count`` in the parser's order."""
 
 import argparse
 import re
 from pathlib import Path
 
 from hgs.cli import _build_parser
+from hgs.counting import METHODS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 OPTION = re.compile(r"(?<![\w-])--?[A-Za-z][\w-]*")
@@ -38,3 +40,12 @@ def test_readme_synopsis_matches_the_parser():
     listed = _synopsis()
     assert set(listed) == {"info", "count", "screen", "verify", "catalog"}
     assert listed == _parser_options()
+
+
+def test_readme_method_list_matches_the_parser_and_the_table():
+    text = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    listed = re.search(r"--method (\S+)", text.split("```", 2)[1]).group(1).split("|")
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["count"]._actions if a.dest == "method")
+    assert listed == list(method.choices) == list(METHODS)
