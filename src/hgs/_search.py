@@ -27,12 +27,14 @@ sufficient.  The set of x with m(x * w) = m(x) * m(w) for all w is closed
 under products, and it contains the generators, which generate S (checked
 when S is built); in a finite group that makes it all of S.  The crossed
 relation has the same certificate on the twisted tables
-(``holomorph.crossed_relation_holds``).
+(``holomorph.crossed_relation_holds``).  Aut(G) certifies only the
+generator rows of its carrier: every other row is a composition of those,
+and a composition of homomorphisms is one (``morphisms.automorphism_group``).
 
 Every gather over a stack of rows goes a block of rows at a time, cut by
-``row_blocks``: the certificate of a stack of maps (Aut(G) certifies all
-its rows at once), and in ``groups`` the subgroup tables, the row lookups
-and the table fill of ``RowIndex``.  NumPy widens an int16 index block to
+``row_blocks``: the certificate of a stack of maps, the sorted stack of
+Aut(G), and in ``groups`` the subgroup tables, the row lookups and the
+table fill of ``RowIndex``.  NumPy widens an int16 index block to
 intp, so a block of about ``CERTIFICATE_BLOCK`` entries keeps the
 temporaries near a megabyte however many rows are stacked.
 """

@@ -152,13 +152,18 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[np.ndarray]:
     are a union of classes of H, so they hold each orbit whole.  With one
     generator there is nothing to cut.  Each branch is one staged search,
     in the order of the kept images; branches are made lazily, so a
-    caller that stops early computes no further centralizers.
+    caller that stops early computes no further centralizers.  For
+    abelian H the classes and orbits are singletons, so the branches
+    would emit the maps of the one plain search in its order; that search
+    runs instead.
     """
     candidates = _iso_candidates(G, H)
     if candidates is None:
         return
-    candidates = class_cut(H, candidates)
-    if len(candidates) < 2:
+    abelian = H.is_abelian()
+    if not abelian:
+        candidates = class_cut(H, candidates)
+    if abelian or len(candidates) < 2:
         yield from _search.iter_hom_images(G, H, candidates, bijective=True)
         return
     for r in candidates[0]:
@@ -181,8 +186,16 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
 
     Carrier order: identity first, the rest by image-sequence order, which
     depends on the set of automorphisms alone and not on which coset
-    representatives the search met.  All rows pass the generator
-    certificate before the carrier is built.
+    representatives the search met (``_sorted_stack``).  The inner table
+    is dropped once ``inner_of`` is found, before the carrier table is
+    built, so the build holds little more than its result.
+
+    The carrier is certified on its generator rows alone
+    (``_certified_carrier``).  ``RowIndex.table`` finds every product of a
+    generator row with a row as a whole row, or raises, so every row is a
+    composition of the carrier's generator rows, and a composition of
+    homomorphisms is one: the certificate on those few rows proves what
+    it would prove on every row.
     """
     if "aut" in G._cache:
         return G._cache["aut"]
@@ -202,19 +215,14 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
             coset_reps.append(phi)
     if not coset_reps:
         raise GroupError("automorphism search lost the identity map")
-    perms = inn[:, np.stack(coset_reps)].reshape(-1, G.order)
     # the identity is the least permutation, so it sorts first
-    perms = perms[row_sort_order(perms)]
+    perms = _readonly(_sorted_stack(inn, np.stack(coset_reps)))
     if not np.array_equal(perms[0], np.arange(G.order)):
         raise EngineError("the automorphism cosets miss the identity map")
-    if not _search.generator_certificate(G, G, perms):
-        raise EngineError("an automorphism fails the generator certificate")
-    perms = _readonly(perms)
     index = RowIndex(perms)
-    carrier = FiniteGroup(index.table(),
-                          name=f"Aut({G.name})" if G.name else "Aut",
-                          validate=False)
     inner_of = index.find(inn).astype(ELEMENT_DTYPE)
+    del inn  # the carrier table is built without it
+    carrier = _certified_carrier(G, index, f"Aut({G.name})" if G.name else "Aut")
     inner = Subgroup(carrier, inner_of)
     z = center(G).size
     if inner.size * z != G.order:
@@ -222,6 +230,49 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     aut = AutomorphismGroup(G, carrier, perms, inner, _readonly(inner_of), index)
     G._cache["aut"] = aut
     return aut
+
+
+def _sorted_stack(inn: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The rows inn[h][reps[i]], for every h and i, in lexicographic order.
+
+    The rows are ordered by their first c entries alone, c = 4 at first
+    and doubled only while two of those prefixes tie.  That is the order
+    of the whole rows once no prefixes tie, and at c = |G| it is
+    ``row_sort_order`` of the whole stack, ties and all.  The sorted stack
+    is then gathered from ``inn`` a block of rows at a time
+    (``_search.row_blocks``), so no unsorted copy and no whole-row keys
+    are ever built.
+    """
+    k, n = reps.shape
+    c = min(4, n)
+    while True:
+        prefix = inn[:, reps[:, :c]].reshape(-1, c)  # row (h, i) at h * k + i
+        order = row_sort_order(prefix)
+        prefix = prefix[order]
+        if c == n or not (prefix[1:] == prefix[:-1]).all(axis=1).any():
+            break
+        c = min(2 * c, n)
+    h, i = np.divmod(order, k)
+    stack = np.empty((len(order), n), dtype=inn.dtype)
+    for rows in _search.row_blocks(len(order), n):
+        stack[rows] = inn[h[rows, None], reps[i[rows]]]
+    return stack
+
+
+def _certified_carrier(G: FiniteGroup, index: RowIndex, name: str) -> FiniteGroup:
+    """The group of the rows of ``index``, maps G -> G certified as
+    homomorphisms on the generator rows (``automorphism_group`` says why
+    that suffices).  EngineError when the rows are not closed under
+    composition or a generator row fails the certificate.
+    """
+    try:
+        mul = index.table()
+    except GroupError as exc:
+        raise EngineError(f"the automorphisms do not form a group: {exc}") from exc
+    carrier = FiniteGroup(mul, name=name, validate=False)
+    if not _search.generator_certificate(G, G, index.rows[carrier.gens]):
+        raise EngineError("an automorphism fails the generator certificate")
+    return carrier
 
 
 def _hom_candidates(S: FiniteGroup, T: FiniteGroup) -> list[list[int]]:

@@ -7,8 +7,9 @@ import pytest
 
 from hgs import _search
 from hgs.catalog import resolve_spec
+from hgs.groups import EngineError, GroupError, RowIndex
 from hgs.holomorph import build_holomorph, crossed_homomorphisms, crossed_relation_holds
-from hgs.morphisms import automorphism_group, enumerate_homomorphisms
+from hgs.morphisms import _certified_carrier, automorphism_group, enumerate_homomorphisms
 
 
 def _full_hom_check(S, T, img):
@@ -206,3 +207,37 @@ def test_blocked_certificate_bounds_its_memory(pgl29_aut_rows):
         tracemalloc.stop()
     assert ok
     assert peak < 4 * 2**20
+
+
+# Aut(G) certifies only its carrier's generator rows (``_certified_carrier``);
+# these stacks break that certificate or the closure it rests on
+
+
+@pytest.mark.parametrize("spec", ["S4", "A6", "PGL(2,9)"])
+def test_carrier_certificate_rejects_the_left_translations(spec):
+    # x -> g x is a group of permutations, closed under composition, but
+    # only g = 1 is an automorphism
+    G = resolve_spec(spec)
+    with pytest.raises(EngineError, match="generator certificate"):
+        _certified_carrier(G, RowIndex(G.mul), "L")
+
+
+@pytest.mark.parametrize("spec", ["A6", "PGL(2,9)"])
+def test_carrier_rejects_a_stack_with_a_non_member_row(spec):
+    G = resolve_spec(spec)
+    aut = automorphism_group(G)
+    for row in (1, aut.order // 2, aut.order - 1):
+        bad = np.array(aut.perms)
+        bad[row, [1, 2]] = bad[row, [2, 1]]  # a permutation fixing 0, not in Aut
+        assert aut.index.find(bad[row]) == -1
+        with pytest.raises(EngineError) as raised:
+            _certified_carrier(G, RowIndex(bad), "bad")
+        assert isinstance(raised.value.__cause__, GroupError), row
+
+
+@pytest.mark.parametrize("spec", ["A6", "S6", "PGL(2,9)", "M10"])
+def test_full_stack_certificate_still_passes_on_every_aut_row(spec):
+    # the certificate of all rows, kept as a cross-check of the one on
+    # the carrier's generator rows
+    G = resolve_spec(spec)
+    assert _search.generator_certificate(G, G, automorphism_group(G).perms)

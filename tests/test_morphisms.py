@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from hgs.groups import (
     CapExceededError,
     FiniteGroup,
     GroupError,
+    conjugation_rows,
     direct_product,
     fingerprint,
 )
 from hgs.morphisms import (
     Homomorphism,
     _iso_candidates,
+    _isomorphisms,
+    _sorted_stack,
     are_isomorphic,
     automorphism_group,
     count_injective_homomorphisms,
@@ -295,3 +299,73 @@ def test_aut_perms_pinned_at_order_720(spec, digest):
     aut = automorphism_group(resolve_spec(spec))
     assert aut.order == 1440
     assert hashlib.sha256(aut.perms.astype("<i4").tobytes()).hexdigest() == digest
+
+
+def _lexsorted(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("spec", ["PGL(2,9)", "S6", "M10", "SL(2,9)"])
+def test_prefix_ordered_stack_equals_the_whole_row_lexsort(spec):
+    # the inner rows shuffled, and one coset representative of each outer
+    # class; a repeated representative makes rows tie over their whole width
+    G = resolve_spec(spec)
+    aut = automorphism_group(G)
+    inner = aut.perms[aut.inner.members]
+    inn = inner[np.random.default_rng(7).permutation(len(inner))]
+    covered, reps = np.zeros(aut.order, dtype=bool), []
+    for x in range(aut.order):
+        if not covered[x]:
+            reps.append(x)
+            covered[aut.carrier.mul[aut.inner.members, x]] = True
+    reps = aut.perms[reps]
+    full = inn[:, reps].reshape(-1, G.order)
+    assert np.array_equal(_sorted_stack(inn, reps), _lexsorted(full))
+    assert np.array_equal(_lexsorted(full), aut.perms)
+    twice = np.concatenate([reps, reps[-1:]])
+    full = inn[:, twice].reshape(-1, G.order)
+    assert np.array_equal(_sorted_stack(inn, twice), _lexsorted(full))
+
+
+def _prefixes_tie(perms, width):
+    return bool((perms[1:, :width] == perms[:-1, :width]).all(axis=1).any())
+
+
+def test_prefix_width_grows_only_where_leading_columns_tie():
+    # the catalog labelling of PGL(2,9) needs more than 8 leading columns
+    # to tell its automorphisms apart; renumbered copies need 4
+    G = resolve_spec("PGL(2,9)")
+    assert _prefixes_tie(automorphism_group(G).perms, 8)
+    for spec in ("PGL(2,9)", "S6", "M10"):
+        for seed in (1, 2, 3):
+            H = _relabel(resolve_spec(spec), seed)
+            assert not _prefixes_tie(automorphism_group(H).perms, 4), (spec, seed)
+
+
+def test_aut_build_holds_its_result_and_about_a_megabyte_more():
+    # the unsorted stack, its whole-row sort keys and the inner table held
+    # through the carrier build once took the peak 1.9 MB past the result
+    G0 = resolve_spec("PGL(2,9)")
+    G = FiniteGroup(G0.mul, gens=G0.gens, validate=False)  # nothing cached
+    tracemalloc.start()
+    try:
+        aut = automorphism_group(G)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= aut.perms.nbytes + aut.carrier.mul.nbytes
+    assert peak - kept <= 1.2 * 2 ** 20
+
+
+@pytest.mark.parametrize("spec", ["V4", "C4xC2", "C2xC2xC2", "C3xC3", "C6"])
+def test_abelian_plain_search_emits_what_the_branches_would(spec):
+    # with singleton classes and orbits, the branch of each first image r
+    # searches the whole candidate lists, so the branches in turn emit the
+    # plain search's maps in its order
+    G = resolve_spec(spec)
+    candidates = _iso_candidates(G, G)
+    branched = [img.tolist() for r in candidates[0]
+                for img in _search.iter_hom_images(G, G, [[r], *candidates[1:]],
+                                                   bijective=True)]
+    assert [img.tolist() for img in _isomorphisms(G, G)] == branched
+    assert len(branched) == automorphism_group(G).order
