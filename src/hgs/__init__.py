@@ -28,7 +28,6 @@ from .groups import (
     centralizer,
     commutator_subgroup,
     direct_product,
-    from_mul_table,
     from_perm_gens,
     is_perfect,
     is_solvable,
@@ -47,9 +46,7 @@ from .morphisms import (
 )
 from .holomorph import (
     CrossedHom,
-    Holomorph,
     RegularSubgroup,
-    build_holomorph,
     crossed_homomorphisms,
     derive_h,
     dual_regular_subgroup,

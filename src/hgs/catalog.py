@@ -25,14 +25,13 @@ from .groups import (
     FiniteGroup,
     GroupError,
     PermRep,
+    RowIndex,
     Subgroup,
     _readonly,
     commutator_subgroup,
     direct_product,
-    from_mul_table,
     from_perm_gens,
     order_census,
-    perm_table,
     quotient_group,
     center,
     sorted_distinct,
@@ -145,7 +144,7 @@ def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGr
     if bad.any():
         raise GroupError(f"row {rows[bad][0].tolist()} is not a permutation")
     rows = sorted_distinct(rows.astype(ELEMENT_DTYPE))
-    return FiniteGroup(perm_table(rows), name=name,
+    return FiniteGroup(RowIndex(rows).table(), name=name,
                        perm_rep=PermRep(degree, _readonly(rows)), validate=False)
 
 
@@ -168,7 +167,7 @@ def special_linear2(q: int) -> FiniteGroup:
     a, b, c, d = (col[:, None] for col in mats.T)
     x, y = np.divmod(np.arange(q * q), q)
     images = ad[mu[a, x], mu[b, y]] * q + ad[mu[c, x], mu[d, y]]
-    return FiniteGroup(perm_table(images), name=f"SL(2,{q})", validate=False)
+    return FiniteGroup(RowIndex(images).table(), name=f"SL(2,{q})", validate=False)
 
 
 def _projective_action(F: GaloisField, mats) -> np.ndarray:
@@ -313,7 +312,7 @@ def load_group_file(path: str | Path) -> FiniteGroup:
     if len(rows) != size:
         raise SpecError(f"{path}: expected {size} table rows, got {len(rows)}")
     try:
-        return from_mul_table(rows, name=path.stem)
+        return FiniteGroup(rows, name=path.stem)
     except GroupError as exc:
         raise SpecError(f"{path}: {exc}")
 
@@ -352,7 +351,7 @@ def _spec_alternating(m):
 
 @_atom(r"V4")
 def _spec_klein(m):
-    return from_mul_table([[i ^ j for j in range(4)] for i in range(4)], name="V4")
+    return FiniteGroup([[i ^ j for j in range(4)] for i in range(4)], name="V4")
 
 
 @_atom(r"Q8")

@@ -456,14 +456,6 @@ def _greedy_closure(mul: np.ndarray, wanted: np.ndarray) -> tuple[list[int], np.
         _grow_closure(mul, reached, gens, g)
 
 
-def _closure_indices(mul: np.ndarray, seed: Iterable[int]) -> np.ndarray:
-    """Sorted members of the subgroup generated by seed."""
-    wanted = np.zeros(len(mul), dtype=bool)
-    wanted[np.fromiter(seed, dtype=np.int64)] = True
-    _, reached = _greedy_closure(mul, wanted)
-    return np.flatnonzero(reached)
-
-
 def _row_keys(rows: np.ndarray, word: int = 0) -> np.ndarray:
     """One key per row of nonnegative integers below 2^32, ordered as the
     rows are lexicographically.
@@ -627,12 +619,6 @@ class RowSet:
         return (key if len(row) <= 2 else key.to_bytes(4 * len(row), "big")) in self._keys
 
 
-def perm_table(images: np.ndarray) -> np.ndarray:
-    """Cayley table of distinct permutation rows, identity first, by
-    ``RowIndex.table``: GroupError unless they are closed under composition."""
-    return RowIndex(images).table()
-
-
 def _compose_rows(mul: np.ndarray, h: int, xs: np.ndarray, parents: np.ndarray) -> None:
     """mul[x] = mul[h][mul[p]] for each x = h p and its parent p.
 
@@ -644,11 +630,6 @@ def _compose_rows(mul: np.ndarray, h: int, xs: np.ndarray, parents: np.ndarray) 
     for rows in _search.row_blocks(len(xs), len(mul)):
         # np.take gathers about twice as fast as the subscript left[...]
         mul[xs[rows]] = np.take(left, mul[parents[rows]])
-
-
-def from_mul_table(table, *, name: str | None = None) -> FiniteGroup:
-    """Group from an explicit Cayley table; fully validated when small enough."""
-    return FiniteGroup(table, name=name)
 
 
 def from_perm_gens(
@@ -711,8 +692,10 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) -
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the seed elements."""
-    members = _closure_indices(G.mul, list(seed) + [0])
-    return Subgroup(G, members, _checked=True)
+    wanted = np.zeros(G.order, dtype=bool)
+    wanted[np.fromiter(seed, dtype=np.int64)] = True
+    _, reached = _greedy_closure(G.mul, wanted)
+    return Subgroup(G, np.flatnonzero(reached), _checked=True)
 
 
 # -- element censuses and classical subgroups ---------------------------------
@@ -850,6 +833,9 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 def quotient_group(G: FiniteGroup, N: Subgroup,
                    *, name: str | None = None) -> tuple[FiniteGroup, np.ndarray]:
     """Quotient G/N for normal N; returns the quotient and the coset map."""
+    if N.parent is not G:
+        raise GroupError("can only quotient by a subgroup of the group itself, got one of "
+                         f"{N.parent.name or 'another group'} for {G.name or 'this group'}")
     if not N.is_normal():
         raise GroupError("can only quotient by a normal subgroup")
     n = G.order

@@ -1,10 +1,16 @@
-"""Holomorph machinery: crossed homomorphisms and regular subgroups.
+"""The holomorph route: crossed homomorphisms and regular subgroups.
 
-Hol(N) is the semidirect product rho(N) x| Aut(N) inside Perm(N).  It is kept
-as pairs (eta, alpha) acting on N by x -> alpha(x) * eta^-1; the full
-permutation group on N is never materialized.  A regular subgroup of Hol(N)
-isomorphic to G is parametrized by a homomorphism f: G -> Aut(N) together
-with a bijective crossed homomorphism g: G -> N with respect to f, i.e.
+Hol(N) is the semidirect product rho(N) x| Aut(N) inside Perm(N).  No object
+stands for it: the route takes N's ``AutomorphismGroup`` alone, and an
+element of Hol(N) is a pair (eta, alpha), eta in N and alpha an index into
+the carrier of Aut(N), acting on N by x -> alpha(x) * eta^-1.  Pair orders
+(``pair_orders``), pair permutations (``pair_perms``) and the pair codes
+eta |Aut(N)| + alpha of collected subgroups are built in this module only;
+the full permutation group on N is never materialized.
+
+A regular subgroup of Hol(N) isomorphic to G is parametrized by a
+homomorphism f: G -> Aut(N) together with a bijective crossed homomorphism
+g: G -> N with respect to f, i.e.
 
     g(d1 * d2) = g(d1) * f(d1)(g(d2))        for all d1, d2,
 
@@ -45,65 +51,35 @@ from .morphisms import (
 from .perms import is_permutation
 
 
-class Holomorph:
-    """Hol(N) as pairs (eta, alpha), alpha indexed into Aut(N)'s carrier."""
+def pair_orders(aut: AutomorphismGroup, a: int) -> np.ndarray:
+    """Order of the pair (x, a) for every x in N = aut.base, cached per a.
 
-    def __init__(self, base: FiniteGroup, aut: AutomorphismGroup):
-        self.base = base
-        self.aut = aut
-        self.order = base.order * aut.order
-        self._pair_orders: dict[int, np.ndarray] = {}
-
-    def pair_mul(self, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-        e1, a1 = p
-        e2, a2 = q
-        return (int(self.base.mul[e1, self.aut.perms[a1, e2]]),
-                int(self.aut.carrier.mul[a1, a2]))
-
-    def pair_orders(self, a: int) -> np.ndarray:
-        """Order of the pair (x, a) for every x in the base, cached per a.
-
-        (x, a)^k = (x * a(x) * ... * a^(k-1)(x), a^k), so all x advance
-        together, one product per step.
-        """
-        if a not in self._pair_orders:
-            orders = np.zeros(self.base.order, dtype=np.int64)
-            first = np.arange(self.base.order)  # first component of (x, a)^k
-            ak, k = a, 1                        # a^k, k
-            while True:
-                if ak == 0:  # carrier index 0 is the identity
-                    orders[(first == 0) & (orders == 0)] = k
-                    if orders.all():
-                        break
-                first = self.base.mul[first, self.aut.perms[ak]]
-                ak = int(self.aut.carrier.mul[ak, a])
-                k += 1
-            self._pair_orders[a] = _readonly(orders)
-        return self._pair_orders[a]
-
-    def pair_perm(self, p: tuple) -> np.ndarray:
-        """The pair as a permutation of the base set: x -> alpha(x) * eta^-1,
-        one row per pair when eta and alpha are arrays."""
-        e, a = p
-        return self.base.mul[self.aut.perms[a], self.base.inv[e][..., None]]
-
-    def all_pair_perms(self) -> np.ndarray:
-        """Permutation image of the whole holomorph (small bases only)."""
-        n, m = self.base.order, self.aut.order
-        out = np.empty((n * m, n), dtype=ELEMENT_DTYPE)
-        for e in range(n):
-            col = self.base.inv[e]
-            out[e * m:(e + 1) * m] = self.base.mul[self.aut.perms, col]
-        return out
-
-    def __repr__(self) -> str:
-        return f"<Holomorph of {self.base.name or '?'} order {self.order}>"
+    (x, a)^k = (x * a(x) * ... * a^(k-1)(x), a^k), so all x advance
+    together, one product per step.
+    """
+    key = ("pair_orders", a)
+    if key not in aut.carrier._cache:
+        N = aut.base
+        orders = np.zeros(N.order, dtype=np.int64)
+        first = np.arange(N.order)  # first component of (x, a)^k
+        ak, k = a, 1                # a^k, k
+        while True:
+            if ak == 0:  # carrier index 0 is the identity
+                orders[(first == 0) & (orders == 0)] = k
+                if orders.all():
+                    break
+            first = N.mul[first, aut.perms[ak]]
+            ak = int(aut.carrier.mul[ak, a])
+            k += 1
+        aut.carrier._cache[key] = _readonly(orders)
+    return aut.carrier._cache[key]
 
 
-def build_holomorph(N: FiniteGroup) -> Holomorph:
-    if "holomorph" not in N._cache:
-        N._cache["holomorph"] = Holomorph(N, automorphism_group(N))
-    return N._cache["holomorph"]
+def pair_perms(aut: AutomorphismGroup, eta, alpha) -> np.ndarray:
+    """The pairs (eta, alpha) as permutations of N: x -> alpha(x) * eta^-1,
+    one row per pair when eta and alpha are arrays."""
+    N = aut.base
+    return N.mul[aut.perms[alpha], N.inv[eta][..., None]]
 
 
 # -- crossed homomorphisms -----------------------------------------------------
@@ -113,20 +89,12 @@ def build_holomorph(N: FiniteGroup) -> Holomorph:
 class CrossedHom:
     """A pair (f, g) with g a crossed homomorphism with respect to f."""
 
-    hol: Holomorph
+    aut: AutomorphismGroup  # Aut(N)
     f: Homomorphism  # G -> Aut(N) carrier
     g: np.ndarray    # |G| indices into N
 
-    @property
-    def source(self) -> FiniteGroup:
-        return self.f.source
 
-    def verify(self) -> bool:
-        """Generator certificate of the crossed relation."""
-        return crossed_relation_holds(self.hol, self.f, self.g)
-
-
-def crossed_relation_holds(hol: Holomorph, f: Homomorphism, g: np.ndarray) -> bool:
+def crossed_relation_holds(aut: AutomorphismGroup, f: Homomorphism, g: np.ndarray) -> bool:
     """g(s * w) = g(s) * f(s)(g(w)) for every effective generator s and every w.
 
     Sufficient because f is a verified homomorphism: if the relation holds
@@ -135,24 +103,24 @@ def crossed_relation_holds(hol: Holomorph, f: Homomorphism, g: np.ndarray) -> bo
     generators lie in it.
     """
     G = f.source
-    N = hol.base
+    N = aut.base
     for s in G.gens:
-        twisted = hol.aut.perms[int(f.images[s])][g]
+        twisted = aut.perms[int(f.images[s])][g]
         if not np.array_equal(g[G.mul[s]], N.mul[g[s], twisted]):
             return False
     return True
 
 
-def _crossed_candidates(hol: Holomorph, f: Homomorphism) -> list[list[int]]:
+def _crossed_candidates(aut: AutomorphismGroup, f: Homomorphism) -> list[list[int]]:
     """Per-generator g-image candidates: the x whose pair (x, f(s)) has the
     order of s, as d -> (g(d), f(d)) is an isomorphism for bijective g."""
     G = f.source
-    return [np.flatnonzero(hol.pair_orders(int(f.images[s])) == G.elt_order[s]).tolist()
+    return [np.flatnonzero(pair_orders(aut, int(f.images[s])) == G.elt_order[s]).tolist()
             for s in G.gens]
 
 
 def crossed_homomorphisms(
-    hol: Holomorph,
+    aut: AutomorphismGroup,
     f: Homomorphism,
     *,
     first_images: Optional[np.ndarray] = None,
@@ -171,35 +139,34 @@ def crossed_homomorphisms(
     order.
     """
     G = f.source
-    N = hol.base
-    if f.target is not hol.aut.carrier:
-        raise GroupError("f must land in the automorphism carrier of the holomorph")
+    N = aut.base
+    if f.target is not aut.carrier:
+        raise GroupError("f must land in the carrier of Aut(N)")
     if G.order != N.order:
         raise GroupError("bijective crossed homomorphisms need |G| = |N|")
-    tables = [N.mul[:, hol.aut.perms[int(f.images[s])]] for s in G.gens]
-    candidates = _crossed_candidates(hol, f)
+    tables = [N.mul[:, aut.perms[int(f.images[s])]] for s in G.gens]
+    candidates = _crossed_candidates(aut, f)
     if first_images is not None and candidates:
         candidates[0] = [x for x in candidates[0] if first_images[x]]
     for g in _search.iter_stage_maps(_search.stage_data(G), tables, candidates,
                                      bijective=True):
-        if crossed_relation_holds(hol, f, g):
-            yield CrossedHom(hol, f, _readonly(g))
+        if crossed_relation_holds(aut, f, g):
+            yield CrossedHom(aut, f, _readonly(g))
 
 
 def derive_h(c: CrossedHom) -> Homomorphism:
     """The companion map h(d) = conj(g(d)) . f(d), valued in Aut(N)."""
-    hol = c.hol
-    G = c.source
-    N = hol.base
+    aut = c.aut
+    N = aut.base
     n, flat, g = np.intp(N.order), N.mul.ravel(), c.g[:, None]
     # row d: x -> g(d) f(d)(x) g(d)^-1, gathered from the flat table at
     # intp indices, which cannot wrap
-    twisted = flat.take(g * n + hol.aut.perms[c.f.images])
-    images = hol.aut.index.find(flat.take(twisted * n + N.inv[g])).astype(ELEMENT_DTYPE)
+    twisted = flat.take(g * n + aut.perms[c.f.images])
+    images = aut.index.find(flat.take(twisted * n + N.inv[g])).astype(ELEMENT_DTYPE)
     if (images < 0).any():
         raise EngineError("conj(g(d)).f(d) is not an automorphism of N")
     try:
-        return Homomorphism(G, hol.aut.carrier, images)
+        return Homomorphism(c.f.source, aut.carrier, images)
     except GroupError as exc:
         raise EngineError(f"derived map h is not a homomorphism: {exc}") from exc
 
@@ -220,28 +187,28 @@ def induce_on_quotient(c: CrossedHom, L: Subgroup) -> tuple[CrossedHom, Subgroup
     Returns the induced crossed homomorphism on the quotient and the
     preimage subgroup g^-1(L) of the source.
     """
-    hol = c.hol
-    N = hol.base
-    if not is_characteristic(hol.aut, L):
+    aut = c.aut
+    N = aut.base
+    if not is_characteristic(aut, L):
         raise GroupError("induction requires a characteristic subgroup")
-    G = c.source
+    G = c.f.source
     key = ("quotient", L.members.tobytes())
-    if key not in N._cache:  # Q (and so its Aut and holomorph) once per L
+    if key not in N._cache:  # Q (and so its Aut) once per L
         Q, coset_of = quotient_group(N, L, name=f"{N.name}/|{L.size}|" if N.name else None)
         reps = np.empty(Q.order, dtype=np.int64)
         reps[coset_of] = np.arange(N.order)  # one representative per coset
         # every automorphism of N acting on Q, as an index into Aut(Q)
-        on_q = automorphism_group(Q).index.find(coset_of[hol.aut.perms[:, reps]])
+        on_q = automorphism_group(Q).index.find(coset_of[aut.perms[:, reps]])
         if (on_q < 0).any():
             raise EngineError("an automorphism of N does not act on N/L as one of Aut(N/L)")
         N._cache[key] = Q, coset_of, on_q.astype(ELEMENT_DTYPE)
     Q, coset_of, on_q = N._cache[key]
-    f_bar = Homomorphism(G, automorphism_group(Q).carrier, on_q[c.f.images])
+    aut_q = automorphism_group(Q)
+    f_bar = Homomorphism(G, aut_q.carrier, on_q[c.f.images])
     g_bar = coset_of[c.g].astype(ELEMENT_DTYPE)
-    hol_q = build_holomorph(Q)
-    if not crossed_relation_holds(hol_q, f_bar, g_bar):
+    if not crossed_relation_holds(aut_q, f_bar, g_bar):
         raise EngineError("induced map is not a crossed homomorphism")
-    induced = CrossedHom(hol_q, f_bar, _readonly(g_bar))
+    induced = CrossedHom(aut_q, f_bar, _readonly(g_bar))
     preimage = Subgroup(G, np.flatnonzero(np.isin(c.g, L.members)))
     return induced, preimage
 
@@ -340,19 +307,19 @@ class RegularSubgroupCount:
     orbit_count: int      # orbit representatives searched
 
 
-def centralizer_orbits(hol: Holomorph, f: Homomorphism) -> tuple[int, np.ndarray]:
+def centralizer_orbits(aut: AutomorphismGroup, f: Homomorphism) -> tuple[int, np.ndarray]:
     """|C| for C = C_Aut(N)(f(G)), and the size of every C-orbit on N, kept
     at the orbit's least member (0 at every other point).
 
     C is read off the carrier table: the centralizer of the images f(s)
     of the effective generators s of G.
     """
-    cent = centralizer(hol.aut.carrier, f.images[f.source.gens])
-    least = hol.aut.perms[cent.members].min(axis=0)
-    return cent.size, np.bincount(least, minlength=hol.base.order)
+    cent = centralizer(aut.carrier, f.images[f.source.gens])
+    least = aut.perms[cent.members].min(axis=0)
+    return cent.size, np.bincount(least, minlength=aut.base.order)
 
 
-def bijective_pair_count(hol: Holomorph, f: Homomorphism,
+def bijective_pair_count(aut: AutomorphismGroup, f: Homomorphism,
                          found: Optional[list] = None) -> int:
     """Bijective crossed homs for one f; each emitted map appends the sorted
     pair codes g(d) |Aut(N)| + f(d) of its subgroup to ``found``, repeats and all.
@@ -367,10 +334,10 @@ def bijective_pair_count(hol: Holomorph, f: Homomorphism,
     so the total is a multiple of |C|.
     """
     s1 = (f.source.gens or [0])[0]  # the trivial group has none
-    cent_order, weight = centralizer_orbits(hol, f)
-    m = np.int64(hol.aut.order)
+    cent_order, weight = centralizer_orbits(aut, f)
+    m = np.int64(aut.order)
     count = 0
-    for c in crossed_homomorphisms(hol, f, first_images=weight > 0):
+    for c in crossed_homomorphisms(aut, f, first_images=weight > 0):
         count += int(weight[c.g[s1]])
         if found is not None:
             found.append(np.sort(c.g * m + f.images))
@@ -454,18 +421,18 @@ def hom_orbits(G: FiniteGroup, aut_g: AutomorphismGroup,
     return orbits
 
 
-def close_under_aut(hol: Holomorph, found: list) -> list[np.ndarray]:
+def close_under_aut(aut: AutomorphismGroup, found: list) -> list[np.ndarray]:
     """The distinct pair-code sets of ``found``, in order, closed one frontier at
     a time under conjugation by (1, b), (x, beta) -> (b(x), b beta b^-1), for
     the generators b of Aut(N)'s carrier; new sets follow in first-reached order."""
-    A, m, n = hol.aut.carrier, np.int64(hol.aut.order), hol.base.order
+    A, m, n = aut.carrier, np.int64(aut.order), aut.base.order
     b = np.asarray(A.gens, dtype=np.intp)
     conj = conjugation_rows(A, b)  # conj[j][beta] = b_j beta b_j^-1
     seen, frontier = RowSet(), np.array(found, dtype=np.int64).reshape(-1, n)
     closed = [frontier[seen.add(frontier)]]
     while len(closed[-1]):
         x, beta = np.divmod(closed[-1], m)
-        moved = np.sort(hol.aut.perms[b][:, x] * m + conj[:, beta], axis=2).reshape(-1, n)
+        moved = np.sort(aut.perms[b][:, x] * m + conj[:, beta], axis=2).reshape(-1, n)
         closed.append(moved[seen.add(moved)])
     return list(np.concatenate(closed))
 
@@ -489,21 +456,21 @@ def regular_subgroups_in_holomorph(
     """
     if N.order != G.order:
         raise GroupError("regular subgroups need |N| = |G|")
-    hol = build_holomorph(N)
+    aut_n = automorphism_group(N)
     aut_g = automorphism_group(G)
-    orbits = hom_orbits(G, aut_g, hol.aut)
+    orbits = hom_orbits(G, aut_g, aut_n)
 
     found: list[np.ndarray] = []
     sink = found if collect_subgroups else None
-    pair_count = sum(size * bijective_pair_count(hol, f, sink) for f, size in orbits)
+    pair_count = sum(size * bijective_pair_count(aut_n, f, sink) for f, size in orbits)
 
     if pair_count % aut_g.order != 0:
         raise EngineError(
             f"pair count {pair_count} not divisible by |Aut(G)| = {aut_g.order}")
-    subgroups = close_under_aut(hol, found) if collect_subgroups else []
+    subgroups = close_under_aut(aut_n, found) if collect_subgroups else []
     if collect_subgroups and len(subgroups) != pair_count // aut_g.order:
         raise EngineError("collected subgroup count disagrees with the pair count")
-    samples = [RegularSubgroup(N, hol.pair_perm(np.divmod(codes, hol.aut.order)))
+    samples = [RegularSubgroup(N, pair_perms(aut_n, *np.divmod(codes, aut_n.order)))
                for codes in subgroups]
     return RegularSubgroupCount(pair_count, pair_count // aut_g.order, samples,
                                 len(orbits))
@@ -520,7 +487,8 @@ def holomorph_equals_translation_normalizers(G: FiniteGroup) -> bool:
     n = G.order
     if n > 6:
         raise GroupError("normalizer identity check is capped at order 6")
-    hol = build_holomorph(G).all_pair_perms()
+    aut = automorphism_group(G)
+    hol = pair_perms(aut, *np.indices((n, aut.order)).reshape(2, -1))
     hol = hol[row_sort_order(hol)]
     lam = RegularSubgroup(G, lambda_perms(G))
     rho = RegularSubgroup(G, rho_perms(G))

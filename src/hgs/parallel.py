@@ -8,7 +8,7 @@ harness (``benchmarks/tracing.py``) imports it and wraps
 deletes this module and ``count_byott``'s ``jobs`` keyword.
 
 Results are merged back in orbit order, so totals are identical for any
-worker count.  Workers reuse the parent's Hol(N) and representative list,
+worker count.  Workers reuse the parent's Aut(N) and representative list,
 handed over once through the pool initializer, and run the same per-f
 counter as a serial run.
 """
@@ -18,27 +18,27 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator
 
-from .holomorph import Holomorph, bijective_pair_count
-from .morphisms import Homomorphism
+from .holomorph import bijective_pair_count
+from .morphisms import AutomorphismGroup, Homomorphism
 
 _CONTEXT = {}
 
 
-def _init_crossed_worker(context: tuple[Holomorph, list[Homomorphism]]) -> None:
-    # one object, so every f still targets this holomorph's Aut(N) carrier
-    _CONTEXT["hol"], _CONTEXT["reps"] = context
+def _init_crossed_worker(context: tuple[AutomorphismGroup, list[Homomorphism]]) -> None:
+    # one object, so every f still targets this Aut(N)'s own carrier
+    _CONTEXT["aut"], _CONTEXT["reps"] = context
 
 
 def _count_one(oi: int) -> tuple[int, int]:
-    return oi, bijective_pair_count(_CONTEXT["hol"], _CONTEXT["reps"][oi])
+    return oi, bijective_pair_count(_CONTEXT["aut"], _CONTEXT["reps"][oi])
 
 
-def parallel_crossed_counts(hol: Holomorph, reps: list[Homomorphism], *,
+def parallel_crossed_counts(aut: AutomorphismGroup, reps: list[Homomorphism], *,
                             jobs: int) -> Iterator[tuple[int, int]]:
     """Bijective crossed-hom counts of every representative, yielded in orbit order."""
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_init_crossed_worker,
-        initargs=((hol, reps),),
+        initargs=((aut, reps),),
     ) as pool:
         yield from pool.map(_count_one, range(len(reps)))

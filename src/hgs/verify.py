@@ -36,7 +36,7 @@ from .catalog import catalog_aut6_tower, resolve_spec
 from .counting import METHODS, count_brute_force, count_sn
 from .groups import (center, is_solvable, normal_subgroups, order_census, quotient_group,
                      sorted_distinct)
-from .holomorph import (build_holomorph, crossed_homomorphisms, derive_h,
+from .holomorph import (crossed_homomorphisms, crossed_relation_holds, derive_h,
                         dual_regular_subgroup, holomorph_equals_translation_normalizers,
                         induce_on_quotient, lambda_perms, normalized_by,
                         regular_subgroups_in_holomorph, rho_perms)
@@ -115,8 +115,7 @@ ROUTES = {
         expect={0: "excluded"}.get),
     "exact-commutation lifting condition": Route(
         _lifting, expect={0: ("excluded", "fails", True)}.get,
-        name=lambda g, n: f"{n} fails the exact-commutation lifting condition"
-        + ("" if g == "PGL(2,9)" else f" for {g}")),  # PGL(2,9)'s item names no G
+        name=lambda g, n: f"{n} fails the exact-commutation lifting condition for {g}"),
 }
 
 # The order-720 table: G almost simple with socle A6 of index 2, N running
@@ -265,18 +264,18 @@ def _crossed_sweep(S5, N) -> dict:
     crossed relation, its companion map (whose construction checks that it
     is a homomorphism), their fixed points and kernel laws, and the
     quotient induction onto the socle of S5."""
-    hol = build_holomorph(N)
+    aut = automorphism_group(N)
     ZN = center(N).members
     socle_g = next(n for n in normal_subgroups(S5) if n.size == 60)
     a_factor = next(n for n in normal_subgroups(N) if n.size == 60)
     pairs, all_hold = 0, True
-    for f in enumerate_homomorphisms(S5, hol.aut.carrier):
-        for c in crossed_homomorphisms(hol, f):
+    for f in enumerate_homomorphisms(S5, aut.carrier):
+        for c in crossed_homomorphisms(aut, f):
             pairs += 1
             h = derive_h(c)
             kf, kh = np.flatnonzero(c.f.images == 0), np.flatnonzero(h.images == 0)
             all_hold &= bool(
-                c.verify()
+                crossed_relation_holds(aut, c.f, c.g)
                 and np.array_equal(fixed_points(c.f, h),
                                    np.flatnonzero(np.isin(c.g, ZN)))
                 and np.array_equal(c.g[S5.mul[kf]], N.mul[c.g[kf][:, None], c.g])

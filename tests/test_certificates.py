@@ -8,7 +8,7 @@ import pytest
 from hgs import _search
 from hgs.catalog import resolve_spec
 from hgs.groups import EngineError, GroupError, RowIndex
-from hgs.holomorph import build_holomorph, crossed_homomorphisms, crossed_relation_holds
+from hgs.holomorph import crossed_homomorphisms, crossed_relation_holds, pair_orders
 from hgs.morphisms import _certified_carrier, automorphism_group, enumerate_homomorphisms
 
 
@@ -25,10 +25,10 @@ def _whole_stack_certificate(S, T, images):
     return bool(np.array_equal(lhs, rhs))
 
 
-def _full_crossed_check(hol, f, g):
+def _full_crossed_check(aut, f, g):
     """Reference: g(d1 * d2) == g(d1) * f(d1)(g(d2)) for every pair."""
-    G, N = f.source, hol.base
-    F = hol.aut.perms[f.images]
+    G, N = f.source, aut.base
+    F = aut.perms[f.images]
     applied = F[np.arange(G.order)[:, None], g[None, :]]
     return bool(np.array_equal(g[G.mul], N.mul[g[:, None], applied]))
 
@@ -94,18 +94,18 @@ def test_certificate_rejects_map_failing_on_one_generator(bad_gen):
     assert not _full_hom_check(V4, S3, img)
 
 
-def _first_generator_crossed_map(hol, f, rng):
+def _first_generator_crossed_map(aut, f, rng):
     """A map with g(s1 w) = g(s1) f(s1)(g(w)) for every w, random elsewhere.
 
     g(s1) = c is drawn so that the pair (c, f(s1)) has order dividing that
     of s1; then y -> c f(s1)(y) closes up on every orbit of left
     multiplication by s1, and g is free on one point per orbit.
     """
-    G, N = f.source, hol.base
+    G, N = f.source, aut.base
     s1 = _search.stage_data(G).gens[0]
     a = int(f.images[s1])
     m = int(G.elt_order[s1])
-    c = int(rng.choice(np.flatnonzero(m % hol.pair_orders(a) == 0)))
+    c = int(rng.choice(np.flatnonzero(m % pair_orders(aut, a) == 0)))
     g = np.full(G.order, -1, dtype=np.int32)
     for w in range(G.order):
         if g[w] >= 0:
@@ -113,36 +113,36 @@ def _first_generator_crossed_map(hol, f, rng):
         x, y = w, 0 if w == 0 else int(rng.integers(N.order))
         for _ in range(m):
             g[x] = y
-            x, y = int(G.mul[s1, x]), int(N.mul[c, hol.aut.perms[a, y]])
-    assert np.array_equal(g[G.mul[s1]], N.mul[g[s1], hol.aut.perms[a][g]])
+            x, y = int(G.mul[s1, x]), int(N.mul[c, aut.perms[a, y]])
+    assert np.array_equal(g[G.mul[s1]], N.mul[g[s1], aut.perms[a][g]])
     return g
 
 
 @pytest.mark.parametrize("g_label,n_label", [("S3", "C6"), ("D4", "Q8")])
 def test_crossed_certificate_agrees_with_full_check(g_label, n_label):
     G, N = resolve_spec(g_label), resolve_spec(n_label)
-    hol = build_holomorph(N)
+    aut = automorphism_group(N)
     rng = np.random.default_rng(7)
     emitted = rejected = one_gen_rejected = 0
-    for f in enumerate_homomorphisms(G, hol.aut.carrier):
+    for f in enumerate_homomorphisms(G, aut.carrier):
         for _ in range(3):
-            g = _first_generator_crossed_map(hol, f, rng)
-            verdict = _full_crossed_check(hol, f, g)
-            assert crossed_relation_holds(hol, f, g) == verdict
+            g = _first_generator_crossed_map(aut, f, rng)
+            verdict = _full_crossed_check(aut, f, g)
+            assert crossed_relation_holds(aut, f, g) == verdict
             one_gen_rejected += not verdict
-        for c in crossed_homomorphisms(hol, f):
+        for c in crossed_homomorphisms(aut, f):
             g = np.array(c.g)
-            assert _full_crossed_check(hol, f, g)
-            assert crossed_relation_holds(hol, f, g)
+            assert _full_crossed_check(aut, f, g)
+            assert crossed_relation_holds(aut, f, g)
             emitted += 1
             for bad in _perturbed(g, N.order, rng, 2):
-                verdict = _full_crossed_check(hol, f, bad)
-                assert crossed_relation_holds(hol, f, bad) == verdict
+                verdict = _full_crossed_check(aut, f, bad)
+                assert crossed_relation_holds(aut, f, bad) == verdict
                 rejected += not verdict
         for _ in range(3):
             g = rng.integers(0, N.order, G.order).astype(np.int32)
             g[0] = 0
-            assert crossed_relation_holds(hol, f, g) == _full_crossed_check(hol, f, g)
+            assert crossed_relation_holds(aut, f, g) == _full_crossed_check(aut, f, g)
     assert emitted > 0 and rejected > 0 and one_gen_rejected > 0
 
 

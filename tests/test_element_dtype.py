@@ -12,18 +12,17 @@ from hgs.groups import (
     CapExceededError,
     FiniteGroup,
     GroupError,
+    RowIndex,
     commutator_subgroup,
     direct_product,
-    from_mul_table,
     from_perm_gens,
-    perm_table,
     table_cap,
 )
 from hgs.holomorph import (
     RegularSubgroup,
-    build_holomorph,
     crossed_homomorphisms,
     hom_orbit,
+    pair_perms,
 )
 from hgs.morphisms import Homomorphism, automorphism_group
 
@@ -33,11 +32,10 @@ def _element_arrays(G: FiniteGroup) -> dict:
     arrays = {"mul": G.mul, "inv": G.inv}
     if G.perm_rep is not None:
         arrays["perm_rep.images"] = G.perm_rep.images
-        arrays["perm_table"] = perm_table(G.perm_rep.images)
+        arrays["RowIndex.table"] = RowIndex(G.perm_rep.images).table()
     arrays["as_group"] = commutator_subgroup(G).as_group()[0].mul
     arrays["direct_product"] = direct_product(G, cyclic(2)).mul
-    hol = build_holomorph(G)
-    aut = hol.aut
+    aut = automorphism_group(G)
     arrays["aut.perms"] = aut.perms
     arrays["aut.carrier.mul"] = aut.carrier.mul
     trivial = Homomorphism(G, aut.carrier, np.zeros(G.order, dtype=np.int64))
@@ -46,10 +44,10 @@ def _element_arrays(G: FiniteGroup) -> dict:
     arrays["searched images"] = next(_search.iter_hom_images(
         G, aut.carrier, [[0]] * len(_search.stage_data(G).gens)))
     arrays["hom_orbit"] = hom_orbit(trivial.images, aut, aut)
-    arrays["crossed g"] = next(crossed_homomorphisms(hol, trivial)).g
+    arrays["crossed g"] = next(crossed_homomorphisms(aut, trivial)).g
     rho = (np.arange(G.order), np.zeros(G.order, dtype=np.int64))  # pairs (x, 1)
-    arrays["pair_perm"] = hol.pair_perm(rho)
-    arrays["RegularSubgroup"] = RegularSubgroup(G, hol.pair_perm(rho)).members
+    arrays["pair_perms"] = pair_perms(aut, *rho)
+    arrays["RegularSubgroup"] = RegularSubgroup(G, pair_perms(aut, *rho)).members
     return arrays
 
 
@@ -79,7 +77,7 @@ def test_groups_above_the_ceiling_are_refused_before_any_allocation():
         FiniteGroup(table, validate=False)
     rows = np.broadcast_to(np.int64(0), (MAX_ORDER + 1, 3))
     with pytest.raises(CapExceededError, match="32768"):
-        perm_table(rows)  # an Aut carrier past the ceiling fails here
+        RowIndex(rows).table()  # an Aut carrier past the ceiling fails here
 
 
 def test_table_cap_is_held_to_the_ceiling(monkeypatch):
@@ -93,6 +91,6 @@ def test_table_cap_is_held_to_the_ceiling(monkeypatch):
 def test_wide_inputs_are_range_checked_before_narrowing():
     # 65537 would wrap to 1 in 16 bits, turning each input into C2
     with pytest.raises(GroupError, match="out of range"):
-        from_mul_table([[0, 65537], [65537, 0]])
+        FiniteGroup([[0, 65537], [65537, 0]])
     with pytest.raises(GroupError, match="not a bijection"):
         from_perm_gens([np.array([65537, 0])])

@@ -13,25 +13,24 @@ from hgs.groups import (
     CapExceededError,
     FiniteGroup,
     GroupError,
+    RowIndex,
     Subgroup,
     center,
     centralizer,
     commutator_subgroup,
     direct_product,
-    from_mul_table,
     from_perm_gens,
     is_perfect,
     is_solvable,
     normal_subgroups,
     order_census,
-    perm_table,
     quotient_group,
     subgroup_closure,
 )
 
 
 def test_c2_from_table():
-    G = from_mul_table([[0, 1], [1, 0]], name="C2")
+    G = FiniteGroup([[0, 1], [1, 0]], name="C2")
     assert G.order == 2
     assert G.elt_order.tolist() == [1, 2]
     assert G.inv.tolist() == [0, 1]
@@ -47,14 +46,14 @@ def test_rejects_non_associative_table():
         [4, 3, 1, 2, 0],
     ]
     with pytest.raises(GroupError, match="associativity"):
-        from_mul_table(table)
+        FiniteGroup(table)
 
 
 def test_rejects_bad_identity_and_bad_rows():
     with pytest.raises(GroupError, match="identity"):
-        from_mul_table([[1, 0], [0, 1]])
+        FiniteGroup([[1, 0], [0, 1]])
     with pytest.raises(GroupError, match="not a permutation"):
-        from_mul_table([[0, 1], [1, 1]])
+        FiniteGroup([[0, 1], [1, 1]])
 
 
 def test_a5_closure_from_cycle_generators():
@@ -173,7 +172,7 @@ def test_trusted_subgroups_have_strictly_increasing_members(spec):
 
 
 def test_direct_product_structure(A5):
-    C2 = from_mul_table([[0, 1], [1, 0]], name="C2")
+    C2 = FiniteGroup([[0, 1], [1, 0]], name="C2")
     G = direct_product(A5, C2)
     assert G.order == 120
     assert center(G).size == 2
@@ -187,6 +186,16 @@ def test_quotient_by_center():
     Q, coset_of = quotient_group(SL, Z)
     assert Q.order == 360
     assert coset_of[0] == 0
+
+
+def test_quotient_refuses_a_subgroup_of_another_group(S5, A5xC2):
+    # unchecked, the first quotient came out trivial and the second raised
+    # "element has no finite order"
+    S3, C6 = resolve_spec("S3"), resolve_spec("C6")
+    with pytest.raises(GroupError, match="subgroup of the group itself, got one of C6 for S3"):
+        quotient_group(S3, center(C6))
+    with pytest.raises(GroupError, match="got one of A5xC2 for S5"):
+        quotient_group(S5, center(A5xC2))
 
 
 def test_commutator_and_solvability(S5, A5):
@@ -311,13 +320,13 @@ def test_perm_table_matches_reference_composition():
         index = {row.tobytes(): i for i, row in enumerate(images)}
         reference = [[index[images[i][images[j]].tobytes()] for j in range(len(images))]
                      for i in range(len(images))]
-        assert perm_table(images).tolist() == reference
+        assert RowIndex(images).table().tolist() == reference
 
 
 def test_perm_table_rejects_an_unclosed_set():
     cyc = P.parse_cycles("(0 1 2 3)", 4)
     with pytest.raises(GroupError, match="not closed"):
-        perm_table(np.stack([P.identity_perm(4), cyc]))
+        RowIndex(np.stack([P.identity_perm(4), cyc])).table()
 
 
 def test_perm_table_rejects_a_set_that_agrees_with_a_group_on_its_base():
@@ -325,7 +334,7 @@ def test_perm_table_rejects_a_set_that_agrees_with_a_group_on_its_base():
     rows = np.stack([P.identity_perm(5), P.parse_cycles("(0 4 1)", 5),
                      P.parse_cycles("(0 1)(2 3)", 5)])
     with pytest.raises(GroupError, match="not closed"):
-        perm_table(rows)
+        RowIndex(rows).table()
 
 
 def test_perm_table_on_random_subsets_of_sym5():
@@ -341,10 +350,10 @@ def test_perm_table_on_random_subsets_of_sym5():
         products = [[index.get(rows[i][rows[j]].tobytes()) for j in range(size)]
                     for i in range(size)]
         if any(None in line for line in products):
-            for build in (perm_table, catalog.from_perm_set):
+            for build in (lambda rows: RowIndex(rows).table(), catalog.from_perm_set):
                 with pytest.raises(GroupError, match="not closed"):
                     build(rows)
         else:
             closed += 1
-            assert perm_table(rows).tolist() == products
+            assert RowIndex(rows).table().tolist() == products
     assert closed >= 50

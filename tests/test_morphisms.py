@@ -28,7 +28,7 @@ from hgs.morphisms import (
 )
 
 from test_screening import ORDER_120
-from test_structure_kernels import _perm_table_by_rows, _relabel
+from test_structure_kernels import _table_by_rows, _relabel
 
 
 def test_homomorphism_rejects_non_multiplicative(S5):
@@ -248,7 +248,7 @@ def test_inn_reduced_aut_equals_exhaustive_search(spec):
     aut = automorphism_group(G)
     perms, inner = _exhaustive_aut(G)
     assert np.array_equal(aut.perms, perms)
-    assert np.array_equal(aut.carrier.mul, _perm_table_by_rows(perms))
+    assert np.array_equal(aut.carrier.mul, _table_by_rows(perms))
     assert aut.inner.members.tolist() == inner
     assert aut.index.find(perms).tolist() == list(range(len(perms)))
 

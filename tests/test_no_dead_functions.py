@@ -49,9 +49,6 @@ CALLERS = ([p for p in SOURCES if p.name != "__init__.py"]
 
 # definition -> (the live definition it checks, how)
 TEST_ORACLES = {
-    "holomorph.py:Holomorph.pair_mul": (
-        "holomorph.py:Holomorph.pair_orders",
-        "multiplies pairs one at a time against pair_orders and pair_perm"),
     "perms.py:perm_order": (
         "counting.py:all_regular_subgroups_of_sym",
         "takes the oracle's element-order census in test_counting"),

@@ -17,10 +17,10 @@ from hgs.counting import count_byott
 from hgs.groups import ELEMENT_DTYPE, EngineError
 from hgs.holomorph import (
     bijective_pair_count,
-    build_holomorph,
     crossed_homomorphisms,
     hom_orbit,
     hom_orbits,
+    pair_perms,
     regular_subgroups_in_holomorph,
 )
 from hgs.morphisms import are_isomorphic, automorphism_group, enumerate_homomorphisms
@@ -28,15 +28,15 @@ from hgs.perms import is_permutation
 from hgs.verify import SMALL_CATALOG
 
 
-def unweighted_pair_count(hol, f) -> int:
+def unweighted_pair_count(aut, f) -> int:
     """Every bijective crossed hom of f, counted one by one."""
-    return sum(1 for _ in crossed_homomorphisms(hol, f))
+    return sum(1 for _ in crossed_homomorphisms(aut, f))
 
 
 def exhaustive_pair_count(N, G) -> int:
-    hol = build_holomorph(N)
-    return sum(unweighted_pair_count(hol, f)
-               for f in enumerate_homomorphisms(G, hol.aut.carrier))
+    aut = automorphism_group(N)
+    return sum(unweighted_pair_count(aut, f)
+               for f in enumerate_homomorphisms(G, aut.carrier))
 
 
 def _same_order_pairs():
@@ -66,11 +66,11 @@ def test_orbit_totals_equal_exhaustive_totals_at_order_120(gl, nl, pairs):
 
 
 def _weighted_counts_equal_unweighted(G, N) -> list[int]:
-    hol = build_holomorph(N)
+    aut = automorphism_group(N)
     counts = []
-    for f, _ in hom_orbits(G, automorphism_group(G), hol.aut):
-        count = bijective_pair_count(hol, f)
-        assert count == unweighted_pair_count(hol, f), (G.name, N.name)
+    for f, _ in hom_orbits(G, automorphism_group(G), aut):
+        count = bijective_pair_count(aut, f)
+        assert count == unweighted_pair_count(aut, f), (G.name, N.name)
         counts.append(count)
     return counts
 
@@ -93,18 +93,18 @@ def test_the_weighted_search_tries_one_first_image_per_centralizer_orbit():
     # the trivial f of S5 -> S5: C is all of Aut(S5), its orbits the seven
     # classes, and only the class of S5's first generator has bijective maps
     G, N = resolve_spec("S5"), resolve_spec("S5")
-    hol = build_holomorph(N)
-    trivial = next(f for f, size in hom_orbits(G, automorphism_group(G), hol.aut)
+    aut = automorphism_group(N)
+    trivial = next(f for f, size in hom_orbits(G, automorphism_group(G), aut)
                    if size == 1)
-    order, weight = holomorph.centralizer_orbits(hol, trivial)
+    order, weight = holomorph.centralizer_orbits(aut, trivial)
     assert order == 120
     assert sorted(weight[weight > 0].tolist()) == [1, 10, 15, 20, 20, 24, 30]
     classes = N.conjugacy_classes()
     least = np.array([classes[k].min() for k in N.class_index()])
     assert np.array_equal(weight > 0, least == np.arange(120))
-    maps = list(crossed_homomorphisms(hol, trivial, first_images=weight > 0))
+    maps = list(crossed_homomorphisms(aut, trivial, first_images=weight > 0))
     s1 = _search.stage_data(G).gens[0]
-    full = crossed_homomorphisms(hol, trivial)
+    full = crossed_homomorphisms(aut, trivial)
     assert [c.g.tolist() for c in maps] == \
         [c.g.tolist() for c in full if weight[c.g[s1]] > 0]  # same maps, same order
     assert sum(int(weight[c.g[s1]]) for c in maps) == 120
@@ -113,18 +113,18 @@ def test_the_weighted_search_tries_one_first_image_per_centralizer_orbit():
 
 def test_a_weight_that_breaks_the_free_action_raises(monkeypatch):
     G, N = resolve_spec("S5"), resolve_spec("S5")
-    hol = build_holomorph(N)
-    reps = [f for f, _ in hom_orbits(G, automorphism_group(G), hol.aut)]
+    aut = automorphism_group(N)
+    reps = [f for f, _ in hom_orbits(G, automorphism_group(G), aut)]
     real = holomorph.centralizer_orbits
 
-    def one_too_many(hol, f):
-        order, weight = real(hol, f)
+    def one_too_many(aut, f):
+        order, weight = real(aut, f)
         return order, np.where(weight > 0, weight + 1, 0)
 
     monkeypatch.setattr(holomorph, "centralizer_orbits", one_too_many)
     with pytest.raises(EngineError, match="not a multiple"):
         for f in reps:
-            bijective_pair_count(hol, f)
+            bijective_pair_count(aut, f)
 
 
 def full_orbit(images, aut_g, aut_n) -> set[bytes]:
@@ -137,15 +137,15 @@ def full_orbit(images, aut_g, aut_n) -> set[bytes]:
 
 
 def _orbits_cover_hom_exactly(G, N, *, with_full_orbits=True):
-    hol = build_holomorph(N)
+    aut = automorphism_group(N)
     aut_g = automorphism_group(G)
-    orbits = hom_orbits(G, aut_g, hol.aut)
-    homs = {f.images.tobytes() for f in enumerate_homomorphisms(G, hol.aut.carrier)}
+    orbits = hom_orbits(G, aut_g, aut)
+    homs = {f.images.tobytes() for f in enumerate_homomorphisms(G, aut.carrier)}
     covered = set()
     for rep, size in orbits:
-        members = {row.tobytes() for row in hom_orbit(rep.images, aut_g, hol.aut)}
+        members = {row.tobytes() for row in hom_orbit(rep.images, aut_g, aut)}
         if with_full_orbits:
-            assert members == full_orbit(rep.images, aut_g, hol.aut)
+            assert members == full_orbit(rep.images, aut_g, aut)
         assert len(members) == size
         assert not covered & members  # orbits are disjoint
         covered |= members
@@ -184,9 +184,9 @@ def test_orbit_list_and_totals_do_not_depend_on_jobs():
         assert (runs[0].value, runs[0].notes) == (runs[1].value, runs[1].notes)
     # D4 -> Q8 has nine orbits, two of them with pairs
     G, N = resolve_spec("D4"), resolve_spec("Q8")
-    hol = build_holomorph(N)
-    counts = [bijective_pair_count(hol, f)
-              for f, _ in hom_orbits(G, automorphism_group(G), hol.aut)]
+    aut = automorphism_group(N)
+    counts = [bijective_pair_count(aut, f)
+              for f, _ in hom_orbits(G, automorphism_group(G), aut)]
     assert len(counts) == 9
     assert sum(count > 0 for count in counts) == 2
 
@@ -205,11 +205,11 @@ def test_collecting_and_counting_runs_search_the_same_orbits():
 def exhaustive_member_sets(N, G) -> set[bytes]:
     """The member rows of every regular subgroup, from every f in
     Hom(G, Aut(N)) and every bijective crossed hom of it."""
-    hol = build_holomorph(N)
+    aut = automorphism_group(N)
     found = set()
-    for f in enumerate_homomorphisms(G, hol.aut.carrier):
-        for c in crossed_homomorphisms(hol, f):
-            rows = hol.pair_perm((c.g, f.images))
+    for f in enumerate_homomorphisms(G, aut.carrier):
+        for c in crossed_homomorphisms(aut, f):
+            rows = pair_perms(aut, c.g, f.images)
             found.add(b"".join(sorted(row.tobytes() for row in rows)))
     return found
 
@@ -251,7 +251,7 @@ def test_a_closure_that_drops_a_conjugate_raises(monkeypatch):
     G, N = resolve_spec("PGL(2,9)"), resolve_spec("M10")
     real = holomorph.close_under_aut
     monkeypatch.setattr(holomorph, "close_under_aut",
-                        lambda hol, found: real(hol, found)[:-1])
+                        lambda aut, found: real(aut, found)[:-1])
     with pytest.raises(EngineError, match="disagrees with the pair count"):
         regular_subgroups_in_holomorph(N, G, collect_subgroups=True)
 

@@ -16,7 +16,6 @@ from hgs.groups import ELEMENT_DTYPE, EngineError, RowIndex, row_sort_order
 from hgs.holomorph import (
     CrossedHom,
     _crossed_candidates,
-    build_holomorph,
     crossed_homomorphisms,
     crossed_relation_holds,
     derive_h,
@@ -134,13 +133,13 @@ def _reference_hom_images(S, T, candidates, *, bijective=False):
             yield img
 
 
-def _reference_crossed(hol, f):
-    G, N = f.source, hol.base
-    tables = [N.mul[:, hol.aut.perms[int(f.images[s])]]
+def _reference_crossed(aut, f):
+    G, N = f.source, aut.base
+    tables = [N.mul[:, aut.perms[int(f.images[s])]]
               for s in G.gens]
-    candidates = _crossed_candidates(hol, f)
+    candidates = _crossed_candidates(aut, f)
     for g in _reference_stage_maps(G, tables, candidates, bijective=True):
-        if crossed_relation_holds(hol, f, g) and len(np.unique(g)) == N.order:
+        if crossed_relation_holds(aut, f, g) and len(np.unique(g)) == N.order:
             yield g
 
 
@@ -205,20 +204,20 @@ def test_aut_search_emission_equals_fill_then_check(spec):
 @pytest.mark.parametrize("g_label,n_label", [("S3", "C6"), ("D4", "Q8")])
 def test_crossed_emission_equals_fill_then_check(g_label, n_label):
     G, N = resolve_spec(g_label), resolve_spec(n_label)
-    hol = build_holomorph(N)
+    aut = automorphism_group(N)
     emitted = 0
-    for f in enumerate_homomorphisms(G, hol.aut.carrier):
-        emitted += _same_sequence((c.g for c in crossed_homomorphisms(hol, f)),
-                                  _reference_crossed(hol, f))
+    for f in enumerate_homomorphisms(G, aut.carrier):
+        emitted += _same_sequence((c.g for c in crossed_homomorphisms(aut, f)),
+                                  _reference_crossed(aut, f))
     assert emitted > 0
 
 
 def test_crossed_emission_on_s5_orbit_representatives(S5):
-    hol = build_holomorph(S5)
+    aut = automorphism_group(S5)
     emitted = 0
-    for f, _ in hom_orbits(S5, automorphism_group(S5), hol.aut):
-        emitted += _same_sequence((c.g for c in crossed_homomorphisms(hol, f)),
-                                  _reference_crossed(hol, f))
+    for f, _ in hom_orbits(S5, automorphism_group(S5), aut):
+        emitted += _same_sequence((c.g for c in crossed_homomorphisms(aut, f)),
+                                  _reference_crossed(aut, f))
     assert emitted > 0
 
 
@@ -239,12 +238,13 @@ def test_row_sort_order_equals_lexsort():
 
 def _reference_derive_h(c):
     """Per element, conj(g(d)) . f(d) looked up by its whole row in a dict."""
-    hol, G, N = c.hol, c.source, c.hol.base
-    index = {tuple(p): i for i, p in enumerate(hol.aut.perms.tolist())}
+    aut, G = c.aut, c.f.source
+    N = aut.base
+    index = {tuple(p): i for i, p in enumerate(aut.perms.tolist())}
     images = np.empty(G.order, dtype=np.int32)
     for d in range(G.order):
         gd = int(c.g[d])
-        fp = hol.aut.perms[int(c.f.images[d])]
+        fp = aut.perms[int(c.f.images[d])]
         row = N.mul[N.mul[gd, fp], N.inv[gd]]
         images[d] = index.get(tuple(row.tolist()), -1)
         if images[d] < 0:
@@ -256,10 +256,10 @@ def _reference_derive_h(c):
                                              ("S5", "AxCp(A5,2)")])
 def test_derive_h_equals_the_per_element_loop(g_label, n_label):
     G, N = resolve_spec(g_label), resolve_spec(n_label)
-    hol = build_holomorph(N)
+    aut = automorphism_group(N)
     checked = 0
-    for f in enumerate_homomorphisms(G, hol.aut.carrier):
-        for c in crossed_homomorphisms(hol, f):
+    for f in enumerate_homomorphisms(G, aut.carrier):
+        for c in crossed_homomorphisms(aut, f):
             h = derive_h(c)
             assert h.images.dtype == ELEMENT_DTYPE
             assert np.array_equal(h.images, _reference_derive_h(c))
@@ -271,11 +271,11 @@ def test_derive_h_equals_the_per_element_loop(g_label, n_label):
 
 def test_derive_h_error_paths(monkeypatch):
     Q8 = resolve_spec("Q8")
-    hol = build_holomorph(Q8)
-    f = Homomorphism(Q8, hol.aut.carrier, np.zeros(8, dtype=np.int32))
+    aut = automorphism_group(Q8)
+    f = Homomorphism(Q8, aut.carrier, np.zeros(8, dtype=np.int32))
     # an index that holds the identity alone: the lookup of conj(g(d)) fails
-    c = CrossedHom(hol, f, np.arange(8, dtype=np.int32))
-    monkeypatch.setattr(hol.aut, "index", RowIndex(hol.aut.perms[:1]))
+    c = CrossedHom(aut, f, np.arange(8, dtype=np.int32))
+    monkeypatch.setattr(aut, "index", RowIndex(aut.perms[:1]))
     with pytest.raises(EngineError, match="is not an automorphism of N"):
         derive_h(c)
     monkeypatch.undo()
@@ -283,6 +283,6 @@ def test_derive_h_error_paths(monkeypatch):
     d = int(np.flatnonzero(Q8.elt_order == 4)[0])
     g = np.zeros(8, dtype=np.int32)
     g[d] = d  # h(d) = conj(d) is not trivial, h(d^-1) is
-    bad = CrossedHom(hol, f, g)
+    bad = CrossedHom(aut, f, g)
     with pytest.raises(EngineError, match="derived map h is not a homomorphism"):
         derive_h(bad)

@@ -32,17 +32,15 @@ from hgs.groups import (
     FiniteGroup,
     GroupError,
     PermRep,
+    RowIndex,
     RowSet,
     Subgroup,
-    _closure_indices,
     _row_keys,
     center,
     commutator_subgroup,
     fingerprint,
-    from_mul_table,
     from_perm_gens,
     normal_subgroups,
-    perm_table,
     sorted_distinct,
     subgroup_closure,
 )
@@ -109,8 +107,8 @@ def _orders_by_walk(mul):
     return orders, inverses
 
 
-def _perm_table_by_rows(images):
-    """perm_table with every composed row filled one at a time from a queue."""
+def _table_by_rows(images):
+    """RowIndex.table with every composed row filled one at a time from a queue."""
     n = len(images)
     if n > MAX_ORDER:
         raise CapExceededError(f"{n} permutation rows are more than the "
@@ -206,7 +204,7 @@ def _normal_members_by_product_sets(G):
     """The class-closure scan with each join taken as the product set H K."""
     closures = {}
     for cls in G.conjugacy_classes()[1:]:
-        closure = _closure_indices(G.mul, cls)
+        closure = subgroup_closure(G, cls).members
         closures.setdefault(closure.tobytes(), closure)
     trivial = np.array([0], dtype=np.int64)
     found = {trivial.tobytes(): trivial}
@@ -357,14 +355,14 @@ def test_perm_table_equals_the_per_row_fill(catalog_groups):
     tested = 0
     for label, G in catalog_groups.items():
         if G.perm_rep is not None:
-            got = perm_table(G.perm_rep.images)
+            got = RowIndex(G.perm_rep.images).table()
             assert got.dtype == ELEMENT_DTYPE
-            assert np.array_equal(got, _perm_table_by_rows(G.perm_rep.images)), label
+            assert np.array_equal(got, _table_by_rows(G.perm_rep.images)), label
             tested += 1
     assert tested >= 6  # S3, D4, S5, A6, S6 and PGL(2,9)
     for spec in ("A6", "S6", "PGL(2,9)", "M10"):
         perms = automorphism_group(resolve_spec(spec)).perms
-        assert np.array_equal(perm_table(perms), _perm_table_by_rows(perms)), spec
+        assert np.array_equal(RowIndex(perms).table(), _table_by_rows(perms)), spec
 
 
 def test_perm_table_peak_is_the_table_and_a_little_more():
@@ -374,7 +372,7 @@ def test_perm_table_peak_is_the_table_and_a_little_more():
     table_bytes = len(perms) ** 2 * np.dtype(ELEMENT_DTYPE).itemsize  # 4.1 MB
     tracemalloc.start()
     try:
-        perm_table(perms)
+        RowIndex(perms).table()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,7 +400,7 @@ def test_closures_from_random_seeds_equal_the_unique_closure(catalog_groups):
     for label, G in catalog_groups.items():
         for size in (1, 1, 2, 2, 3):
             seed = [0, *rng.integers(1, G.order, size).tolist()] if G.order > 1 else [0]
-            got = _closure_indices(G.mul, seed)
+            got = subgroup_closure(G, seed).members
             assert got.dtype == np.int64, label
             assert np.array_equal(got, _closure_by_unique(G.mul, seed)), (label, seed)
 
@@ -589,7 +587,7 @@ TWISTED_C3 = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]  # rows are permutations, column 
 
 def test_rows_fine_but_one_column_not_a_permutation():
     with pytest.raises(GroupError, match="some column of the table is not a permutation"):
-        from_mul_table(TWISTED_C3)
+        FiniteGroup(TWISTED_C3)
 
 
 def test_element_without_finite_order_raises():
@@ -698,7 +696,7 @@ def _from_perm_gens_one_element_at_a_time(gen_perms):
                 index_of[y.tobytes()] = len(elements)
                 elements.append(y)
     images = np.stack(elements)
-    return FiniteGroup(perm_table(images), perm_rep=PermRep(len(identity), images),
+    return FiniteGroup(RowIndex(images).table(), perm_rep=PermRep(len(identity), images),
                        gens=[index_of[g.tobytes()] for g in gens], validate=False)
 
 
