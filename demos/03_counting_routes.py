@@ -12,9 +12,9 @@ from hgs import (
     count_product_type,
     count_self_type,
     count_sn,
-    emit_report,
     resolve_spec,
 )
+from hgs.report import emit_report
 
 S5 = resolve_spec("S5")
 N = resolve_spec("AxCp(A5,2)")

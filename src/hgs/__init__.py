@@ -6,6 +6,11 @@ regular-subgroup enumeration through crossed homomorphisms, structure
 screening for almost simple groups with prime-index socle, and four
 independent counting routes cross-checked by named verification suites.
 
+``import hgs`` loads the engine alone.  The verification suites
+(``hgs.verify``), the report renderer (``hgs.report``) and the command
+line (``hgs.cli``) are imported from their own modules, so a count that
+never uses them does not pay for them.
+
 hgs runs one process and one thread.  hgs makes no BLAS call, so importing
 the package sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has already
 set it, and no count starts a worker process.
@@ -85,7 +90,5 @@ from .catalog import (
     resolve_spec,
 )
 from .fields import GaloisField, field_axioms_hold, gf
-from .report import emit_report
-from .verify import SUITE_NAMES, SuiteReport, run_verify_suite
 
 __version__ = "0.1.0"

@@ -3,8 +3,11 @@
 Resolution is deterministic and cached by normalized label.  Matrix groups
 are built over the pinned finite-field tables and converted either to a
 permutation action on the projective line (PGL, PSL) or to a Cayley table
-(SL).  M10 carries no convenient matrix model, so it is cut out of Aut(A6)
-and labeled by its outer-coset element orders.
+(SL).  PGL(2, q) acts with one matrix per point map.  M10 has a matrix
+model too: PSL(2, 9) together with the maps x -> (a x^3 + b)/(c x^3 + d)
+of non-square determinant.  The catalog still cuts M10 out of Aut(A6) and
+labels it by its outer-coset element orders, since the tower is built and
+cross-checked anyway and a second model would keep a second table.
 """
 
 from __future__ import annotations
@@ -136,6 +139,18 @@ def _sl2_elements(F: GaloisField) -> np.ndarray:
     return mats[_det(F, mats.T) == 1]
 
 
+def _pgl2_elements(F: GaloisField) -> np.ndarray:
+    """One invertible matrix per point map of the projective line: those
+    whose first row has the field's 1 as its first nonzero entry, in
+    lexicographic order.  Two matrices map the points alike exactly when
+    one is a scalar multiple of the other, and of the q - 1 multiples of
+    a matrix exactly one has that entry 1."""
+    mats = _gl2_elements(F)
+    lead = np.where(mats[:, 0] != 0, mats[:, 0], mats[:, 1])
+    one = F.mul[F.q - 1, F.inv[F.q - 1]]  # a unit times its inverse
+    return mats[lead == one]
+
+
 def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGroup:
     """Group from its full set of permutations; GroupError unless they form one."""
     rows = np.asarray(perm_rows, dtype=np.int64)  # checked wide, so nothing wraps
@@ -185,7 +200,7 @@ def _projective_action(F: GaloisField, mats) -> np.ndarray:
 
 def projective_general_linear2(q: int) -> FiniteGroup:
     F = gf(q)
-    rows = _projective_action(F, _gl2_elements(F))
+    rows = _projective_action(F, _pgl2_elements(F))
     G = from_perm_set(rows, name=f"PGL(2,{q})")
     expected = q * (q - 1) * (q + 1)
     if G.order != expected:

@@ -241,7 +241,9 @@ def _sorted_stack(inn: np.ndarray, reps: np.ndarray) -> np.ndarray:
     ``row_sort_order`` of the whole stack, ties and all.  The sorted stack
     is then gathered from ``inn`` a block of rows at a time
     (``_search.row_blocks``), so no unsorted copy and no whole-row keys
-    are ever built.
+    are ever built.  Each block is one flat take from ``inn`` at
+    h * |G| + reps[i], which a fancy index over the pair (h, reps[i])
+    gathers about twice as slowly.
     """
     k, n = reps.shape
     c = min(4, n)
@@ -253,9 +255,11 @@ def _sorted_stack(inn: np.ndarray, reps: np.ndarray) -> np.ndarray:
             break
         c = min(2 * c, n)
     h, i = np.divmod(order, k)
+    h *= n  # the flat offset of row h
+    flat = inn.ravel()
     stack = np.empty((len(order), n), dtype=inn.dtype)
     for rows in _search.row_blocks(len(order), n):
-        stack[rows] = inn[h[rows, None], reps[i[rows]]]
+        np.take(flat, h[rows, None] + reps[i[rows]], out=stack[rows])
     return stack
 
 

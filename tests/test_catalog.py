@@ -4,6 +4,8 @@ import pytest
 from hgs.catalog import (
     SpecError,
     _check_catalog_invariants,
+    _pgl2_elements,
+    _projective_action,
     catalog_aut6_tower,
     cyclic,
     from_perm_set,
@@ -11,6 +13,7 @@ from hgs.catalog import (
     resolve_spec,
 )
 from hgs.cli import main
+from hgs.fields import gf
 from hgs.groups import (
     CapExceededError,
     GroupError,
@@ -48,6 +51,25 @@ def test_matrix_group_orders():
     assert resolve_spec("PSL(2,9)").order == 360
     assert resolve_spec("PSL(2,7)").order == 168
     assert resolve_spec("SL(2,4)").order == 60
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_pgl2_from_one_matrix_per_point_map_is_the_all_matrix_group(q):
+    # the reference acts with every invertible matrix, each point map q - 1
+    # times over, and keeps the distinct rows; the catalog acts with the
+    # matrices whose first row starts (after zeros) with the field's 1
+    F = gf(q)
+    one = int(np.flatnonzero((F.mul == np.arange(q)).all(axis=1))[0])
+    a, b, c, d = mats = np.indices((q,) * 4).reshape(4, -1)
+    invertible = mats.T[F.add[F.mul[a, d], F.neg[F.mul[b, c]]] != 0]
+    reference = from_perm_set(_projective_action(F, invertible))
+    lead = np.where(invertible[:, 0] != 0, invertible[:, 0], invertible[:, 1])
+    normalized = invertible[lead == one]
+    assert len(normalized) == q ** 3 - q == reference.order
+    assert np.array_equal(_pgl2_elements(F), normalized)
+    G = resolve_spec(f"PGL(2,{q})")
+    assert np.array_equal(G.mul, reference.mul)
+    assert np.array_equal(G.perm_rep.images, reference.perm_rep.images)
 
 
 def test_psl_constructions_match_alternating_groups():

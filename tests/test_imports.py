@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, the row
 key format stays inside groups.py, a counting run does not pull in
-numpy.ma or multiprocessing and runs on one OS thread, and neither does
-``hgs info``."""
+numpy.ma or multiprocessing and runs on one OS thread, neither does
+``hgs info``, and ``import hgs`` leaves the suites, the report renderer,
+the command line and the process pool unimported."""
 
 import ast
 import os
@@ -64,17 +65,23 @@ if os.path.isdir("/proc/self/task"):
 """
 
 
-def _count_run(openblas_threads: str | None) -> list[str]:
+def _fresh_run(code: str, openblas_threads: str | None = None) -> str:
+    """The stdout of ``code`` run by a fresh interpreter on this checkout;
+    OPENBLAS_NUM_THREADS is set to ``openblas_threads``, or unset."""
     src = Path(hgs.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
+    run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
-    return run.stdout.split()
+    return run.stdout
+
+
+def _count_run(openblas_threads: str | None) -> list[str]:
+    return _fresh_run(NO_MASKED_ARRAYS, openblas_threads).split()
 
 
 def test_counting_runs_do_not_import_numpy_ma():
@@ -104,12 +111,21 @@ print("numpy.ma" in sys.modules)
 def test_info_does_not_import_numpy_ma():
     # its element-order census is taken with np.bincount; a plain
     # np.unique there would import numpy.ma
-    src = Path(hgs.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-c", INFO_RUN], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr[-2000:]
-    out = run.stdout.splitlines()
+    out = _fresh_run(INFO_RUN).splitlines()
     assert out[0] == "spec: S5"
     assert out[-1] == "False"
+
+
+IMPORT_ONLY = """
+import sys
+import hgs
+print(*(m for m in ("hgs.verify", "hgs.report", "hgs.cli", "hgs.parallel")
+        if m in sys.modules))
+"""
+
+
+def test_import_hgs_loads_the_engine_alone():
+    # the suites, the report renderer, the command line and the unused
+    # process pool are imported from their own modules, so ``import hgs``
+    # (every benchmark pass, every count) does not compile or run them
+    assert _fresh_run(IMPORT_ONLY).split() == []

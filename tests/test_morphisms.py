@@ -305,10 +305,15 @@ def _lexsorted(rows):
     return rows[np.lexsort(rows.T[::-1])]
 
 
-@pytest.mark.parametrize("spec", ["PGL(2,9)", "S6", "M10", "SL(2,9)"])
+@pytest.mark.parametrize("spec", ["PGL(2,9)", "S6", "M10", "SL(2,9)",
+                                  "A6", "C720", "C2xC2xC2"])
 def test_prefix_ordered_stack_equals_the_whole_row_lexsort(spec):
     # the inner rows shuffled, and one coset representative of each outer
-    # class; a repeated representative makes rows tie over their whole width
+    # class; a repeated representative makes rows tie over their whole width.
+    # The shapes differ: A6 has k = 4 representatives, C720 a single inner
+    # row and k = 192, C2xC2xC2 k = 168 rows of width 8.  A gather that
+    # loops over the representatives stacks the same rows but is many times
+    # slower on the last two, so the block gather is pinned on all of them
     G = resolve_spec(spec)
     aut = automorphism_group(G)
     inner = aut.perms[aut.inner.members]
