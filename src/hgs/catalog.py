@@ -1,6 +1,8 @@
 """Named group catalog, spec parsing, and the Aut(A6) tower.
 
-Resolution is deterministic and cached by normalized label.  Matrix groups
+Every named family is one row of ``FAMILIES``: its canonical spelling,
+builder, order formula and ``hgs catalog list`` entry.  Resolution is
+deterministic and cached by canonical spelling.  Matrix groups
 are built over the pinned finite-field tables and converted either to a
 permutation action on the projective line (PGL, PSL) or to a Cayley table
 (SL).  PGL(2, q) acts with one matrix per point map.  M10 has a matrix
@@ -15,12 +17,12 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import perms as P
-from .fields import FieldError, GaloisField, gf
+from .fields import FieldError, GaloisField, _is_prime, gf
 from .groups import (
     ELEMENT_DTYPE,
     PERM_INPUT_DEGREE_CAP,
@@ -151,6 +153,16 @@ def _pgl2_elements(F: GaloisField) -> np.ndarray:
     return mats[lead == one]
 
 
+def _field(q: int) -> GaloisField:
+    """GF(q) for a matrix group; SpecError unless the catalog has that field."""
+    if q > 11:
+        raise SpecError("matrix groups are cataloged for q <= 11")
+    try:
+        return gf(q)
+    except FieldError as exc:
+        raise SpecError(f"no field GF({q}): {exc}")
+
+
 def from_perm_set(perm_rows: np.ndarray, *, name: str | None = None) -> FiniteGroup:
     """Group from its full set of permutations; GroupError unless they form one."""
     rows = np.asarray(perm_rows, dtype=np.int64)  # checked wide, so nothing wraps
@@ -170,14 +182,10 @@ def special_linear2(q: int) -> FiniteGroup:
     on the q^2 vectors (x, y) of GF(q)^2, vector x q + y; that action is
     faithful, so its permutations multiply as the matrices do.
     """
-    F = gf(q)
+    F = _field(q)
     mats = _sl2_elements(F)
     is_ident = (mats == (1, 0, 0, 1)).all(axis=1)
     mats = np.concatenate([mats[is_ident], mats[~is_ident]])  # the rest stay sorted
-    n = len(mats)
-    expected = q * (q - 1) * (q + 1)
-    if n != expected:
-        raise GroupError(f"SL(2,{q}) came out with order {n}, expected {expected}")
     mu, ad = F.mul, F.add
     a, b, c, d = (col[:, None] for col in mats.T)
     x, y = np.divmod(np.arange(q * q), q)
@@ -199,20 +207,13 @@ def _projective_action(F: GaloisField, mats) -> np.ndarray:
 
 
 def projective_general_linear2(q: int) -> FiniteGroup:
-    F = gf(q)
-    rows = _projective_action(F, _pgl2_elements(F))
-    G = from_perm_set(rows, name=f"PGL(2,{q})")
-    expected = q * (q - 1) * (q + 1)
-    if G.order != expected:
-        raise GroupError(f"PGL(2,{q}) came out with order {G.order}, expected {expected}")
-    return G
+    F = _field(q)
+    return from_perm_set(_projective_action(F, _pgl2_elements(F)), name=f"PGL(2,{q})")
 
 
 def projective_special_linear2(q: int) -> FiniteGroup:
-    F = gf(q)
-    rows = _projective_action(F, _sl2_elements(F))
-    G = from_perm_set(rows, name=f"PSL(2,{q})")
-    return G
+    F = _field(q)
+    return from_perm_set(_projective_action(F, _sl2_elements(F)), name=f"PSL(2,{q})")
 
 
 # -- the Aut(A6) tower -----------------------------------------------------------
@@ -257,8 +258,7 @@ def catalog_aut6_tower() -> dict[str, FiniteGroup]:
             label = "PGL(2,9)"
         if label in overgroups:
             raise GroupError(f"outer-coset labeling produced {label} twice")
-        H, _ = sub.as_group(name=label)
-        overgroups[label] = H
+        overgroups[label] = sub.as_group(name=label)
     if set(overgroups) != {"M10", "S6", "PGL(2,9)"}:
         raise GroupError(f"tower labeling incomplete: {sorted(overgroups)}")
     # cross-check labels against independent constructions: the catalog's
@@ -269,10 +269,9 @@ def catalog_aut6_tower() -> dict[str, FiniteGroup]:
         raise GroupError("tower PGL(2,9) label failed the isomorphism cross-check")
     if are_isomorphic(overgroups["M10"], overgroups["S6"]) is not None:
         raise GroupError("tower M10 should not be isomorphic to S6")
-    inn_group, _ = aut.inner.as_group(name="Inn(A6)")
     _TOWER_CACHE.update({
         "Aut(A6)": car,
-        "Inn(A6)": inn_group,
+        "Inn(A6)": aut.inner.as_group(name="Inn(A6)"),
         **overgroups,
     })
     return dict(_TOWER_CACHE)
@@ -328,87 +327,55 @@ def load_group_file(path: str | Path) -> FiniteGroup:
         raise SpecError(f"{path}: expected {size} table rows, got {len(rows)}")
     try:
         return FiniteGroup(rows, name=path.stem)
+    except CapExceededError:
+        raise
     except GroupError as exc:
         raise SpecError(f"{path}: {exc}")
 
 
-# -- spec grammar -----------------------------------------------------------------
-
-_ATOM_RES: list[tuple[re.Pattern, Callable[[re.Match], FiniteGroup]]] = []
+# -- the catalog table and the spec grammar ------------------------------------------
 
 
-def _atom(pattern: str):
-    def wrap(fn):
-        _ATOM_RES.append((re.compile(pattern + r"$", re.IGNORECASE), fn))
-        return fn
-    return wrap
+class Family(NamedTuple):
+    """A named group family: its canonical spec, with ``{}`` standing for
+    the family's number if it has one, and the builder and order formula
+    that take that number."""
+    spelling: str
+    build: Callable[..., FiniteGroup]
+    order: Callable[..., int]
+    entry: str  # its line in ``hgs catalog list``
 
 
-@_atom(r"C(\d+)")
-def _spec_cyclic(m):
-    return cyclic(int(m.group(1)))
+FAMILIES = (
+    Family("C{}", cyclic, lambda n: n, "Cn (cyclic)"),
+    Family("D{}", dihedral, lambda n: 2 * n, "Dn (dihedral, n>=3)"),
+    Family("S{}", symmetric, math.factorial, "Sn (2<=n<=6)"),
+    Family("A{}", alternating, lambda n: math.factorial(n) // 2, "An (3<=n<=6)"),
+    Family("V4", lambda: FiniteGroup([[i ^ j for j in range(4)] for i in range(4)], name="V4"),
+           lambda: 4, "V4"),
+    Family("Q8", quaternion8, lambda: 8, "Q8"),
+    Family("SL(2,{})", special_linear2, lambda q: q ** 3 - q, "SL(2,q) q<=11"),
+    Family("PSL(2,{})", projective_special_linear2,
+           lambda q: (q ** 3 - q) // math.gcd(2, q - 1), "PSL(2,q) q<=11"),
+    Family("PGL(2,{})", projective_general_linear2, lambda q: q ** 3 - q, "PGL(2,q) q<=11"),
+    Family("M10", lambda: catalog_aut6_tower()["M10"], lambda: 720, "M10"),
+    Family("Aut(A6)", lambda: catalog_aut6_tower()["Aut(A6)"], lambda: 1440, "Aut(A6)"),
+)
 
 
-@_atom(r"D(\d+)")
-def _spec_dihedral(m):
-    return dihedral(int(m.group(1)))
+# each spelling as a case-insensitive pattern, {} matching the family's
+# number; compiled at import, so that no resolve pays for it
+_PATTERNS = [re.compile(re.escape(family.spelling).replace(r"\{\}", r"(\d+)"), re.IGNORECASE)
+             for family in FAMILIES]
 
 
-@_atom(r"S(\d+)")
-def _spec_symmetric(m):
-    return symmetric(int(m.group(1)))
-
-
-@_atom(r"A(\d+)")
-def _spec_alternating(m):
-    return alternating(int(m.group(1)))
-
-
-@_atom(r"V4")
-def _spec_klein(m):
-    return FiniteGroup([[i ^ j for j in range(4)] for i in range(4)], name="V4")
-
-
-@_atom(r"Q8")
-def _spec_quaternion(m):
-    return quaternion8()
-
-
-def _matrix_field_order(m) -> int:
-    """The q of a matrix spec, checked to name a cataloged field."""
-    q = int(m.group(1))
-    if q > 11:
-        raise SpecError("matrix groups are cataloged for q <= 11")
-    try:
-        gf(q)
-    except FieldError as exc:
-        raise SpecError(f"no field GF({q}): {exc}")
-    return q
-
-
-@_atom(r"SL\(2,\s*(\d+)\)")
-def _spec_sl2(m):
-    return special_linear2(_matrix_field_order(m))
-
-
-@_atom(r"PSL\(2,\s*(\d+)\)")
-def _spec_psl2(m):
-    return projective_special_linear2(_matrix_field_order(m))
-
-
-@_atom(r"PGL\(2,\s*(\d+)\)")
-def _spec_pgl2(m):
-    return projective_general_linear2(_matrix_field_order(m))
-
-
-@_atom(r"M10")
-def _spec_m10(m):
-    return catalog_aut6_tower()["M10"]
-
-
-@_atom(r"Aut\(A6\)")
-def _spec_aut_a6(m):
-    return catalog_aut6_tower()["Aut(A6)"]
+def _atom(label: str) -> tuple[Family, tuple[int, ...]] | None:
+    """The family a spec names, matched case-insensitively, and its number."""
+    for family, pattern in zip(FAMILIES, _PATTERNS):
+        m = pattern.fullmatch(label)
+        if m:
+            return family, tuple(map(int, m.groups()))
+    return None
 
 
 def _split_top_level(s: str, sep: str) -> list[str]:
@@ -425,83 +392,76 @@ def _split_top_level(s: str, sep: str) -> list[str]:
     return parts
 
 
-def normalize_spec(label: str) -> str:
-    return re.sub(r"\s+", "", label)
+def _parse(label: str) -> tuple[str, Callable[[], FiniteGroup]]:
+    """A spec's canonical spelling and a function that builds its group."""
+    label = re.sub(r"\s+", "", label)
+    if not label:
+        raise SpecError("empty group spec")
+    if label.startswith("file:"):
+        return label, lambda: load_group_file(label[5:])
+    m = re.fullmatch(r"AxCp\((.*),(\d+)\)", label, re.IGNORECASE)
+    if m and not _is_prime(int(m[2])):
+        raise SpecError(f"AxCp needs a prime p, got {int(m[2])}")
+    parts = [m[1], f"C{m[2]}"] if m else _split_top_level(label, "x")
+    if len(parts) == 1:
+        atom = _atom(label)
+        if atom is None:
+            raise SpecError(f"unknown group spec {label!r}")
+        family, n = atom
+        return family.spelling.format(*n), lambda: family.build(*n)
+    factors = [_parse(part) for part in parts]
+
+    def build_product():
+        G = _resolved(*factors[0])
+        for factor in factors[1:]:
+            H = _resolved(*factor)
+            G = direct_product(G, H, name=f"{G.name}x{H.name}")
+        return G
+    if m:
+        return f"AxCp({factors[0][0]},{int(m[2])})", build_product
+    return "x".join(canonical for canonical, _ in factors), build_product
 
 
 def resolve_spec(label: str) -> FiniteGroup:
     """Build (or fetch from cache) the group named by a spec string.
 
-    Grammar: named atoms (C4, D4, S5, A6, V4, Q8, SL(2,9), PSL(2,7),
-    PGL(2,9), M10, Aut(A6)), file:<path>, AxCp(<spec>,<p>), and top-level
-    direct products joined with 'x' such as C4xC2.
+    Grammar: the families of ``FAMILIES`` (C4, D4, S5, A6, V4, Q8, SL(2,9),
+    PSL(2,7), PGL(2,9), M10, Aut(A6)), named in any case, file:<path>,
+    AxCp(<spec>,<p>) for a prime p, and top-level direct products joined
+    with 'x' such as C4xC2.  Every spelling of a spec gives one cached group.
     """
-    label = normalize_spec(label)
-    if not label:
-        raise SpecError("empty group spec")
-    if label in _RESOLVE_CACHE:
-        return _RESOLVE_CACHE[label]
-    G = _resolve_uncached(label)
-    _check_catalog_invariants(label, G)
-    _RESOLVE_CACHE[label] = G
+    return _resolved(*_parse(label))
+
+
+def _resolved(canonical: str, build: Callable[[], FiniteGroup]) -> FiniteGroup:
+    G = _RESOLVE_CACHE.get(canonical)
+    if G is None:
+        G = build()
+        _check_catalog_invariants(canonical, G)
+        _RESOLVE_CACHE[canonical] = G
     return G
 
 
-def _resolve_uncached(label: str) -> FiniteGroup:
-    if label.startswith("file:"):
-        return load_group_file(label[5:])
-    m = re.match(r"AxCp\((.*),(\d+)\)$", label, re.IGNORECASE)
-    if m:
-        inner = resolve_spec(m.group(1))
-        p = int(m.group(2))
-        return direct_product(inner, cyclic(p), name=f"{inner.name}xC{p}")
-    parts = _split_top_level(label, "x")
-    if len(parts) > 1:
-        G = resolve_spec(parts[0])
-        for part in parts[1:]:
-            H = resolve_spec(part)
-            G = direct_product(G, H, name=f"{G.name}x{H.name}")
-        return G
-    for pattern, fn in _ATOM_RES:
-        m = pattern.match(label)
-        if m:
-            return fn(m)
-    raise SpecError(f"unknown group spec {label!r}")
-
-
-# the orders the two pattern rules below do not already check
-_EXPECTED_ORDERS: dict[str, int] = {"M10": 720, "Q8": 8, "V4": 4}
-
-
 def _check_catalog_invariants(label: str, G: FiniteGroup) -> None:
-    expected = _EXPECTED_ORDERS.get(label)
-    if expected is not None and G.order != expected:
-        raise GroupError(f"{label} resolved to order {G.order}, expected {expected}")
-    m = re.match(r"([CDSA])(\d+)$", label)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        want = {"C": n, "D": 2 * n, "S": math.factorial(n),
-                "A": math.factorial(n) // 2}[kind]
-        if G.order != want:
-            raise GroupError(f"{label} resolved to order {G.order}, expected {want}")
-    m = re.match(r"(P?[SG]L)\(2,(\d+)\)$", label)
-    if m:
-        q = int(m.group(2))
-        full = q * (q - 1) * (q + 1)
-        want = full if m.group(1) in ("SL", "PGL") else full // math.gcd(2, q - 1)
-        if G.order != want:
-            raise GroupError(f"{label} resolved to order {G.order}, expected {want}")
-    if label == "SL(2,9)" and center(G).size != 2:
+    """The order formula of the family ``label`` names, and the structure
+    that the order-720 counts rely on in SL(2,9) and PGL(2,9)."""
+    atom = _atom(label)
+    if atom is None:
+        return
+    family, n = atom
+    want = family.order(*n)
+    if G.order != want:
+        raise GroupError(f"{label} resolved to order {G.order}, expected {want}")
+    canonical = family.spelling.format(*n)
+    if canonical == "SL(2,9)" and center(G).size != 2:
         raise GroupError("SL(2,9) must have a center of order 2")
-    if label == "PGL(2,9)" and order_census(G, 8) == 0:
+    if canonical == "PGL(2,9)" and order_census(G, 8) == 0:
         raise GroupError("PGL(2,9) must contain elements of order 8")
 
 
 def catalog_list() -> list[str]:
-    """Labels accepted by resolve_spec, for the CLI."""
-    return [
-        "Cn (cyclic)", "Dn (dihedral, n>=3)", "Sn (2<=n<=6)", "An (3<=n<=6)",
-        "V4", "Q8", "SL(2,q) q<=11", "PSL(2,q) q<=11", "PGL(2,q) q<=11",
-        "M10", "Aut(A6)", "AxCp(<spec>,<p>)", "<spec>x<spec> (direct product)",
+    """Specs accepted by resolve_spec, for the CLI."""
+    return [family.entry for family in FAMILIES] + [
+        "AxCp(<spec>,<p>)", "<spec>x<spec> (direct product)",
         "file:<path> (perm/table group file)",
     ]

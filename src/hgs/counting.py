@@ -243,7 +243,7 @@ def count_fpf_inner_holomorph(G: FiniteGroup, N: FiniteGroup, *,
     cls_n = socle_times_cp(cls_g, N)
     if cls_n is None:
         raise GroupError("fpf route needs N of shape A x C_p for the socle A and prime p of G")
-    C, _ = cls_n.cyclic_factor.as_group()
+    C = cls_n.cyclic_factor.as_group()
     eps = C.gens[0]
     socle_mask = cls_g.socle.member_mask()
 

@@ -300,8 +300,8 @@ class Subgroup:
         conj = conjugation_rows(self.parent, self.parent.gens)
         return bool(self.member_mask()[conj[:, self.members]].all())
 
-    def as_group(self, name: str | None = None) -> tuple[FiniteGroup, np.ndarray]:
-        """Reindexed copy of the subgroup plus the member list embedding it."""
+    def as_group(self, name: str | None = None) -> FiniteGroup:
+        """Reindexed copy of the subgroup; element i is ``members[i]``."""
         members = self.members
         pos = np.full(self.parent.order, -1, dtype=ELEMENT_DTYPE)
         pos[members] = np.arange(len(members))
@@ -316,8 +316,7 @@ class Subgroup:
         if self.parent.perm_rep is not None:
             perm_rep = PermRep(self.parent.perm_rep.degree,
                                _readonly(self.parent.perm_rep.images[members].copy()))
-        H = FiniteGroup(table, name=name, perm_rep=perm_rep, validate=False)
-        return H, members.copy()
+        return FiniteGroup(table, name=name, perm_rep=perm_rep, validate=False)
 
 
 def centralizer(G: FiniteGroup, elements) -> Subgroup:

@@ -92,7 +92,7 @@ def _classify(G: FiniteGroup) -> StructureClass:
     if len(proper) == 1:
         A = proper[0]
         index = G.order // A.size
-        Agrp, _ = A.as_group()
+        Agrp = A.as_group()
         if _is_prime(index) and _is_nonabelian_simple(Agrp):
             # C_G(A) from generators of A: |G| k comparisons, not |G| |A|
             if centralizer(G, _greedy_closure(G.mul, A.member_mask())[0]).size == 1:
@@ -103,7 +103,7 @@ def _classify(G: FiniteGroup) -> StructureClass:
         by_size = sorted(proper, key=lambda s: s.size)
         C, A = by_size
         p = C.size
-        Agrp, _ = A.as_group()
+        Agrp = A.as_group()
         if (_is_prime(p) and A.size * p == G.order
                 and _is_nonabelian_simple(Agrp)
                 and np.count_nonzero(A.member_mask()[C.members]) == 1
@@ -378,7 +378,7 @@ def check_inner_unique_in_aut(G: FiniteGroup) -> InnerUniquenessCheck:
             iso = True
         else:
             iso = (np.array_equal(np.bincount(car.elt_order[members]), census)
-                   and are_isomorphic(Subgroup(car, members).as_group()[0], G) is not None)
+                   and are_isomorphic(Subgroup(car, members).as_group(), G) is not None)
         witnesses.append({"subgroup_order": int(len(members)),
                           "isomorphic_to_G": iso,
                           "equals_inner": equals_inner})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hgs import catalog
 from hgs.catalog import (
     SpecError,
     _check_catalog_invariants,
@@ -36,6 +37,22 @@ def test_named_specs_resolve(small_catalog):
 def test_spec_cache_returns_same_object():
     assert resolve_spec("S5") is resolve_spec("S5")
     assert resolve_spec("S5") is resolve_spec(" S 5 ")
+
+
+@pytest.mark.parametrize("spelling, canonical", [
+    ("s5", "S5"), ("axcp(a5,2)", "AxCp(A5,2)"), ("pgl(2,9)", "PGL(2,9)"),
+    ("Sl(2, 9)", "SL(2,9)"), ("m10", "M10"), ("aut(a6)", "Aut(A6)"),
+    ("c4xc2", "C4xC2"), ("D04", "D4"),
+])
+def test_every_spelling_of_a_spec_resolves_to_one_cached_group(spelling, canonical):
+    assert resolve_spec(spelling) is resolve_spec(canonical)
+    assert canonical in catalog._RESOLVE_CACHE and spelling not in catalog._RESOLVE_CACHE
+
+
+@pytest.mark.parametrize("spec", ["AxCp(A5,4)", "AxCp(A5,1)", "axcp(C3,0)"])
+def test_axcp_needs_a_prime(spec):
+    with pytest.raises(SpecError, match="prime"):
+        resolve_spec(spec)
 
 
 def test_unknown_spec_rejected():
@@ -210,8 +227,25 @@ def test_from_perm_set_rejects_rows_that_are_no_group(rows, message):
 
 
 @pytest.mark.parametrize("label", ["S5", "S6", "A5", "A6", "PGL(2,9)", "PSL(2,9)",
-                                   "SL(2,9)", "M10", "Q8", "V4"])
+                                   "SL(2,9)", "M10", "Aut(A6)", "Q8", "V4", "D4", "C4"])
 def test_each_checked_label_rejects_a_group_of_the_wrong_order(label):
-    # the first seven by the pattern rules, M10, Q8 and V4 by their table
-    with pytest.raises(GroupError, match=f"resolved to order 3, expected"):
-        _check_catalog_invariants(label, cyclic(3))
+    # in any case: the order formula belongs to the family, not the spelling
+    for spelling in (label, label.lower()):
+        with pytest.raises(GroupError, match="resolved to order 3, expected"):
+            _check_catalog_invariants(spelling, cyclic(3))
+
+
+def test_structure_checks_hold_in_any_case():
+    with pytest.raises(GroupError, match="center of order 2"):
+        _check_catalog_invariants("sl(2,9)", cyclic(720))
+    with pytest.raises(GroupError, match="elements of order 8"):
+        _check_catalog_invariants("pgl(2,9)", resolve_spec("S6"))
+
+
+def test_a_lower_case_spec_that_builds_the_wrong_order_is_refused(monkeypatch):
+    families = tuple(f._replace(build=lambda: cyclic(3)) if f.spelling == "Q8" else f
+                     for f in catalog.FAMILIES)
+    monkeypatch.setattr(catalog, "FAMILIES", families)
+    monkeypatch.setattr(catalog, "_RESOLVE_CACHE", {})
+    with pytest.raises(GroupError, match="Q8 resolved to order 3, expected 8"):
+        resolve_spec("q8")

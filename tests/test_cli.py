@@ -116,12 +116,13 @@ def test_bad_spec_exits_2(capsys):
     ("PGL(2,6)", None),
     ("SL(2,1)", None),
     ("PSL(2,0)", None),
+    ("AxCp(A5,4)", None),
     ("file:{tmp}/missing.txt", None),
     ("file:{tmp}", None),  # a directory
     ("file:{tmp}/g.txt", b"\xff\xfe perm 3\n"),
     ("file:{tmp}/g.txt", b"perm 0\n()\n"),
     ("file:{tmp}/g.txt", b"perm -3\n()\n"),
-], ids=["PGL(2,6)", "SL(2,1)", "PSL(2,0)", "missing-file", "directory",
+], ids=["PGL(2,6)", "SL(2,1)", "PSL(2,0)", "AxCp(A5,4)", "missing-file", "directory",
         "undecodable-file", "degree-0", "degree-negative"])
 def test_malformed_spec_or_group_file_exits_2(spec, content, tmp_path, capsys):
     if content is not None:
@@ -151,7 +152,21 @@ def test_usage_error_exits_2(capsys):
 
 def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
-    assert "PGL(2,q)" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "Cn (cyclic)\nDn (dihedral, n>=3)\nSn (2<=n<=6)\nAn (3<=n<=6)\nV4\nQ8\n"
+        "SL(2,q) q<=11\nPSL(2,q) q<=11\nPGL(2,q) q<=11\nM10\nAut(A6)\n"
+        "AxCp(<spec>,<p>)\n<spec>x<spec> (direct product)\n"
+        "file:<path> (perm/table group file)\n")
+
+
+@pytest.mark.parametrize("content", ["table 6\n" + "".join(
+    " ".join(str((i + j) % 6) for j in range(6)) + "\n" for i in range(6)),
+    "perm 6\n(0 1 2 3 4 5)\n"], ids=["table", "perm"])
+def test_group_file_over_the_table_cap_exits_3(content, tmp_path, monkeypatch, capsys):
+    (tmp_path / "c6.grp").write_text(content)
+    monkeypatch.setenv("HGS_MAX_TABLE", "4")
+    assert main(["info", "-G", f"file:{tmp_path}/c6.grp"]) == 3
+    assert capsys.readouterr().err.startswith("infeasible:")
 
 
 def test_verify_suite_exit_codes(capsys):

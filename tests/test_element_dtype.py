@@ -33,7 +33,7 @@ def _element_arrays(G: FiniteGroup) -> dict:
     if G.perm_rep is not None:
         arrays["perm_rep.images"] = G.perm_rep.images
         arrays["RowIndex.table"] = RowIndex(G.perm_rep.images).table()
-    arrays["as_group"] = commutator_subgroup(G).as_group()[0].mul
+    arrays["as_group"] = commutator_subgroup(G).as_group().mul
     arrays["direct_product"] = direct_product(G, cyclic(2)).mul
     aut = automorphism_group(G)
     arrays["aut.perms"] = aut.perms

@@ -15,9 +15,7 @@ a bare name does not count, since it may be a local of the same name
 string does.  A method counts as used only when it is mentioned as an
 attribute (``x.name``) or a string, since local variables share method names
 (``pairs``, ``index``).  A method's own body does not count either, since a
-cached method may name itself as its cache key.  Module-level functions
-registered by a decorator, such as catalog's ``@_atom`` specs, are reached
-through the registry and are exempt.
+cached method may name itself as its cache key.
 
 Every keyword-only parameter is passed by name in some call from those
 paths, to a callee of its function's name (its class's name for
@@ -118,8 +116,6 @@ def _definitions() -> list[tuple[str, str]]:
     defs = []
     for path in SOURCES:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.decorator_list:
-                continue  # registered by its decorator
             if isinstance(stmt, ast.ClassDef):
                 defs += [(path.name, f"{stmt.name}.{m.name}") for m in stmt.body
                          if isinstance(m, ast.FunctionDef)

@@ -229,7 +229,7 @@ def _witnesses_building_every_subgroup(G):
         if members.tobytes() in seen:
             continue
         seen.add(members.tobytes())
-        H, _ = Subgroup(car, members).as_group()
+        H = Subgroup(car, members).as_group()
         witnesses.append({"subgroup_order": int(len(members)),
                           "isomorphic_to_G": are_isomorphic(H, G) is not None,
                           "equals_inner": np.array_equal(members, aut.inner.members)})
