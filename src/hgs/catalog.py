@@ -378,17 +378,23 @@ def _atom(label: str) -> tuple[Family, tuple[int, ...]] | None:
     return None
 
 
-def _split_top_level(s: str, sep: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(s):
+def _factors(label: str) -> list[str]:
+    """The factors of a direct product spec: the parts between the x or X
+    outside parentheses, where the x of the name AxCp does not count."""
+    parts, depth, start, i = [], 0, 0, 0
+    while i < len(label):
+        ch = label[i]
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(s[start:i])
+        elif depth == 0 and label[i:i + 4].lower() == "axcp":
+            i += 3  # on to the p, past the name's x
+        elif depth == 0 and ch in "xX":
+            parts.append(label[start:i])
             start = i + 1
-    parts.append(s[start:])
+        i += 1
+    parts.append(label[start:])
     return parts
 
 
@@ -399,11 +405,13 @@ def _parse(label: str) -> tuple[str, Callable[[], FiniteGroup]]:
         raise SpecError("empty group spec")
     if label.startswith("file:"):
         return label, lambda: load_group_file(label[5:])
-    m = re.fullmatch(r"AxCp\((.*),(\d+)\)", label, re.IGNORECASE)
-    if m and not _is_prime(int(m[2])):
-        raise SpecError(f"AxCp needs a prime p, got {int(m[2])}")
-    parts = [m[1], f"C{m[2]}"] if m else _split_top_level(label, "x")
-    if len(parts) == 1:
+    parts = _factors(label)
+    m = None if len(parts) > 1 else re.fullmatch(r"AxCp\((.*),(\d+)\)", label, re.IGNORECASE)
+    if m:
+        if not _is_prime(int(m[2])):
+            raise SpecError(f"AxCp needs a prime p, got {int(m[2])}")
+        parts = [m[1], f"C{m[2]}"]
+    elif len(parts) == 1:
         atom = _atom(label)
         if atom is None:
             raise SpecError(f"unknown group spec {label!r}")
@@ -427,8 +435,9 @@ def resolve_spec(label: str) -> FiniteGroup:
 
     Grammar: the families of ``FAMILIES`` (C4, D4, S5, A6, V4, Q8, SL(2,9),
     PSL(2,7), PGL(2,9), M10, Aut(A6)), named in any case, file:<path>,
-    AxCp(<spec>,<p>) for a prime p, and top-level direct products joined
-    with 'x' such as C4xC2.  Every spelling of a spec gives one cached group.
+    AxCp(<spec>,<p>) for a prime p, and direct products of any of these
+    joined with x or X outside parentheses, such as C4xC2 or AxCp(A5,2)xC3.
+    Every spelling of a spec gives one cached group.
     """
     return _resolved(*_parse(label))
 

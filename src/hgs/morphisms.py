@@ -65,9 +65,6 @@ class Homomorphism:
     def is_injective(self) -> bool:
         return len(sorted_distinct(self.images)) == self.source.order
 
-    def is_surjective(self) -> bool:
-        return len(sorted_distinct(self.images)) == self.target.order
-
     def __repr__(self) -> str:
         return (f"<Homomorphism {self.source.name or '?'} -> "
                 f"{self.target.name or '?'}>")
@@ -79,17 +76,13 @@ class AutomorphismGroup:
 
     ``perms[i]`` realizes carrier element i as a permutation of the base
     group; ``inner`` marks the inner automorphisms inside the carrier;
-    ``inner_of`` is the carrier index of each distinct conjugation
-    x -> h x h^-1, the first h of each coset of the center, so for a
-    centerless base ``inner_of[h]`` is c_h itself; ``index`` finds carrier
-    indices of permutations of the base.
+    ``index`` finds carrier indices of permutations of the base.
     """
 
     base: FiniteGroup
     carrier: FiniteGroup
     perms: np.ndarray  # (|Aut|, |base|), ELEMENT_DTYPE
     inner: Subgroup
-    inner_of: np.ndarray  # (|Inn|,), ELEMENT_DTYPE
     index: RowIndex  # over perms
 
     @property
@@ -173,16 +166,48 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[np.ndarray]:
                                            bijective=True)
 
 
-def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
-    """All automorphisms of G, as Inn(G)-cosets of searched representatives.
+def outer_coset_reps(G: FiniteGroup) -> np.ndarray:
+    """One automorphism of G per coset Inn(G) . psi of Aut(G), a row each,
+    in the order the search meets the cosets; so [Aut(G) : Inn(G)] is the
+    number of rows.
 
-    Inn(G) is built directly by conjugation (``conjugation_rows``).  The
-    isomorphism search G -> G (``_isomorphisms``) meets every coset
-    Inn(G) . psi, and each coset not yet covered is added whole.  When two
-    generators generate G, each coset is met once per branch: a map that
-    also fixes g2's image differs by conjugation with a central element,
-    which is the same map.  For abelian G the classes and orbits are
-    singletons and this is the plain search.
+    The isomorphism search G -> G (``_isomorphisms``) meets every coset;
+    each map whose generator images no coset met so far holds starts a
+    new one.  A coset is kept by its rows on the generators alone, h
+    phi(g) h^-1 for one h per inner automorphism, so no conjugation row
+    of all of G is built.  When two generators generate G, each coset is met
+    once per branch: a map that also fixes g2's image differs by
+    conjugation with a central element, which is the same map.  For
+    abelian G the classes and orbits are singletons and this is the plain
+    search.  Cached on G; ``automorphism_group`` builds Aut(G) from the
+    same cosets.
+    """
+    if "outer_coset_reps" in G._cache:
+        return G._cache["outer_coset_reps"]
+    if G.order > table_cap():
+        raise CapExceededError(
+            f"automorphism search capped at order {table_cap()}")
+    gens = np.asarray(G.gens, dtype=np.intp)
+    # one h per distinct map x -> h x h^-1, told apart on the generators
+    hs = RowSet().add(G.mul[G.mul[:, gens], G.inv[:, None]])
+    h_col, h_inv = hs[:, None], G.inv[hs][:, None]
+    reps = []
+    covered = RowSet()
+    for phi in _isomorphisms(G, G):
+        if phi[gens] not in covered:
+            # the coset Inn(G) . phi, on the generators
+            covered.add(G.mul[G.mul[h_col, phi[gens]], h_inv])
+            reps.append(phi)
+    if not reps:
+        raise GroupError("automorphism search lost the identity map")
+    reps = _readonly(np.stack(reps))
+    G._cache["outer_coset_reps"] = reps
+    return reps
+
+
+def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
+    """All automorphisms of G, as the Inn(G)-cosets of the searched
+    representatives (``outer_coset_reps``), each added whole.
 
     Carrier order: identity first, the rest by image-sequence order, which
     depends on the set of automorphisms alone and not on which coset
@@ -199,35 +224,23 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     """
     if "aut" in G._cache:
         return G._cache["aut"]
-    if G.order > table_cap():
-        raise CapExceededError(
-            f"automorphism search capped at order {table_cap()}")
-    gen_idx = G.gens
+    reps = outer_coset_reps(G)
     # row h: x -> h x h^-1, one row per inner automorphism
     inn = conjugation_rows(G, np.arange(G.order))
-    inn = inn[RowSet().add(inn[:, gen_idx])]
-    coset_reps = []
-    covered = RowSet()
-    for phi in _isomorphisms(G, G):
-        if phi[gen_idx] not in covered:
-            # the coset Inn(G) . phi, on the generators
-            covered.add(inn[:, phi[gen_idx]])
-            coset_reps.append(phi)
-    if not coset_reps:
-        raise GroupError("automorphism search lost the identity map")
+    inn = inn[RowSet().add(inn[:, G.gens])]
     # the identity is the least permutation, so it sorts first
-    perms = _readonly(_sorted_stack(inn, np.stack(coset_reps)))
+    perms = _readonly(_sorted_stack(inn, reps))
     if not np.array_equal(perms[0], np.arange(G.order)):
         raise EngineError("the automorphism cosets miss the identity map")
     index = RowIndex(perms)
-    inner_of = index.find(inn).astype(ELEMENT_DTYPE)
+    inner_of = index.find(inn)  # the carrier index of each c_h
     del inn  # the carrier table is built without it
     carrier = _certified_carrier(G, index, f"Aut({G.name})" if G.name else "Aut")
     inner = Subgroup(carrier, inner_of)
     z = center(G).size
     if inner.size * z != G.order:
         raise GroupError("inner automorphism count disagrees with the center")
-    aut = AutomorphismGroup(G, carrier, perms, inner, _readonly(inner_of), index)
+    aut = AutomorphismGroup(G, carrier, perms, inner, index)
     G._cache["aut"] = aut
     return aut
 

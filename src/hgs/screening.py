@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -27,16 +27,14 @@ from .groups import (
     Subgroup,
     center,
     centralizer,
-    commutator_subgroup,
     is_perfect,
     is_solvable,
     normal_subgroups,
     quotient_group,
-    sorted_distinct,
     _greedy_closure,
 )
-from .morphisms import (AutomorphismGroup, are_isomorphic, automorphism_group,
-                        enumerate_homomorphisms)
+from .morphisms import (are_isomorphic, automorphism_group, enumerate_homomorphisms,
+                        outer_coset_reps)
 
 
 @dataclass
@@ -196,12 +194,7 @@ def screen_candidate(G: FiniteGroup, N: FiniteGroup,
     # perfect candidate: the four necessary conditions
     ZN = center(N)
 
-    quasi_ok = (cls_n.kind == "quasisimple"
-                and are_isomorphic(cls_n.quotient, A_grp) is not None)
-    conditions["condition-1"] = ConditionVerdict(
-        "holds" if quasi_ok else "fails",
-        {"kind": cls_n.kind, "center_order": ZN.size},
-    )
+    conditions["condition-1"] = _condition1(N, ZN, A_grp)
 
     autA = automorphism_group(A_grp)
     fp_counts = (autA.perms == np.arange(A_grp.order)).sum(axis=1)
@@ -222,6 +215,15 @@ def screen_candidate(G: FiniteGroup, N: FiniteGroup,
                                conditions)
     return ScreeningReport(g_label, n_label, "allowed-perfect-candidate", None,
                            conditions)
+
+
+def _condition1(N: FiniteGroup, ZN: Subgroup, A: FiniteGroup) -> ConditionVerdict:
+    """N must be quasisimple, with N/Z(N) isomorphic to the socle A."""
+    cls_n = classify_group(N)
+    quasi_ok = (cls_n.kind == "quasisimple"
+                and are_isomorphic(cls_n.quotient, A) is not None)
+    return ConditionVerdict("holds" if quasi_ok else "fails",
+                            {"kind": cls_n.kind, "center_order": ZN.size})
 
 
 def _condition3(N: FiniteGroup, ZN: Subgroup, p: int) -> ConditionVerdict:
@@ -320,66 +322,137 @@ class InnerUniquenessCheck:
     witnesses: list = field(default_factory=list)
 
 
-def _certify_inner_copy(G: FiniteGroup, aut: AutomorphismGroup) -> None:
-    """Check that h -> c_h (``aut.inner_of``) is an isomorphism of the
-    centerless G onto Inn(G): a homomorphism into the carrier by the
-    generator certificate, one-to-one, with image ``aut.inner.members``.
-    The map comes from ``automorphism_group``, so a failure is an engine
-    fault (EngineError)."""
-    images = aut.inner_of
-    if not _search.generator_certificate(G, aut.carrier, images):
-        raise EngineError("h -> c_h fails the generator certificate")
-    image = sorted_distinct(images)
-    if len(image) != G.order or not np.array_equal(image, aut.inner.members):
-        raise EngineError("h -> c_h is not one-to-one onto Inn(G)")
+def _outer_square(G: FiniteGroup, reps: np.ndarray) -> tuple[np.ndarray, int]:
+    """(phi, h0) for a centerless G with [Aut(G) : Inn(G)] = 2: phi is the
+    one coset representative of ``reps`` that is not inner, and h0 the one
+    element with phi^2 = c_h0.
+
+    phi is certified as a homomorphism (``_search.generator_certificate``)
+    and phi^2 is compared with c_h0 on the generators, which fixes a
+    homomorphism; so phi^2 = c_h0 everywhere, and phi is one-to-one.  The
+    representatives come from ``outer_coset_reps``, so a failure is an
+    engine fault (EngineError).
+    """
+    gens = np.asarray(G.gens, dtype=np.intp)
+    inner = G.mul[G.mul[:, gens], G.inv[:, None]]  # row h: c_h on the generators
+    outer = [phi for phi in reps if not (inner == phi[gens]).all(axis=1).any()]
+    if len(outer) != 1:
+        raise EngineError(f"{len(outer)} of the {len(reps)} coset representatives "
+                          "are outer, not 1")
+    phi = outer[0]
+    if not _search.generator_certificate(G, G, phi):
+        raise EngineError("the outer coset representative is not a homomorphism")
+    h0 = np.flatnonzero((inner == phi[phi[gens]]).all(axis=1))
+    if len(h0) != 1:
+        raise EngineError(f"phi^2 is conjugation by {len(h0)} elements, not by one")
+    return phi, int(h0[0])
+
+
+def _index2_kernels(G: FiniteGroup, phi: np.ndarray,
+                    h0: int) -> Iterator[tuple[np.ndarray, int]]:
+    """(chi0, eps) for each map chi of Aut(G) = Inn(G) u Inn(G) phi onto
+    C_2, where chi(c_h) = chi0(h) and chi(phi) = eps.
+
+    chi0 is a map G -> C_2 (its image sequence) with chi0 . phi = chi0,
+    since phi c_h phi^-1 = c_phi(h), and chi0(h0) = 0, since phi^2 = c_h0;
+    each such pair other than (0, 0) is one chi, and a map onto C_2 is
+    fixed by its kernel, so no subgroup comes twice.  The pairs come in
+    the order of ``enumerate_homomorphisms``, eps = 0 before eps = 1.
+    """
+    c2 = FiniteGroup([[0, 1], [1, 0]], name="C2")
+    for chi in enumerate_homomorphisms(G, c2):
+        chi0 = chi.images
+        if chi0[h0] or not np.array_equal(chi0[phi], chi0):
+            continue
+        for eps in (0, 1):
+            if eps or chi0.any():
+                yield chi0, eps
+
+
+def _kernel_group(G: FiniteGroup, phi: np.ndarray, h0: int, chi0: np.ndarray,
+                  eps: int) -> FiniteGroup:
+    """The kernel of (chi0, eps) (``_index2_kernels``) as a group.
+
+    Element (h, a) is c_h phi^a: first the h with chi0(h) = 0 and a = 0,
+    then those with chi0(h) = eps and a = 1.  Since phi c_h' = c_phi(h') phi
+    and phi^2 = c_h0, (h, a)(h', b) = (h phi^a(h') h0^[a = b = 1], a xor b),
+    the product in Aut(G); h -> c_h is one-to-one for a centerless G, so
+    the table is associative.  Identity and cancellation are validated,
+    and a failure is an engine fault (EngineError).
+    """
+    n = G.order
+    zero, twisted = np.flatnonzero(chi0 == 0), np.flatnonzero(chi0 == eps)
+    h = np.concatenate([zero, twisted])
+    a = np.repeat([0, 1], [len(zero), len(twisted)])
+    right = np.where(a[:, None] == 1, phi[h], h)  # phi^a(h') for each left a
+    prod = G.mul[h[:, None], right]
+    prod = np.where((a[:, None] & a) == 1, G.mul[prod, h0], prod)
+    pos = np.full(2 * n, -1, dtype=np.intp)  # a n + h -> its index in the kernel
+    pos[a * n + h] = np.arange(len(h))
+    try:
+        return FiniteGroup(pos[(a[:, None] ^ a) * n + prod], assume_associative=True)
+    except GroupError as exc:
+        raise EngineError(f"the kernel of (chi0, {eps}) is not a group: {exc}") from exc
+
+
+def _kernel_orders(G: FiniteGroup, phi: np.ndarray, h0: int, chi0: np.ndarray,
+                   eps: int) -> np.ndarray:
+    """The element orders of the kernel of (chi0, eps), in the order of
+    ``_kernel_group``: c_h has the order of h, and c_h phi twice the order
+    of h phi(h) h0, since (c_h phi)^2 = c_{h phi(h) h0} and c_h phi is not
+    inner."""
+    twisted = np.flatnonzero(chi0 == eps)
+    return np.concatenate([G.elt_order[chi0 == 0],
+                           2 * G.elt_order[G.mul[G.mul[twisted, phi[twisted]], h0]]])
+
+
+def _census(orders: np.ndarray) -> tuple[int, ...]:
+    """The element-order census of a group, from its element orders:
+    isomorphic groups have equal ones (``fingerprint`` compares them)."""
+    return tuple(np.bincount(orders).tolist())
 
 
 def check_inner_unique_in_aut(G: FiniteGroup) -> InnerUniquenessCheck:
     """Is Inn(G) the only subgroup of Aut(G) isomorphic to G?
 
-    Feasible exactly when [Aut(G) : Inn(G)] is 1 or 2: index-2 subgroups are
-    kernels of maps onto C_2, found through the abelianization, and those
-    are all subgroups of order |G|.  Larger indices are reported infeasible
-    rather than guessed.  The subgroup equal to Inn(G) is not searched: it
-    is isomorphic to G by the certified map h -> c_h
-    (``_certify_inner_copy``).  Every other one is compared with G by its
-    element-order census and then, if that agrees, by ``are_isomorphic``.
+    Feasible exactly when [Aut(G) : Inn(G)] is 1 or 2, counted by
+    ``outer_coset_reps``: the subgroups of order |G| are then Aut(G) or
+    the kernels of the maps onto C_2.  Larger indices are reported
+    infeasible rather than guessed.  Aut(G) itself is never built.  Every
+    automorphism is c_h phi^a, a in {0, 1}, with phi^2 = c_h0
+    (``_outer_square``), and each kernel is given by a pair (chi0, eps)
+    (``_index2_kernels``): it holds c_h for chi0(h) = 0 and c_h phi for
+    chi0(h) = eps.  Each kernel's element-order census is read off G's
+    table (``_kernel_orders``).
+
+    Witnesses follow the pairs' order.  The kernel with chi0 = 0 is
+    Inn(G), which is G itself in these coordinates.  Every other one is
+    compared with G by its census and then, if that agrees, by
+    ``are_isomorphic`` on its table (``_kernel_group``).
     """
     if center(G).size != 1:
         return InnerUniquenessCheck(
             "infeasible", "check requires a centerless group")
-    aut = automorphism_group(G)
-    car = aut.carrier
-    if car.order == G.order:
+    reps = outer_coset_reps(G)
+    if len(reps) == 1:
         return InnerUniquenessCheck(
             "holds", "Aut(G) equals Inn(G), which is the only candidate")
-    if car.order != 2 * G.order:
+    if len(reps) != 2:
         return InnerUniquenessCheck(
             "infeasible",
-            f"[Aut(G):Inn(G)] = {car.order // G.order} is out of reach for "
+            f"[Aut(G):Inn(G)] = {len(reps)} is out of reach for "
             "the abelianization-kernel search")
-    derived = commutator_subgroup(car)
-    Q, coset_of = quotient_group(car, derived)
-    c2 = FiniteGroup([[0, 1], [1, 0]], name="C2")
-    # isomorphic groups have equal element-order censuses (``fingerprint``
-    # compares them), so a subgroup with another census is not built
-    census = np.bincount(G.elt_order)
+    phi, h0 = _outer_square(G, reps)
+    census = _census(G.elt_order)
     witnesses = []
     ok = True
-    # a map onto C2 is fixed by its kernel and coset_of is onto: no subgroup twice
-    for h in enumerate_homomorphisms(Q, c2):
-        if not h.is_surjective():
-            continue
-        kernel_cosets = h.kernel().members
-        members = np.flatnonzero(np.isin(coset_of, kernel_cosets))
-        equals_inner = np.array_equal(members, aut.inner.members)
-        if equals_inner:
-            _certify_inner_copy(G, aut)
-            iso = True
-        else:
-            iso = (np.array_equal(np.bincount(car.elt_order[members]), census)
-                   and are_isomorphic(Subgroup(car, members).as_group(), G) is not None)
-        witnesses.append({"subgroup_order": int(len(members)),
+    for chi0, eps in _index2_kernels(G, phi, h0):
+        equals_inner = not chi0.any()
+        orders = _kernel_orders(G, phi, h0, chi0, eps)
+        iso = equals_inner or (
+            _census(orders) == census
+            and are_isomorphic(_kernel_group(G, phi, h0, chi0, eps), G) is not None)
+        witnesses.append({"subgroup_order": len(orders),
                           "isomorphic_to_G": iso,
                           "equals_inner": equals_inner})
         if iso and not equals_inner:

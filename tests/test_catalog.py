@@ -42,7 +42,8 @@ def test_spec_cache_returns_same_object():
 @pytest.mark.parametrize("spelling, canonical", [
     ("s5", "S5"), ("axcp(a5,2)", "AxCp(A5,2)"), ("pgl(2,9)", "PGL(2,9)"),
     ("Sl(2, 9)", "SL(2,9)"), ("m10", "M10"), ("aut(a6)", "Aut(A6)"),
-    ("c4xc2", "C4xC2"), ("D04", "D4"),
+    ("c4xc2", "C4xC2"), ("D04", "D4"), ("C4XC2", "C4xC2"),
+    ("axcp(a5,2)XC3", "AxCp(A5,2)xC3"), ("c3XAXCP(A5, 2)", "C3xAxCp(A5,2)"),
 ])
 def test_every_spelling_of_a_spec_resolves_to_one_cached_group(spelling, canonical):
     assert resolve_spec(spelling) is resolve_spec(canonical)
@@ -103,6 +104,10 @@ def test_sl29_is_double_cover_shape():
 def test_product_specs():
     assert resolve_spec("C4xC2").order == 8
     assert resolve_spec("C2xC2xC2").order == 8
+    # an x inside the name AxCp, or inside parentheses, splits nothing
+    assert resolve_spec("AxCp(A5,2)xC3").order == 360
+    assert resolve_spec("C3xAxCp(A5,2)").order == 360
+    assert resolve_spec("AxCp(AxCp(A5,2),3)").order == 360
     G = resolve_spec("AxCp(A6,2)")
     assert G.order == 720
     assert sorted(s.size for s in normal_subgroups(G)) == [1, 2, 360, 720]

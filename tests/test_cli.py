@@ -32,6 +32,13 @@ def test_count_formula_self(capsys):
     assert json.loads(capsys.readouterr().out)["items"][0]["value"] == 32
 
 
+def test_count_formula_self_checks_inner_uniqueness_for_m10(capsys):
+    rc = main(["count", "--method", "formula", "-G", "M10", "-N", "M10", "--json"])
+    assert rc == 0
+    item = json.loads(capsys.readouterr().out)["items"][0]
+    assert (item["value"], item["notes"]) == (92, "inner-uniqueness verified")
+
+
 def test_count_formula_product_json(capsys):
     rc = main(["count", "-G", "S5", "-N", "AxCp(A5,2)", "--method", "formula",
                "--json"])

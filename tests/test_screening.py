@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hgs import screening
-from hgs.catalog import resolve_spec
+from hgs.catalog import projective_general_linear2, resolve_spec
 from hgs.counting import count_byott
 from hgs.groups import (
     EngineError,
@@ -11,9 +11,12 @@ from hgs.groups import (
     Subgroup,
     center,
     commutator_subgroup,
+    conjugation_rows,
     quotient_group,
+    row_sort_order,
 )
-from hgs.morphisms import are_isomorphic, automorphism_group, enumerate_homomorphisms
+from hgs.morphisms import (are_isomorphic, automorphism_group, enumerate_homomorphisms,
+                           outer_coset_reps)
 from hgs.screening import (
     check_inner_unique_in_aut,
     classify_group,
@@ -194,14 +197,16 @@ def _relabel(G, seed):
 
 
 # (isomorphic_to_G, equals_inner) per index-2 subgroup of Aut(G), in the
-# check's order, for each order-720 group and a relabelled copy of it
+# check's order, for each order-720 group and a relabelled copy of it: the
+# pairs (chi0, eps) of ``_index2_kernels``, so the inner copy (chi0 = 0)
+# comes first, then the two kernels of the sign map chi0 with eps = 0, 1
 INNER_PINS = {
     "PGL(2,9)": [(True, True), (False, False), (False, False)],
     "PGL(2,9)~1": [(True, True), (False, False), (False, False)],
-    "M10": [(False, False), (True, True), (False, False)],
-    "M10~2": [(False, False), (False, False), (True, True)],
+    "M10": [(True, True), (False, False), (False, False)],
+    "M10~2": [(True, True), (False, False), (False, False)],
     "S6": [(True, True), (False, False), (False, False)],
-    "S6~3": [(False, False), (True, True), (False, False)],
+    "S6~3": [(True, True), (False, False), (False, False)],
 }
 
 
@@ -214,31 +219,61 @@ def order_720_groups():
     return found
 
 
-def _witnesses_building_every_subgroup(G):
-    """Reference: the check's witnesses with every index-2 subgroup built
-    and searched, none skipped by its element-order census."""
+def _carrier_kernels(G):
+    """Reference: every index-2 subgroup of the carrier Aut(G), as the
+    sorted member indices of a kernel of a map of the abelianization onto
+    C_2, each once, with its witness when it is built and searched."""
     aut = automorphism_group(G)
     car = aut.carrier
     Q, coset_of = quotient_group(car, commutator_subgroup(car))
     c2 = FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.int32), name="C2")
-    witnesses, seen = [], set()
+    found = {}
     for h in enumerate_homomorphisms(Q, c2):
-        if not h.is_surjective():
+        if not h.images.any():  # the trivial map is not onto
             continue
         members = np.flatnonzero(np.isin(coset_of, h.kernel().members))
-        if members.tobytes() in seen:
-            continue
-        seen.add(members.tobytes())
         H = Subgroup(car, members).as_group()
-        witnesses.append({"subgroup_order": int(len(members)),
-                          "isomorphic_to_G": are_isomorphic(H, G) is not None,
-                          "equals_inner": np.array_equal(members, aut.inner.members)})
-    return witnesses
+        found.setdefault(members.tobytes(), (members, {
+            "subgroup_order": int(len(members)),
+            "isomorphic_to_G": are_isomorphic(H, G) is not None,
+            "equals_inner": np.array_equal(members, aut.inner.members)}))
+    return list(found.values())
 
 
-def test_inner_unique_results_are_pinned(order_720_groups):
+def _check_kernels(G):
+    """The check's index-2 subgroups, each as (chi0, eps) and as the
+    sorted rows of its automorphisms c_h phi^a."""
+    phi, h0 = screening._outer_square(G, outer_coset_reps(G))
+    conj = conjugation_rows(G, np.arange(G.order))  # row h is c_h
+    out = []
+    for chi0, eps in screening._index2_kernels(G, phi, h0):
+        rows = np.concatenate([conj[chi0 == 0], conj[chi0 == eps][:, phi]])
+        out.append((chi0, eps, rows[row_sort_order(rows)]))
+    return phi, h0, out
+
+
+@pytest.fixture(scope="module")
+def index_2_groups(order_720_groups):
+    """Centerless groups with [Aut(G) : Inn(G)] = 2, and relabelled copies.
+    Some map S3xS3 -> C_2 is not phi-invariant, and D5's map onto C_2 is
+    1 at h0, so each of those two filters of ``_index2_kernels`` acts."""
+    found = dict(order_720_groups)
+    for seed, label in enumerate(["A5", "D5", "S3xS3"], start=4):
+        found[label] = resolve_spec(label)
+        found[f"{label}~{seed}"] = _relabel(found[label], seed)
+    return found
+
+
+def test_inner_unique_results_are_pinned(order_720_groups, monkeypatch):
+    def spy(H, G):
+        raise AssertionError("an isomorphism search ran")
+
     for label, G in order_720_groups.items():
-        check = check_inner_unique_in_aut(G)
+        with monkeypatch.context() as m:
+            # the inner copy is G in coset coordinates and the other two
+            # have another census, so no subgroup is searched
+            m.setattr(screening, "are_isomorphic", spy)
+            check = check_inner_unique_in_aut(G)
         assert check.status == "holds", label
         assert check.detail == "checked 3 index-2 subgroups of Aut(G)", label
         assert [(w["isomorphic_to_G"], w["equals_inner"]) for w in check.witnesses] \
@@ -248,27 +283,95 @@ def test_inner_unique_results_are_pinned(order_720_groups):
             assert all(type(v) is bool for k, v in w.items() if k != "subgroup_order")
 
 
-def test_census_skip_never_drops_the_inner_copy(order_720_groups, monkeypatch):
-    def spy(H, G):
-        raise AssertionError("an isomorphism search ran")
+def test_check_subgroups_are_the_carrier_kernels(index_2_groups):
+    for label, G in index_2_groups.items():
+        check = check_inner_unique_in_aut(G)
+        aut = automorphism_group(G)
+        reference = _carrier_kernels(G)
+        mine = [rows.tobytes() for _, _, rows in _check_kernels(G)[2]]
+        theirs = [aut.perms[members].tobytes() for members, _ in reference]
+        assert sorted(mine) == sorted(theirs), label  # carrier rows are sorted
+        key = lambda w: sorted(w.items())
+        assert sorted(check.witnesses, key=key) \
+            == sorted((w for _, w in reference), key=key), label
 
-    for label, G in order_720_groups.items():
-        witnesses = _witnesses_building_every_subgroup(G)
+
+def test_kernel_tables_match_the_carrier_without_the_census_skip(index_2_groups,
+                                                                 monkeypatch):
+    for label, G in index_2_groups.items():
+        want = check_inner_unique_in_aut(G).witnesses
         with monkeypatch.context() as m:
-            m.setattr(screening, "are_isomorphic", spy)
-            check = check_inner_unique_in_aut(G)
-        inner = [w for w in check.witnesses if w["equals_inner"]]
-        assert len(inner) == 1 and inner[0]["isomorphic_to_G"], label
-        # the inner copy is certified by h -> c_h and the other two have
-        # another census, so no subgroup is searched
-        assert check.witnesses == witnesses, label
+            # every census agrees, so every kernel but Inn(G) is built and searched
+            m.setattr(screening, "_census", lambda orders: ())
+            assert check_inner_unique_in_aut(G).witnesses == want, label
+        aut = automorphism_group(G)
+        by_rows = {aut.perms[members].tobytes(): members
+                   for members, _ in _carrier_kernels(G)}
+        phi, h0, kernels = _check_kernels(G)
+        for chi0, eps, rows in kernels:
+            K = screening._kernel_group(G, phi, h0, chi0, eps)
+            assert np.array_equal(K.elt_order,
+                                  screening._kernel_orders(G, phi, h0, chi0, eps)), label
+            H = Subgroup(aut.carrier, by_rows[rows.tobytes()]).as_group()
+            assert are_isomorphic(K, H) is not None, (label, eps)
 
 
-def test_a_corrupted_inner_map_raises(monkeypatch):
-    G = resolve_spec("A5")  # Aut(A5) = S5, so Inn(A5) has index 2
-    aut = automorphism_group(G)
-    corrupted = aut.inner_of.copy()
-    corrupted[[1, 2]] = corrupted[[2, 1]]
-    monkeypatch.setattr(aut, "inner_of", corrupted)
-    with pytest.raises(EngineError):
+def _relabelled_a5_with(corrupt, seed):
+    """A fresh relabelled A5 whose cached coset representatives pass
+    through ``corrupt``."""
+    G = _relabel(resolve_spec("A5"), seed)  # Aut(A5) = S5: index 2
+    G._cache["outer_coset_reps"] = corrupt(G, outer_coset_reps(G).copy())
+    return G
+
+
+def _outer_row(G, reps):
+    gens = list(G.gens)
+    inner = conjugation_rows(G, np.arange(G.order))[:, gens]
+    return next(i for i, phi in enumerate(reps)
+                if not (inner == phi[gens]).all(axis=1).any())
+
+
+def _swap_two_entries(G, reps):
+    phi = reps[_outer_row(G, reps)]
+    phi[[1, 2]] = phi[[2, 1]]
+    return reps
+
+
+def _trivial_phi(G, reps):
+    # a homomorphism, but phi^2 = 1 is conjugation by no element
+    reps[_outer_row(G, reps)] = 0
+    return reps
+
+
+def _inner_phi(G, reps):
+    reps[_outer_row(G, reps)] = conjugation_rows(G, [5])[0]
+    return reps
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_swap_two_entries, "not a homomorphism"),
+    (_trivial_phi, "conjugation by 0 elements"),
+    (_inner_phi, "0 of the 2 coset representatives are outer"),
+], ids=["swapped-entries", "trivial-map", "inner-map"])
+def test_a_corrupted_outer_representative_raises(corrupt, message):
+    G = _relabelled_a5_with(corrupt, seed=4)
+    with pytest.raises(EngineError, match=message):
         check_inner_unique_in_aut(G)
+
+
+def test_the_check_builds_no_aut_group():
+    for G in (_relabel(resolve_spec("PGL(2,9)"), 11), projective_general_linear2(11)):
+        assert check_inner_unique_in_aut(G).status == "holds", G.name
+        assert "outer_coset_reps" in G._cache and "aut" not in G._cache, G.name
+
+
+def test_condition1_fails_on_a_quotient_other_than_the_socle():
+    A6 = resolve_spec("A6")
+    cases = {"SL(2,5)": ("fails", "quasisimple"),  # SL(2,5)/Z = A5, not A6
+             "A6": ("fails", "simple"),
+             "SL(2,9)": ("holds", "quasisimple")}
+    for label, (status, kind) in cases.items():
+        N = resolve_spec(label)
+        verdict = screening._condition1(N, center(N), A6)
+        assert (verdict.status, verdict.witness) \
+            == (status, {"kind": kind, "center_order": center(N).size}), label
