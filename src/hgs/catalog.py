@@ -7,9 +7,12 @@ are built over the pinned finite-field tables and converted either to a
 permutation action on the projective line (PGL, PSL) or to a Cayley table
 (SL).  PGL(2, q) acts with one matrix per point map.  M10 has a matrix
 model too: PSL(2, 9) together with the maps x -> (a x^3 + b)/(c x^3 + d)
-of non-square determinant.  The catalog still cuts M10 out of Aut(A6) and
-labels it by its outer-coset element orders, since the tower is built and
-cross-checked anyway and a second model would keep a second table.
+of non-square determinant.  The catalog still takes M10 from the Aut(A6)
+tower, labeled by its outer-coset element orders, since the tower is built
+and cross-checked anyway and a second model would keep a second table.
+The tower is built from A6's Inn-coset representatives, one coset pair at
+a time, so no Aut(A6) table is built for it; the family Aut(A6) is A6's
+automorphism group, built when it is asked for.
 """
 
 from __future__ import annotations
@@ -31,18 +34,16 @@ from .groups import (
     GroupError,
     PermRep,
     RowIndex,
-    Subgroup,
     _readonly,
-    commutator_subgroup,
     direct_product,
     from_perm_gens,
     order_census,
-    quotient_group,
     center,
     sorted_distinct,
     table_cap,
 )
-from .morphisms import are_isomorphic, automorphism_group
+from .morphisms import (are_isomorphic, automorphism_group, conjugators, coset_group,
+                        outer_coset_reps)
 
 
 class SpecError(GroupError):
@@ -222,58 +223,67 @@ _TOWER_CACHE: dict[str, FiniteGroup] = {}
 
 
 def catalog_aut6_tower() -> dict[str, FiniteGroup]:
-    """Aut(A6) and its three index-2 overgroups of Inn(A6), labeled.
+    """Inn(A6) and the three index-2 overgroups of it in Aut(A6), labeled.
 
-    The three subgroups are distinguished by the element orders in their
-    outer coset: no involutions identifies M10, elements of order 6 identify
-    S6, and the remaining one is PGL(2,9).  Labels are then cross-checked by
-    explicit isomorphism against independent permutation and matrix models,
+    Built from the Inn-coset representatives of A6's automorphism search
+    (``outer_coset_reps``), one group per set of cosets (``coset_group``);
+    Aut(A6) itself is never built.  Inn(A6) is the coset that holds the
+    identity, and each overgroup is Inn(A6) u Inn(A6) phi for one of the
+    other three representatives phi.  That Aut(A6)/Inn(A6) is the Klein
+    group and Inn(A6) its commutator subgroup follows from what is
+    checked: there are four cosets; each Inn(A6) u Inn(A6) phi closes,
+    since its table build raises otherwise, so every coset squares into
+    Inn(A6) and the quotient has order 4 and exponent 2; and A6 is
+    perfect, so Inn = [Inn, Inn] <= [Aut, Aut] <= Inn.
+
+    An overgroup is labeled by the element orders of its outer coset:
+    with phi^2 = c_h0, (c_h phi)^2 = c_{h phi(h) h0}, and c_h phi is not
+    inner, so its order is twice that of h phi(h) h0.  No involutions
+    identifies M10, elements of order 6 identify S6, and the remaining
+    one is PGL(2,9).  Labels are then cross-checked by explicit
+    isomorphism against independent permutation and matrix models,
     failing hard on any mismatch.
     """
     if _TOWER_CACHE:
         return dict(_TOWER_CACHE)
     A6 = resolve_spec("A6")
-    aut = automorphism_group(A6)
-    car = aut.carrier
-    inner_members = aut.inner.members
-    derived = commutator_subgroup(car)
-    if not np.array_equal(derived.members, inner_members):
-        raise GroupError("commutator subgroup of Aut(A6) is not Inn(A6)")
-    Q, coset_of = quotient_group(car, derived)
-    if Q.order != 4 or int(Q.elt_order.max()) != 2:
-        raise GroupError(f"Aut(A6)/Inn(A6) is not the Klein group (order {Q.order})")
-    inner_mask = np.zeros(car.order, dtype=bool)
-    inner_mask[inner_members] = True
-    overgroups: dict[str, FiniteGroup] = {}
-    for qv in range(1, 4):
-        members = np.flatnonzero((coset_of == 0) | (coset_of == qv))
-        sub = Subgroup(car, members)
-        outer = members[~inner_mask[members]]
-        outer_orders = set(int(o) for o in car.elt_order[outer])
+    reps = outer_coset_reps(A6)
+    if len(reps) != 4:
+        raise GroupError(f"[Aut(A6):Inn(A6)] is {len(reps)}, not 4")
+    inner_reps = [q for q, phi in enumerate(reps) if len(conjugators(A6, phi))]
+    if len(inner_reps) != 1:
+        raise GroupError(f"{len(inner_reps)} of the Aut(A6) coset representatives "
+                         "are inner, not 1")
+    q0 = inner_reps[0]
+    tower = {"Inn(A6)": coset_group(A6, reps[[q0]], "Inn(A6)")[0]}
+    for q, phi in enumerate(reps):
+        if q == q0:
+            continue
+        h0 = conjugators(A6, phi[phi])
+        if len(h0) != 1:
+            raise GroupError("an outer automorphism of A6 does not square into Inn(A6)")
+        square = A6.mul[A6.mul[np.arange(A6.order), phi], h0[0]]  # h phi(h) h0 per h
+        outer_orders = set((2 * A6.elt_order[square]).tolist())
         if 2 not in outer_orders:
             label = "M10"
         elif 6 in outer_orders:
             label = "S6"
         else:
             label = "PGL(2,9)"
-        if label in overgroups:
+        if label in tower:
             raise GroupError(f"outer-coset labeling produced {label} twice")
-        overgroups[label] = sub.as_group(name=label)
-    if set(overgroups) != {"M10", "S6", "PGL(2,9)"}:
-        raise GroupError(f"tower labeling incomplete: {sorted(overgroups)}")
+        tower[label] = coset_group(A6, reps[[q0, q]], label)[0]
+    if set(tower) != {"Inn(A6)", "M10", "S6", "PGL(2,9)"}:
+        raise GroupError(f"tower labeling incomplete: {sorted(tower)}")
     # cross-check labels against independent constructions: the catalog's
     # permutation and matrix models, built once and cached
-    if are_isomorphic(overgroups["S6"], resolve_spec("S6")) is None:
+    if are_isomorphic(tower["S6"], resolve_spec("S6")) is None:
         raise GroupError("tower S6 label failed the isomorphism cross-check")
-    if are_isomorphic(overgroups["PGL(2,9)"], resolve_spec("PGL(2,9)")) is None:
+    if are_isomorphic(tower["PGL(2,9)"], resolve_spec("PGL(2,9)")) is None:
         raise GroupError("tower PGL(2,9) label failed the isomorphism cross-check")
-    if are_isomorphic(overgroups["M10"], overgroups["S6"]) is not None:
+    if are_isomorphic(tower["M10"], tower["S6"]) is not None:
         raise GroupError("tower M10 should not be isomorphic to S6")
-    _TOWER_CACHE.update({
-        "Aut(A6)": car,
-        "Inn(A6)": aut.inner.as_group(name="Inn(A6)"),
-        **overgroups,
-    })
+    _TOWER_CACHE.update(tower)
     return dict(_TOWER_CACHE)
 
 
@@ -359,7 +369,8 @@ FAMILIES = (
            lambda q: (q ** 3 - q) // math.gcd(2, q - 1), "PSL(2,q) q<=11"),
     Family("PGL(2,{})", projective_general_linear2, lambda q: q ** 3 - q, "PGL(2,q) q<=11"),
     Family("M10", lambda: catalog_aut6_tower()["M10"], lambda: 720, "M10"),
-    Family("Aut(A6)", lambda: catalog_aut6_tower()["Aut(A6)"], lambda: 1440, "Aut(A6)"),
+    Family("Aut(A6)", lambda: automorphism_group(resolve_spec("A6")).carrier,
+           lambda: 1440, "Aut(A6)"),
 )
 
 

@@ -30,6 +30,7 @@ from .groups import (
     FiniteGroup,
     GroupError,
     _readonly,
+    center,
     order_census,
 )
 from .holomorph import (
@@ -43,6 +44,7 @@ from .morphisms import (
     automorphism_group,
     count_injective_homomorphisms,
     enumerate_homomorphisms,
+    outer_coset_reps,
 )
 from .screening import check_inner_unique_in_aut, classify_group, socle_times_cp
 
@@ -86,11 +88,19 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
-def _almost_simple_data(G: FiniteGroup):
+def _almost_simple_data(G: FiniteGroup, route: str = "count formulas need"):
+    """G's class; GroupError, naming the route that was asked for, unless
+    G is almost simple with a prime-index socle."""
     cls = classify_group(G)
     if cls.kind != "almost-simple":
-        raise GroupError("count formulas need an almost simple G with prime-index socle")
+        raise GroupError(f"{route} an almost simple G with prime-index socle")
     return cls
+
+
+def _aut_order(X: FiniteGroup) -> int:
+    """|Aut(X)| = [Aut(X) : Inn(X)] |X| / |Z(X)|, from the coset search
+    (``outer_coset_reps``) alone: Aut(X) is not built."""
+    return len(outer_coset_reps(X)) * X.order // center(X).size
 
 
 def count_self_type(G: FiniteGroup, *, g_label: str | None = None,
@@ -226,7 +236,8 @@ def count_fpf_inner_holomorph(G: FiniteGroup, N: FiniteGroup, *,
     Counts e1 = #{f: N -> G with kernel the cyclic factor} and e2 =
     #{h: N -> G with kernel the simple factor and h(eps) outside the socle},
     then scales by 2 e1 e2 / |Aut(N)|.  Requires centerless almost simple G
-    and N of matching socle x C_p shape.
+    and N of matching socle x C_p shape.  |Aut(N)| and |Aut(A)| are read
+    off the coset search (``_aut_order``), and checked against each other.
 
     Each count is searched on a factor of N alone.  A map with kernel C_p
     is an injective map A -> G composed with the projection, counted one
@@ -238,7 +249,7 @@ def count_fpf_inner_holomorph(G: FiniteGroup, N: FiniteGroup, *,
     not the identity, so that map is injective.
     """
     t0 = time.perf_counter()
-    cls_g = _almost_simple_data(G)
+    cls_g = _almost_simple_data(G, "fpf route needs")
     p = cls_g.prime
     cls_n = socle_times_cp(cls_g, N)
     if cls_n is None:
@@ -250,8 +261,7 @@ def count_fpf_inner_holomorph(G: FiniteGroup, N: FiniteGroup, *,
     e1 = count_injective_homomorphisms(cls_n.socle_group, G)
     e2 = sum(not socle_mask[h(eps)] for h in enumerate_homomorphisms(C, G))
 
-    aut_n = automorphism_group(N).order
-    aut_a = automorphism_group(cls_n.socle_group).order
+    aut_n, aut_a = _aut_order(N), _aut_order(cls_n.socle_group)
     if aut_n != (p - 1) * aut_a:
         raise EngineError(
             f"|Aut(N)| = {aut_n} disagrees with (p-1)|Aut(A)| = {(p - 1) * aut_a}")

@@ -205,26 +205,55 @@ def outer_coset_reps(G: FiniteGroup) -> np.ndarray:
     return reps
 
 
+def conjugators(G: FiniteGroup, phi: np.ndarray) -> np.ndarray:
+    """The h with phi = c_h (x -> h x h^-1), told apart on the generators,
+    which fix a homomorphism: empty when the automorphism phi is not inner."""
+    gens = np.asarray(G.gens, dtype=np.intp)
+    inner = G.mul[G.mul[:, gens], G.inv[:, None]]  # row h: c_h on the generators
+    return np.flatnonzero((inner == phi[gens]).all(axis=1))
+
+
 def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
-    """All automorphisms of G, as the Inn(G)-cosets of the searched
-    representatives (``outer_coset_reps``), each added whole.
+    """All automorphisms of G: the Inn(G)-cosets of every searched
+    representative (``outer_coset_reps``), built by ``coset_group``.
 
     Carrier order: identity first, the rest by image-sequence order, which
     depends on the set of automorphisms alone and not on which coset
-    representatives the search met (``_sorted_stack``).  The inner table
-    is dropped once ``inner_of`` is found, before the carrier table is
-    built, so the build holds little more than its result.
-
-    The carrier is certified on its generator rows alone
-    (``_certified_carrier``).  ``RowIndex.table`` finds every product of a
-    generator row with a row as a whole row, or raises, so every row is a
-    composition of the carrier's generator rows, and a composition of
-    homomorphisms is one: the certificate on those few rows proves what
-    it would prove on every row.
+    representatives the search met.
     """
     if "aut" in G._cache:
         return G._cache["aut"]
-    reps = outer_coset_reps(G)
+    carrier, index, inner_of = coset_group(G, outer_coset_reps(G),
+                                           f"Aut({G.name})" if G.name else "Aut")
+    inner = Subgroup(carrier, inner_of)
+    z = center(G).size
+    if inner.size * z != G.order:
+        raise GroupError("inner automorphism count disagrees with the center")
+    aut = AutomorphismGroup(G, carrier, index.rows, inner, index)
+    G._cache["aut"] = aut
+    return aut
+
+
+def coset_group(G: FiniteGroup, reps: np.ndarray,
+                name: str) -> tuple[FiniteGroup, RowIndex, np.ndarray]:
+    """The group of the automorphisms in the cosets Inn(G) . reps[i], each
+    added whole: its carrier, the ``RowIndex`` of its rows (maps G -> G)
+    and the carrier index of each inner automorphism.
+
+    ``reps`` are rows of ``outer_coset_reps``, one of them inner.  The
+    rows are sorted (``_sorted_stack``), so the identity comes first and
+    the carrier depends on the set of automorphisms alone.  The inner
+    table is dropped once the inner rows are found, before the carrier
+    table is built, so the build holds little more than its result.
+
+    The carrier is certified on its generator rows alone
+    (``_certified_carrier``).  ``RowIndex.table`` finds every product of a
+    generator row with a row as a whole row, or raises, so the cosets are
+    closed under composition and every row is a composition of the
+    carrier's generator rows; a composition of homomorphisms is one, so
+    the certificate on those few rows proves what it would prove on every
+    row.
+    """
     # row h: x -> h x h^-1, one row per inner automorphism
     inn = conjugation_rows(G, np.arange(G.order))
     inn = inn[RowSet().add(inn[:, G.gens])]
@@ -235,14 +264,7 @@ def automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
     index = RowIndex(perms)
     inner_of = index.find(inn)  # the carrier index of each c_h
     del inn  # the carrier table is built without it
-    carrier = _certified_carrier(G, index, f"Aut({G.name})" if G.name else "Aut")
-    inner = Subgroup(carrier, inner_of)
-    z = center(G).size
-    if inner.size * z != G.order:
-        raise GroupError("inner automorphism count disagrees with the center")
-    aut = AutomorphismGroup(G, carrier, perms, inner, index)
-    G._cache["aut"] = aut
-    return aut
+    return _certified_carrier(G, index, name), index, inner_of
 
 
 def _sorted_stack(inn: np.ndarray, reps: np.ndarray) -> np.ndarray:
@@ -278,8 +300,8 @@ def _sorted_stack(inn: np.ndarray, reps: np.ndarray) -> np.ndarray:
 
 def _certified_carrier(G: FiniteGroup, index: RowIndex, name: str) -> FiniteGroup:
     """The group of the rows of ``index``, maps G -> G certified as
-    homomorphisms on the generator rows (``automorphism_group`` says why
-    that suffices).  EngineError when the rows are not closed under
+    homomorphisms on the generator rows (``coset_group`` says why that
+    suffices).  EngineError when the rows are not closed under
     composition or a generator row fails the certificate.
     """
     try:

@@ -33,8 +33,8 @@ from .groups import (
     quotient_group,
     _greedy_closure,
 )
-from .morphisms import (are_isomorphic, automorphism_group, enumerate_homomorphisms,
-                        outer_coset_reps)
+from .morphisms import (are_isomorphic, automorphism_group, conjugators,
+                        enumerate_homomorphisms, outer_coset_reps)
 
 
 @dataclass
@@ -333,16 +333,14 @@ def _outer_square(G: FiniteGroup, reps: np.ndarray) -> tuple[np.ndarray, int]:
     representatives come from ``outer_coset_reps``, so a failure is an
     engine fault (EngineError).
     """
-    gens = np.asarray(G.gens, dtype=np.intp)
-    inner = G.mul[G.mul[:, gens], G.inv[:, None]]  # row h: c_h on the generators
-    outer = [phi for phi in reps if not (inner == phi[gens]).all(axis=1).any()]
+    outer = [phi for phi in reps if not len(conjugators(G, phi))]
     if len(outer) != 1:
         raise EngineError(f"{len(outer)} of the {len(reps)} coset representatives "
                           "are outer, not 1")
     phi = outer[0]
     if not _search.generator_certificate(G, G, phi):
         raise EngineError("the outer coset representative is not a homomorphism")
-    h0 = np.flatnonzero((inner == phi[phi[gens]]).all(axis=1))
+    h0 = conjugators(G, phi[phi])
     if len(h0) != 1:
         raise EngineError(f"phi^2 is conjugation by {len(h0)} elements, not by one")
     return phi, int(h0[0])

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,13 +23,14 @@ from hgs.cli import main
 from hgs.fields import gf
 from hgs.groups import (
     CapExceededError,
+    EngineError,
     GroupError,
     center,
     direct_product,
     normal_subgroups,
     order_census,
 )
-from hgs.morphisms import are_isomorphic
+from hgs.morphisms import are_isomorphic, automorphism_group, conjugators, outer_coset_reps
 
 
 def test_named_specs_resolve(small_catalog):
@@ -151,8 +158,10 @@ def test_direct_product_tables_equal_the_pairwise_rule(a, b):
 
 def test_tower_labels_and_m10():
     tower = catalog_aut6_tower()
-    assert set(tower) == {"Aut(A6)", "Inn(A6)", "M10", "S6", "PGL(2,9)"}
-    assert tower["Aut(A6)"].order == 1440
+    assert set(tower) == {"Inn(A6)", "M10", "S6", "PGL(2,9)"}
+    aut = resolve_spec("Aut(A6)")
+    assert aut is automorphism_group(resolve_spec("A6")).carrier
+    assert aut.order == 1440
     M10 = tower["M10"]
     socle = [s for s in normal_subgroups(M10) if s.size == 360][0]
     assert order_census(M10, 2, "outside", socle) == 0
@@ -168,6 +177,67 @@ def test_tower_is_stable_across_calls():
 
 def test_m10_spec_goes_through_tower():
     assert resolve_spec("M10") is catalog_aut6_tower()["M10"]
+
+
+def _digest(G):
+    return hashlib.sha256(G.mul.astype("<i2").tobytes()).hexdigest()[:16]
+
+
+# first 16 hex digits of the sha256 of each table as little-endian int16,
+# and its generators
+TOWER_PINS = {
+    "Inn(A6)": ("364ef89b4c7bc010", [1, 5, 10]),
+    "PGL(2,9)": ("2a912393e466afba", [1, 10, 20]),
+    "S6": ("67833d6dbfd514bf", [1, 5, 15]),
+    "M10": ("86ee910d42e3b805", [1, 5, 15]),
+}
+
+
+def test_tower_tables_are_pinned():
+    tower = catalog_aut6_tower()
+    assert {label: (_digest(G), list(G.gens)) for label, G in tower.items()} == TOWER_PINS
+    assert all(G.name == label for label, G in tower.items())
+    aut = resolve_spec("Aut(A6)")
+    assert (_digest(aut), list(aut.gens), aut.name) \
+        == ("3298356ebf5e13b1", [1, 10, 30], "Aut(A6)")
+
+
+def test_the_tower_builds_no_aut_group():
+    # a fresh process, since other tests build Aut(A6) on the cached A6
+    src = Path(catalog.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("from hgs.catalog import catalog_aut6_tower, resolve_spec\n"
+            "catalog_aut6_tower()\n"
+            "cache = resolve_spec('A6')._cache\n"
+            "print('aut' in cache, 'outer_coset_reps' in cache)\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["False", "True"]
+
+
+def test_a_coset_that_does_not_close_raises(monkeypatch):
+    A6 = resolve_spec("A6")
+    reps = outer_coset_reps(A6).copy()
+    q = next(q for q, phi in enumerate(reps) if not len(conjugators(A6, phi)))
+    # swap two images that neither a generator nor phi of one names, so
+    # phi^2 still agrees with an inner map on the generators
+    named = set(A6.gens) | set(reps[q][A6.gens].tolist())
+    x, y = [x for x in range(1, A6.order) if x not in named][:2]
+    reps[q, [x, y]] = reps[q, [y, x]]
+    monkeypatch.setattr(catalog, "_TOWER_CACHE", {})
+    monkeypatch.setattr(catalog, "outer_coset_reps", lambda G: reps)
+    with pytest.raises(EngineError, match="do not form a group"):
+        catalog_aut6_tower()
+
+
+def test_the_tower_finds_the_inner_coset_wherever_it_comes(monkeypatch):
+    reps = outer_coset_reps(resolve_spec("A6"))
+    monkeypatch.setattr(catalog, "_TOWER_CACHE", {})
+    monkeypatch.setattr(catalog, "outer_coset_reps", lambda G: np.roll(reps, 1, axis=0))
+    tower = catalog_aut6_tower()
+    assert {label: (_digest(G), list(G.gens)) for label, G in tower.items()} == TOWER_PINS
 
 
 def test_load_perm_group_file(tmp_path):

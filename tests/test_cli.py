@@ -89,7 +89,7 @@ def test_count_formula_refusals_exit_2(g, n, err, capsys):
 @pytest.mark.parametrize("g, n, err", [
     ("S5", "C120", "error: fpf route needs N of shape A x C_p for the socle A and "
                    "prime p of G\n"),
-    ("C6", "S3", "error: count formulas need an almost simple G with prime-index "
+    ("C6", "S3", "error: fpf route needs an almost simple G with prime-index "
                  "socle\n"),
 ])
 def test_count_fpf_refusals_exit_1(g, n, err, capsys):

@@ -21,6 +21,8 @@ from hgs.morphisms import enumerate_homomorphisms
 from hgs.perms import is_permutation, perm_order
 from hgs.screening import classify_group
 
+from test_screening import _relabel
+
 
 def test_sn_involution_census_matches_brute_enumeration():
     from itertools import permutations
@@ -137,6 +139,20 @@ def test_fpf_factors_equal_the_kernel_filtered_hom_search(g, n, e1, e2):
     G, N = resolve_spec(g), resolve_spec(n)
     assert _fpf_factors_by_kernel_filter(G, N) == (e1, e2)
     assert count_fpf_inner_holomorph(G, N).notes == f"e1={e1} e2={e2}"
+
+
+@pytest.mark.parametrize("g, n, value", [
+    ("S5", "AxCp(A5,2)", 20),
+    ("PGL(2,9)", "AxCp(A6,2)", 72),
+    ("S6", "AxCp(A6,2)", 60),
+    ("M10", "AxCp(A6,2)", 0),
+], ids=["S5", "PGL(2,9)", "S6", "M10"])
+def test_fpf_reads_aut_orders_off_the_coset_search(g, n, value):
+    # a fresh relabelled N, so no Aut(N) or Aut(A) is cached from elsewhere
+    G, N = resolve_spec(g), _relabel(resolve_spec(n), 5)
+    assert count_fpf_inner_holomorph(G, N).value == value
+    A = classify_group(N).socle_group
+    assert "aut" not in N._cache and "aut" not in A._cache
 
 
 def test_fpf_rejects_wrong_type_shape(S5):

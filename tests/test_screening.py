@@ -375,3 +375,20 @@ def test_condition1_fails_on_a_quotient_other_than_the_socle():
         verdict = screening._condition1(N, center(N), A6)
         assert (verdict.status, verdict.witness) \
             == (status, {"kind": kind, "center_order": center(N).size}), label
+
+
+@pytest.mark.parametrize("g, n", [("S5", "SL(2,5)"), ("M10", "SL(2,9)")])
+def test_condition4_holds_with_a_reverified_witness(g, n):
+    # Aut of SL(2,q) fixes its center of order 2, so condition 4 applies: an
+    # order-p zeta in the socle commutes with a sigma outside it
+    G, N = resolve_spec(g), resolve_spec(n)
+    cls_g = classify_group(G)
+    verdict = screening._condition4(G, cls_g, N, center(N), cls_g.prime)
+    assert verdict.status == "holds"
+    zeta, sigma = verdict.witness["zeta"], verdict.witness["sigma"]
+    assert int(G.elt_order[zeta]) == cls_g.prime and cls_g.socle.contains(zeta)
+    assert not cls_g.socle.contains(sigma)
+    assert G.mul[zeta, sigma] == G.mul[sigma, zeta]
+    report = screen_candidate(G, N)
+    assert report.conditions["condition-4"] == verdict
+    assert reverify_report(report, G, N)

@@ -48,7 +48,8 @@ from hgs.morphisms import Homomorphism, automorphism_group
 from hgs.perms import identity_perm, is_permutation, parse_cycles
 
 SPECS = ["C4", "V4", "C6", "S3", "C8", "C4xC2", "C2xC2xC2", "D4", "Q8",
-         "S5", "AxCp(A5,2)", "A6", "S6", "PGL(2,9)", "M10", "AxCp(A6,2)", "C720"]
+         "S5", "AxCp(A5,2)", "A6", "S6", "PGL(2,9)", "M10", "AxCp(A6,2)", "C720",
+         "Aut(A6)"]
 RELABELLED = ["S5", "A6", "PGL(2,9)", "M10"]
 # the loop forms of validation and of the normal subgroup scan take seconds
 # on the order-1440 Aut(A6), so those two stop at 720
